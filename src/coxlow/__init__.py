@@ -53,6 +53,7 @@ from .elements import (
     enumerate_low_stable,
     inverse,
     inversion_set,
+    inversion_walk,
     is_low,
     left_descents,
     multiply,

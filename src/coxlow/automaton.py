@@ -163,7 +163,7 @@ def count_elements(rs, sigma, k):
     elements and their normal forms; cross-checked elsewhere against a
     brute-force BFS with normal-form dedup."""
     cache = rs._caches.setdefault("shortlex_aut", {})
-    key = id(sigma)
+    key = tuple(root.key for root in sigma)
     if key not in cache:
         cache[key] = build_shortlex_automaton(rs, sigma)
     return _path_counts(cache[key], k)

@@ -21,9 +21,9 @@ from .automaton import build_automaton
 from .core import INF, triangle_matrix, build_root_system
 from .elements import (
     IDENTITY,
-    elements_by_length,
     enumerate_low,
     inversion_set,
+    inversion_walk,
     is_low,
     left_descents,
     normalize,
@@ -91,11 +91,14 @@ class BipGraph:
         return sum(1 for _, b in self.edges if b == v)
 
 
-def build_gbip(rs, w):
-    """The bipartite digraph described in the module docstring."""
+def build_gbip(rs, w, inv=None):
+    """The bipartite digraph described in the module docstring.
+
+    ``inv`` is N(w) when the caller already has it."""
     if rs.rank != 3:
         raise RankNotThree("the graph construction requires rank 3")
-    inv = inversion_set(rs, w)
+    if inv is None:
+        inv = inversion_set(rs, w)
     simple_keys = {rs.vec_key(rs.simple_roots[s]): s for s in range(rs.rank)}
     descents = {simple_keys[r.key] for r in inv if r.key in simple_keys}
     deep = [r for r in inv if r.key not in simple_keys]
@@ -260,7 +263,7 @@ def construct_low_from_lambda(rs, sigma, lam, fallback_max_len=25, _memo=None):
     if mask in _memo:
         return _memo[mask]
     aut = rs._caches.setdefault("aut", {})
-    key = id(sigma)
+    key = tuple(root.key for root in sigma)
     if key not in aut:
         aut[key] = build_automaton(rs, sigma)
     aut = aut[key]
@@ -293,10 +296,10 @@ def construct_low_from_lambda(rs, sigma, lam, fallback_max_len=25, _memo=None):
             _memo[mask] = candidate
             return candidate
     # fallback: brute-force scan of the enumerated low elements
-    for length, entries in elements_by_length(rs, fallback_max_len):
-        for elem, _, _ in entries:
-            if (small_inversion_mask(rs, sigma, elem) == mask
-                    and is_low(rs, sigma, elem)):
+    for _, entries in inversion_walk(rs, fallback_max_len):
+        for elem, inv in entries:
+            if (small_inversion_mask(rs, sigma, elem, inv=inv) == mask
+                    and is_low(rs, sigma, elem, inv=inv)):
                 _memo[mask] = elem
                 return elem
     raise ConstructionFailed(

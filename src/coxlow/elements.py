@@ -6,6 +6,8 @@ through the normal form exclusively.  The inversion set convention is
 N(w) = Phi+ cap w(Phi-), computed by the prefix formula
 N(s1...sk) = {alpha_s1, s1(alpha_s2), ..., s1...s_{k-1}(alpha_sk)};
 left descents are the generators whose simple root lies in N(w).
+``inversion_walk`` carries N(w) along the element walk instead, as
+N(ws) = N(w) u {w(alpha_s)}.
 """
 
 import itertools
@@ -158,9 +160,12 @@ def inversion_set(rs, w):
     return InversionSet(rs, roots)
 
 
-def left_descents(rs, w):
-    """{s : alpha_s in N(w)} = {s : length(s w) < length(w)}."""
-    inv = inversion_set(rs, w)
+def left_descents(rs, w, inv=None):
+    """{s : alpha_s in N(w)} = {s : length(s w) < length(w)}.
+
+    ``inv`` is N(w) when the caller already has it."""
+    if inv is None:
+        inv = inversion_set(rs, w)
     return {s for s in range(rs.rank)
             if rs.vec_key(rs.simple_roots[s]) in inv.keys}
 
@@ -182,9 +187,9 @@ class SmallInversionSet:
         return bin(self.mask).count("1")
 
 
-def small_inversion_mask(rs, sigma, w):
+def small_inversion_mask(rs, sigma, w, inv=None):
     mask = 0
-    for root in inversion_set(rs, w):
+    for root in inversion_set(rs, w) if inv is None else inv:
         i = sigma.index_of(root.key)
         if i is not None:
             mask |= 1 << i
@@ -283,15 +288,18 @@ def _cone_cache(rs):
 
 def _cached_cone(rs, lam_keys, lam_coords, root, eps_cone):
     cache = _cone_cache(rs)
-    key = (lam_keys, root.key)
+    key = (lam_keys, root.key, eps_cone)
     if key not in cache:
         cache[key] = cone_membership(rs, lam_coords, root, eps_cone=eps_cone)
     return cache[key]
 
 
-def is_low(rs, sigma, w, eps_cone=DEFAULT_EPS_CONE):
-    """w is low iff N(w) lies in the cone spanned by Sigma cap N(w)."""
-    inv = inversion_set(rs, w)
+def is_low(rs, sigma, w, eps_cone=DEFAULT_EPS_CONE, inv=None):
+    """w is low iff N(w) lies in the cone spanned by Sigma cap N(w).
+
+    ``inv`` is N(w) when the caller already has it."""
+    if inv is None:
+        inv = inversion_set(rs, w)
     lam = [root for root in inv if sigma.index_of(root.key) is not None]
     lam_keys = frozenset(root.key for root in lam)
     lam_coords = tuple(root.coords for root in lam)
@@ -349,6 +357,62 @@ def elements_up_to_length(rs, max_len):
     return out
 
 
+def inversion_walk(rs, max_len=None):
+    """Yield (length, entries) level by level, like elements_by_length, but
+    each entry is (Element, InversionSet).
+
+    N(ws) = N(w) u {w(alpha_s)} when ws is longer than w, and w(alpha_s) is
+    column s of w's walk matrix: the vector the prefix formula of
+    inversion_set computes, bit for bit.  So every InversionSet yielded
+    equals inversion_set(rs, elem), roots, depths and order included.
+    Depths are read from a root table local to this walk; a root missing
+    from it is peeled greedily down to a known root, and every root on the
+    way is recorded.  Between levels only each element's tuple of roots
+    (shared with its children) and its matrix are kept; entries is a
+    generator, so each InversionSet is built when drawn and freed after."""
+    table = {}
+    for s in range(rs.rank):
+        root = rs.simple_root(s)
+        table[root.key] = root
+
+    def lookup(v):
+        key = rs.vec_key(v)
+        if key not in table:
+            path = []
+            u, k = v, key
+            while k not in table:
+                path.append((u, k))
+                for s in range(rs.rank):
+                    if rs.is_pos(rs.form_simple(s, u)):
+                        u = rs.reflect(s, u)
+                        break
+                else:
+                    raise ValueError("not a positive root: %r" % (v,))
+                k = rs.vec_key(u)
+            depth = table[k].depth
+            for u, k in reversed(path):
+                depth += 1
+                table[k] = rs.make_root(u, depth)
+        known = table[key]
+        # the table's root may come from another element, whose float
+        # coordinates differ from v in the last bits; v's own are kept
+        return known if known.coords == v else rs.make_root(v, known.depth)
+
+    prev = {}
+    for length, entries in elements_by_length(rs, max_len):
+        level = {}
+        for elem, w, _ in entries:
+            roots = ()
+            if elem.word:
+                _, parent_roots, parent_w = prev[elem.word[:-1]]
+                roots = parent_roots + (
+                    lookup(mat_column(parent_w, elem.word[-1])),)
+            level[elem.word] = (elem, roots, w)
+        prev = level
+        yield length, ((elem, InversionSet(rs, roots))
+                       for elem, roots, _ in level.values())
+
+
 @dataclass
 class CompletenessReport:
     """Did the bounded search realize every small inversion set?"""
@@ -373,10 +437,11 @@ def enumerate_low(rs, sigma, max_len, eps_cone=DEFAULT_EPS_CONE):
 
     lows = []
     realized = set()
-    for elem, _, _ in elements_up_to_length(rs, max_len):
-        if is_low(rs, sigma, elem, eps_cone=eps_cone):
-            lows.append(elem)
-            realized.add(small_inversion_mask(rs, sigma, elem))
+    for _, entries in inversion_walk(rs, max_len):
+        for elem, inv in entries:
+            if is_low(rs, sigma, elem, eps_cone=eps_cone, inv=inv):
+                lows.append(elem)
+                realized.add(small_inversion_mask(rs, sigma, elem, inv=inv))
     aut = build_automaton(rs, sigma)
     unrealized = tuple(sorted(set(aut.states) - realized))
     report = CompletenessReport(max_len, len(aut.states), len(realized),
@@ -400,13 +465,13 @@ def enumerate_low_stable(rs, sigma, cap=25, settle=4, eps_cone=DEFAULT_EPS_CONE)
     realized = set()
     quiet = 0
     reached = 0
-    for length, entries in elements_by_length(rs, cap):
+    for length, entries in inversion_walk(rs, cap):
         reached = length
         new = 0
-        for elem, _, _ in entries:
-            if is_low(rs, sigma, elem, eps_cone=eps_cone):
+        for elem, inv in entries:
+            if is_low(rs, sigma, elem, eps_cone=eps_cone, inv=inv):
                 lows.append(elem)
-                realized.add(small_inversion_mask(rs, sigma, elem))
+                realized.add(small_inversion_mask(rs, sigma, elem, inv=inv))
                 new += 1
         quiet = 0 if new else quiet + 1
         if realized >= all_masks and quiet >= settle:

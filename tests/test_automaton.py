@@ -5,6 +5,7 @@ import pytest
 from coxlow import (
     INF,
     CoxeterMatrix,
+    SmallRootSet,
     build_automaton,
     build_root_system,
     build_shortlex_automaton,
@@ -156,3 +157,16 @@ def test_export_dot_stable():
     assert dot.count("[shape=circle") == 3
     assert dot.count(" -> ") == 5  # start edge + 4 transitions
     assert "start" in dot
+
+
+def test_count_elements_keys_automata_by_sigma_content():
+    # two sets of different content on one root system: the small roots of
+    # A2, and the simple roots alone (whose acceptor only forbids "ss")
+    rs = build_root_system(dihedral_matrix(3))
+    for _ in range(20):
+        simple_only = SmallRootSet(rs, [rs.simple_root(s) for s in range(2)])
+        assert count_elements(rs, simple_only, 4) == [1, 2, 2, 2, 2]
+        del simple_only
+        # a new set may be given the id of the one just freed
+        assert count_elements(rs, small_roots(rs), 4) == [1, 2, 2, 1, 0]
+    assert len(rs._caches["shortlex_aut"]) == 2

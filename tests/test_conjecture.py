@@ -5,6 +5,7 @@ from coxlow import (
     BipGraph,
     IDENTITY,
     INF,
+    SmallRootSet,
     build_gbip,
     build_root_system,
     check_acyclic,
@@ -23,7 +24,7 @@ from coxlow import (
     verify_bijection,
     verify_inversion_polytopes,
 )
-from coxlow.errors import CyclicGraph, RankNotThree
+from coxlow.errors import ConstructionFailed, CyclicGraph, RankNotThree
 
 RANK3_SAMPLE = ("A3", "affine-3-3-3", "hyperbolic-3-3-4", "universal-override")
 
@@ -213,3 +214,19 @@ def test_polytope_symmetry_3_3_3(battery):
         hull = projective_hull(rs, rolled)
         sizes2[len(hull)] = sizes2.get(len(hull), 0) + 1
     assert sizes == sizes2
+
+
+def test_construct_keys_automata_by_sigma_content():
+    # the longest element of A2 inverts all three small roots; with the
+    # simple roots alone as Sigma that mask is no automaton state
+    rs = build_root_system(dihedral_matrix(3))
+    full = (1 << len(small_roots(rs))) - 1
+    for _ in range(20):
+        simple_only = SmallRootSet(rs, [rs.simple_root(s) for s in range(2)])
+        with pytest.raises(ConstructionFailed):
+            construct_low_from_lambda(rs, simple_only, full)
+        del simple_only
+        # a new set may be given the id of the one just freed
+        low = construct_low_from_lambda(rs, small_roots(rs), full)
+        assert low.length == 3
+    assert len(rs._caches["aut"]) == 2

@@ -1,17 +1,23 @@
 import pytest
 
+import coxlow.elements
 from coxlow import (
+    BATTERY,
     INF,
     Element,
     IDENTITY,
+    battery_root_system,
+    build_automaton,
     build_root_system,
     cone_membership,
     dihedral_matrix,
+    elements_by_length,
     elements_up_to_length,
     enumerate_low,
     enumerate_low_stable,
     inverse,
     inversion_set,
+    inversion_walk,
     is_low,
     left_descents,
     multiply,
@@ -21,6 +27,8 @@ from coxlow import (
     small_roots,
 )
 from coxlow.errors import NonReducedInput, NumericallyAmbiguous
+
+from conftest import RATIONAL_NAMES
 
 
 def dihedral(m, **kw):
@@ -94,6 +102,37 @@ def test_two_closure(battery):
                     assert key in inv.keys, (elem, a, b)
 
 
+def _root_data(inv):
+    # repr round-trips a float exactly and tells -0.0 from 0.0
+    return [(tuple(map(repr, r.coords)), r.depth, r.key, r.sign)
+            for r in inv.roots]
+
+
+@pytest.mark.parametrize("backend", ["float", "rational"])
+def test_inversion_walk_matches_inversion_set(battery, backend):
+    names = ([name for name, _, _ in BATTERY] if backend == "float"
+             else RATIONAL_NAMES)
+    for name in names:
+        rs, _, _ = battery.get(name, backend)
+        walked = []
+        for length, entries in inversion_walk(rs, 8):
+            for elem, inv in entries:
+                assert elem.length == length
+                ref = inversion_set(rs, elem)
+                assert _root_data(inv) == _root_data(ref), (name, elem)
+                assert inv.keys == ref.keys, (name, elem)
+                walked.append(elem)
+        assert walked == [e for e, _, _ in elements_up_to_length(rs, 8)], name
+
+
+def test_inversion_walk_adds_no_cache():
+    rs = build_root_system(dihedral_matrix(5))
+    for _, entries in inversion_walk(rs):
+        for _ in entries:
+            pass
+    assert rs._caches == {}
+
+
 def test_left_descents():
     rs = dihedral(INF)
     assert left_descents(rs, IDENTITY) == set()
@@ -142,6 +181,25 @@ def test_cone_membership_exact_backend():
     gamma = rs.make_root((Fraction(2), Fraction(1)), 2)
     assert not cone_membership(rs, a, gamma)
     assert cone_membership(rs, [rs.simple_root(0), rs.simple_root(1)], gamma)
+
+
+def test_cone_cache_is_keyed_by_tolerance(monkeypatch):
+    rs = dihedral(INF)
+    sigma = small_roots(rs)
+    solves = []
+
+    def counting(*args, **kwargs):
+        solves.append(kwargs["eps_cone"])
+        return cone_membership(*args, **kwargs)
+
+    monkeypatch.setattr(coxlow.elements, "cone_membership", counting)
+    w = Element((0, 1))        # not low: one cone test on its deep root
+    for eps in (1e-7, 1e-7, 1e-3, 1e-3, 1e-7):
+        assert not is_low(rs, sigma, w, eps_cone=eps)
+    # each tolerance is solved once, then served from its own entry
+    assert solves == [1e-7, 1e-3]
+    keys = rs._caches["cone"]
+    assert sorted(key[-1] for key in keys) == [1e-7, 1e-3]
 
 
 def test_cone_gray_zone():
@@ -204,3 +262,47 @@ def test_element_enumeration_counts():
     assert len(elements_up_to_length(rs, 10)) == 6
     rs_inf = dihedral(INF)
     assert len(elements_up_to_length(rs_inf, 4)) == 9  # 1 + 2*4
+
+
+def _reference_lows(rs, sigma, cap, settle=None):
+    """enumerate_low (settle=None) or enumerate_low_stable, computed over
+    elements_by_length with N(w) from the prefix formula."""
+    all_masks = set(build_automaton(rs, sigma).states)
+    lows, realized, quiet, reached = [], set(), 0, 0
+    for length, entries in elements_by_length(rs, cap):
+        reached = length
+        new = 0
+        for elem, _, _ in entries:
+            if is_low(rs, sigma, elem):
+                lows.append(elem)
+                realized.add(small_inversion_mask(rs, sigma, elem))
+                new += 1
+        quiet = 0 if new else quiet + 1
+        if settle is not None and realized >= all_masks and quiet >= settle:
+            break
+    lows.sort(key=lambda e: (e.length, e.word))
+    return lows, reached, len(all_masks), len(realized), \
+        tuple(sorted(all_masks - realized))
+
+
+@pytest.mark.parametrize("name,backend", [
+    ("A3", "float"), ("affine-6-3-2", "float"), ("hyperbolic-3-3-4", "float"),
+    ("universal-override", "float"), ("affine-3-3-3", "rational")])
+def test_enumerate_low_matches_reference(name, backend):
+    # separate root systems, so that neither run sees the other's cone cache
+    rs = battery_root_system(name, backend)
+    sigma = small_roots(rs)
+    ref_rs = battery_root_system(name, backend)
+    ref_sigma = small_roots(ref_rs)
+
+    lows, report = enumerate_low(rs, sigma, 9)
+    ref = _reference_lows(ref_rs, ref_sigma, 9)
+    assert lows == ref[0]
+    assert (report.max_len, report.n_lambda, report.realized,
+            report.unrealized_masks) == (9,) + ref[2:]
+
+    lows, report, reached = enumerate_low_stable(rs, sigma, cap=25)
+    ref = _reference_lows(ref_rs, ref_sigma, 25, settle=4)
+    assert (lows, reached) == ref[:2]
+    assert (report.max_len, report.n_lambda, report.realized,
+            report.unrealized_masks) == ref[1:]
