@@ -25,7 +25,7 @@ for name in ["infinite-dihedral", "universal", "affine-3-3-3",
 
     lows, report, reached = enumerate_low_stable(rs, sigma)
     bij = verify_bijection(rs, sigma, aut, reached)
-    print("%-20s |Sigma|=%2d |Lambda|=%3d lows=%3d (stable at length %d) "
+    print("%-20s |Sigma|=%2d |Lambda|=%3d lows=%3d (search ended at length %d) "
           "bijective=%s" % (name, len(sigma), bij.n_lambda, bij.n_low,
                             reached, bij.bijective))
 

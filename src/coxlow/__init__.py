@@ -34,10 +34,8 @@ from .core import (
     DEFAULT_EPS,
     INF,
     Root,
-    bilinear,
     build_root_system,
     dihedral_matrix,
-    reflect,
     roots_up_to_depth,
     triangle_matrix,
 )

@@ -72,8 +72,8 @@ def _close(rs, sigma, delta):
     return states, transitions
 
 
-def build_automaton(rs, sigma):
-    """Build the automaton with delta(A, s) = {alpha_s} u (s A cap Sigma)."""
+def _reduced_word_delta(rs, sigma):
+    """The transition of build_automaton; None when alpha_s is in A."""
     table = _reflection_table(rs, sigma)
     simple_bit = [1 << sigma.simple_index[s] for s in range(rs.rank)]
 
@@ -92,7 +92,12 @@ def build_automaton(rs, sigma):
             i += 1
         return new
 
-    states, transitions = _close(rs, sigma, delta)
+    return delta
+
+
+def build_automaton(rs, sigma):
+    """Build the automaton with delta(A, s) = {alpha_s} u (s A cap Sigma)."""
+    states, transitions = _close(rs, sigma, _reduced_word_delta(rs, sigma))
     return Automaton(rs, sigma, states, transitions)
 
 
@@ -103,27 +108,19 @@ def build_shortlex_automaton(rs, sigma):
     reading s, the roots s . alpha_j for j < s are marked as if they were
     inversions, which rejects any continuation that a lexicographically
     smaller reduced word could also reach."""
-    table = _reflection_table(rs, sigma)
-    simple_bit = [1 << sigma.simple_index[s] for s in range(rs.rank)]
+    reduced = _reduced_word_delta(rs, sigma)
+    poison = []
+    for s in range(rs.rank):
+        bits = 0
+        for j in range(s):
+            t = sigma.index_of(rs.vec_key(rs.reflect(s, rs.simple_roots[j])))
+            if t is not None:
+                bits |= 1 << t
+        poison.append(bits)
 
     def delta(mask, s):
-        if mask & simple_bit[s]:
-            return None
-        new = simple_bit[s]
-        m = mask
-        i = 0
-        while m:
-            if m & 1:
-                j = table[i][s]
-                if j is not None:
-                    new |= 1 << j
-            m >>= 1
-            i += 1
-        for j in range(s):
-            t = table[sigma.simple_index[j]][s]
-            if t is not None:
-                new |= 1 << t
-        return new
+        new = reduced(mask, s)
+        return None if new is None else new | poison[s]
 
     states, transitions = _close(rs, sigma, delta)
     return Automaton(rs, sigma, states, transitions)

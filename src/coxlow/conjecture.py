@@ -21,9 +21,8 @@ from .automaton import build_automaton
 from .core import INF, triangle_matrix, build_root_system
 from .elements import (
     IDENTITY,
-    enumerate_low,
+    _low_search,
     inversion_set,
-    inversion_walk,
     is_low,
     left_descents,
     normalize,
@@ -86,9 +85,6 @@ class BipGraph:
                                  % ((u, v),))
         self.edges = tuple(edges)
         self.roots_by_label = dict(roots_by_label or {})
-
-    def in_degree(self, v):
-        return sum(1 for _, b in self.edges if b == v)
 
 
 def build_gbip(rs, w, inv=None):
@@ -207,17 +203,17 @@ class BijectionReport:
 
 
 def verify_bijection(rs, sigma, aut, max_len):
-    lows, report = enumerate_low(rs, sigma, max_len)
-    mapping = {low: small_inversion_mask(rs, sigma, low) for low in lows}
-    masks = list(mapping.values())
+    mapping, _ = _low_search(rs, sigma, max_len)
+    realized = set(mapping.values())
+    unresolved = tuple(sorted(set(aut.states) - realized))
     return BijectionReport(
         max_len=max_len,
         n_lambda=len(aut.states),
-        n_low=len(lows),
+        n_low=len(mapping),
         mapping=mapping,
-        unresolved_masks=report.unrealized_masks,
-        injective=len(set(masks)) == len(masks),
-        surjective=report.complete,
+        unresolved_masks=unresolved,
+        injective=len(realized) == len(mapping),
+        surjective=not unresolved,
     )
 
 
@@ -254,9 +250,10 @@ def construct_low_from_lambda(rs, sigma, lam, fallback_max_len=25, _memo=None):
 
     Primary path: take the shortest element realizing lam, pick a source of
     its bipartite graph (a descent), peel it off and recurse; the candidate
-    is verified before being returned.  Falls back on scanning the
-    enumerated low elements; failure at this bounded scale signals a bug in
-    the construction, not a counterexample."""
+    is verified before being returned.  Falls back on the least low
+    element of length <= fallback_max_len realizing lam; failure at this
+    bounded scale signals a bug in the construction, not a
+    counterexample."""
     mask = lam.mask if hasattr(lam, "mask") else int(lam)
     if _memo is None:
         _memo = {}
@@ -295,16 +292,16 @@ def construct_low_from_lambda(rs, sigma, lam, fallback_max_len=25, _memo=None):
                 and is_low(rs, sigma, candidate)):
             _memo[mask] = candidate
             return candidate
-    # fallback: brute-force scan of the enumerated low elements
-    for _, entries in inversion_walk(rs, fallback_max_len):
-        for elem, inv in entries:
-            if (small_inversion_mask(rs, sigma, elem, inv=inv) == mask
-                    and is_low(rs, sigma, elem, inv=inv)):
-                _memo[mask] = elem
-                return elem
+    # fallback: look the mask up among all low elements
+    lows, _ = _low_search(rs, sigma, fallback_max_len)
+    for elem, elem_mask in lows.items():
+        if elem_mask == mask:
+            _memo[mask] = elem
+            return elem
     raise ConstructionFailed(
-        "no low element realizing mask %d found (descent peeling and "
-        "fallback scan up to length %d both failed)" % (mask, fallback_max_len))
+        "no low element realizing mask %d found (descent peeling and the "
+        "low-element search up to length %d both failed)"
+        % (mask, fallback_max_len))
 
 
 def check_simplex_edge_condition(rs, sigma):
@@ -338,7 +335,7 @@ def verify_inversion_polytopes(rs, sigma, aut, max_len, eps_hull=1e-6):
         raise RankNotThree("inversion polytopes are checked on the rank-3 chart")
     report = PolytopeReport(hypothesis_met=check_simplex_edge_condition(rs, sigma),
                             max_len=max_len)
-    lows, _ = enumerate_low(rs, sigma, max_len)
+    lows, _ = _low_search(rs, sigma, max_len)
     low_hulls = [(low, projective_hull(rs, inversion_set(rs, low), eps=eps_hull))
                  for low in lows]
     for mask in aut.states:

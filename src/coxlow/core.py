@@ -271,14 +271,6 @@ def build_root_system(matrix, gram_overrides=None, backend="float",
     return BasedRootSystem(matrix, tuple(gram), backend, eps)
 
 
-def bilinear(rs, u, v):
-    return rs.bilinear(u, v)
-
-
-def reflect(rs, s, v):
-    return rs.reflect(s, v)
-
-
 def roots_up_to_depth(rs, d):
     """All positive roots of depth <= d, sorted by (depth, coordinates).
 

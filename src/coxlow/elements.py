@@ -8,12 +8,17 @@ N(s1...sk) = {alpha_s1, s1(alpha_s2), ..., s1...s_{k-1}(alpha_sk)};
 left descents are the generators whose simple root lies in N(w).
 ``inversion_walk`` carries N(w) along the element walk instead, as
 N(ws) = N(w) u {w(alpha_s)}.
+
+Low elements are found exactly by extending low elements on the left (see
+``_low_search``); the search stops on its own, and the length caps of
+``enumerate_low`` and ``enumerate_low_stable`` are only safety bounds.
 """
 
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .automaton import build_automaton
 from .core import Root
 from .errors import NonReducedInput, NumericallyAmbiguous
 
@@ -104,11 +109,6 @@ def normalize(rs, word):
                 break
         else:
             return Element(tuple(letters))
-
-
-def element_length(rs, word):
-    """Length of the element represented by an arbitrary word."""
-    return normalize(rs, word).length
 
 
 def multiply(rs, a, b):
@@ -427,57 +427,71 @@ class CompletenessReport:
         return not self.unrealized_masks
 
 
+def _low_search(rs, sigma, cap, eps_cone=DEFAULT_EPS_CONE):
+    """The low elements of length <= cap, by left extension.
+
+    Low elements are closed under suffixes (Dyer-Hohlweg, "Small roots, low
+    elements, and the weak order in Coxeter groups", 2016), so level k + 1
+    holds exactly the low candidates y = s x, x low on level k and alpha_s
+    not in N(x), with N(y) = {alpha_s} u s N(x); the search stops at the
+    first level that adds nothing.  N(y) determines y.  The first word
+    (s,) + x.word in lexicographic order wins: since (least left descent)
+    y is low, that is y's ShortLex normal form.  Returns ({Element: lambda
+    mask} in (length, word) order, the last length examined)."""
+    depths = {}     # root key -> depth, local to this search
+
+    def root(v):
+        key = rs.vec_key(v)
+        if key not in depths:
+            depths[key] = rs.root_depth(v)
+        return rs.make_root(v, depths[key])
+
+    simple = [rs.simple_root(s) for s in range(rs.rank)]
+    masks = {IDENTITY: 0}
+    level = [(IDENTITY, InversionSet(rs, ()))]
+    length = 0
+    while level and length < cap:
+        length += 1
+        seen = set()
+        new_level = []
+        for s in range(rs.rank):
+            for x, inv in level:
+                if simple[s].key in inv.keys:
+                    continue
+                inv_y = InversionSet(rs, (simple[s],) + tuple(
+                    root(rs.reflect(s, r.coords)) for r in inv))
+                if inv_y.keys in seen:
+                    continue
+                seen.add(inv_y.keys)
+                y = Element((s,) + x.word)
+                if is_low(rs, sigma, y, eps_cone=eps_cone, inv=inv_y):
+                    masks[y] = small_inversion_mask(rs, sigma, y, inv=inv_y)
+                    new_level.append((y, inv_y))
+        level = new_level
+    return masks, length
+
+
+def _completeness(rs, sigma, max_len, masks):
+    states = set(build_automaton(rs, sigma).states)
+    realized = set(masks.values())
+    return CompletenessReport(max_len, len(states), len(realized),
+                              tuple(sorted(states - realized)))
+
+
 def enumerate_low(rs, sigma, max_len, eps_cone=DEFAULT_EPS_CONE):
     """All low elements of length <= max_len, with a completeness report.
 
     The report states whether every state of the canonical automaton (every
-    small inversion set) is realized by some collected low element; this is
-    the empirical certificate that the search went deep enough."""
-    from .automaton import build_automaton
-
-    lows = []
-    realized = set()
-    for _, entries in inversion_walk(rs, max_len):
-        for elem, inv in entries:
-            if is_low(rs, sigma, elem, eps_cone=eps_cone, inv=inv):
-                lows.append(elem)
-                realized.add(small_inversion_mask(rs, sigma, elem, inv=inv))
-    aut = build_automaton(rs, sigma)
-    unrealized = tuple(sorted(set(aut.states) - realized))
-    report = CompletenessReport(max_len, len(aut.states), len(realized),
-                                unrealized)
-    lows.sort(key=lambda e: (e.length, e.word))
-    return lows, report
+    small inversion set) is realized by some low element found."""
+    masks, _ = _low_search(rs, sigma, max_len, eps_cone)
+    return list(masks), _completeness(rs, sigma, max_len, masks)
 
 
-def enumerate_low_stable(rs, sigma, cap=25, settle=4, eps_cone=DEFAULT_EPS_CONE):
-    """Enumerate low elements adaptively, stopping once stable.
+def enumerate_low_stable(rs, sigma, cap=25, eps_cone=DEFAULT_EPS_CONE):
+    """All low elements, by a search that stops on its own.
 
-    Walks the weak order level by level and stops as soon as every small
-    inversion set is realized and ``settle`` consecutive lengths produced
-    no new low element (or at length ``cap``).  Returns (lows, report,
-    length_reached)."""
-    from .automaton import build_automaton
-
-    aut = build_automaton(rs, sigma)
-    all_masks = set(aut.states)
-    lows = []
-    realized = set()
-    quiet = 0
-    reached = 0
-    for length, entries in inversion_walk(rs, cap):
-        reached = length
-        new = 0
-        for elem, inv in entries:
-            if is_low(rs, sigma, elem, eps_cone=eps_cone, inv=inv):
-                lows.append(elem)
-                realized.add(small_inversion_mask(rs, sigma, elem, inv=inv))
-                new += 1
-        quiet = 0 if new else quiet + 1
-        if realized >= all_masks and quiet >= settle:
-            break
-    unrealized = tuple(sorted(all_masks - realized))
-    report = CompletenessReport(reached, len(all_masks), len(realized),
-                                unrealized)
-    lows.sort(key=lambda e: (e.length, e.word))
-    return lows, report, reached
+    ``cap`` is only a safety bound on the length.  Returns (lows, report,
+    reached), where reached is the last length the search examined: one
+    more than the longest low element, unless the cap was hit."""
+    masks, reached = _low_search(rs, sigma, cap, eps_cone)
+    return list(masks), _completeness(rs, sigma, reached, masks), reached

@@ -18,6 +18,7 @@ from coxlow import (
     dihedral_matrix,
     elements_by_length,
     enumerate_low_stable,
+    inversion_walk,
     is_bipodal,
     is_low,
     small_inversion_mask,
@@ -166,14 +167,15 @@ def test_criterion_5_gbip_checks():
     violations = []
     for name in NAMES:
         rs, _, _ = group(name)
-        for _, entries in elements_by_length(rs, 12):
-            for elem, _, _ in entries:
-                graph = build_gbip(rs, elem)
+        for _, entries in inversion_walk(rs, 12):
+            for elem, inv in entries:
+                graph = build_gbip(rs, elem, inv=inv)
                 ok, witness = check_acyclic(graph)
                 if not ok:
                     violations.append((name, elem, witness))
                     continue
-                if not set(source_generators(graph)) <= left_descents(rs, elem):
+                if not set(source_generators(graph)) <= \
+                        left_descents(rs, elem, inv=inv):
                     violations.append((name, elem, "source not a descent"))
                 checked += 1
     report(5, not violations, "G_bip acyclic and sources are descents on "

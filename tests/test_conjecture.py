@@ -1,5 +1,6 @@
 import pytest
 
+import coxlow.conjecture
 from coxlow import (
     BATTERY,
     BipGraph,
@@ -158,6 +159,17 @@ def test_construct_rank2():
     lam = 1 << sigma.simple_index[0]
     got = construct_low_from_lambda(rs, sigma, lam)
     assert got.word == (0,)
+
+
+def test_construct_falls_back_on_the_low_search(battery, monkeypatch):
+    # no graph source to peel: every nonzero mask goes to the fallback
+    monkeypatch.setattr(coxlow.conjecture, "source_generators",
+                        lambda graph: ())
+    rs, sigma, aut = battery.get("B3")
+    for mask in aut.states:
+        x = construct_low_from_lambda(rs, sigma, mask)
+        assert is_low(rs, sigma, x)
+        assert small_inversion_mask(rs, sigma, x) == mask
 
 
 def test_construct_all_lambdas(battery):

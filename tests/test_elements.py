@@ -26,6 +26,7 @@ from coxlow import (
     small_inversion_set,
     small_roots,
 )
+from coxlow.elements import DEFAULT_EPS_CONE
 from coxlow.errors import NonReducedInput, NumericallyAmbiguous
 
 from conftest import RATIONAL_NAMES
@@ -303,6 +304,42 @@ def test_enumerate_low_matches_reference(name, backend):
 
     lows, report, reached = enumerate_low_stable(rs, sigma, cap=25)
     ref = _reference_lows(ref_rs, ref_sigma, 25, settle=4)
-    assert (lows, reached) == ref[:2]
+    assert lows == ref[0]
+    # the search examines one length past the longest low element
+    assert reached == min(25, lows[-1].length + 1)
     assert (report.max_len, report.n_lambda, report.realized,
-            report.unrealized_masks) == ref[1:]
+            report.unrealized_masks) == (reached,) + ref[2:]
+
+
+@pytest.mark.parametrize("backend", ["float", "rational"])
+def test_low_search_inversion_sets_match_inversion_set(monkeypatch, backend):
+    # every candidate of the search reaches is_low with its N(y), built
+    # from the parent as {alpha_s} u s N(x); record them all
+    seen = []
+
+    def recording(rs, sigma, w, eps_cone=DEFAULT_EPS_CONE, inv=None):
+        seen.append((w, inv))
+        return is_low(rs, sigma, w, eps_cone=eps_cone, inv=inv)
+
+    monkeypatch.setattr(coxlow.elements, "is_low", recording)
+    names = ([name for name, _, _ in BATTERY] if backend == "float"
+             else RATIONAL_NAMES)
+    for name in names:
+        rs = battery_root_system(name, backend)
+        sigma = small_roots(rs)
+        seen.clear()
+        lows, _, _ = enumerate_low_stable(rs, sigma)
+        assert set(lows) <= {IDENTITY} | {w for w, _ in seen}, name
+        for w, inv in seen:
+            ref = inversion_set(rs, w)
+            assert inv.keys == ref.keys, (name, w)
+            if backend == "float":
+                assert ([(r.depth, r.key, r.sign) for r in inv.roots]
+                        == [(r.depth, r.key, r.sign) for r in ref.roots]), \
+                    (name, w)
+            else:
+                assert _root_data(inv) == _root_data(ref), (name, w)
+        # a low element's word is its ShortLex normal form, found without
+        # normalize (a rejected candidate's word need not be)
+        for w in lows:
+            assert normalize(rs, w.word) == w, (name, w)
