@@ -157,8 +157,9 @@ def count_elements(rs, sigma, k):
     """Number of distinct group elements of each length 0..k.
 
     Counts paths in the ShortLex acceptor, under the bijection between
-    elements and their normal forms; cross-checked elsewhere against a
-    brute-force BFS with normal-form dedup."""
+    elements and their normal forms; the tests cross-check the counts
+    against a matrix BFS that knows no automaton (``matrix_bfs_levels`` in
+    tests/conftest.py)."""
     cache = rs._caches.setdefault("shortlex_aut", {})
     key = tuple(root.key for root in sigma)
     if key not in cache:

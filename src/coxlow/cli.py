@@ -21,12 +21,7 @@ from .conjecture import (
     verify_inversion_polytopes,
 )
 from .core import DEFAULT_EPS
-from .elements import (
-    enumerate_low,
-    inversion_walk,
-    left_descents,
-    small_inversion_mask,
-)
+from .elements import _completeness, _low_search, inversion_walk, left_descents
 from .errors import CoxlowError, ParseError
 from .groupfile import load_root_system
 from .render import RenderOptions, render_svg
@@ -85,11 +80,11 @@ def cmd_small_roots(args):
 def cmd_low_elements(args):
     rs = _load(args)
     sigma = small_roots(rs)
-    lows, report = enumerate_low(rs, sigma, args.max_length)
+    lows, _ = _low_search(rs, sigma, args.max_length)
+    report = _completeness(rs, sigma, args.max_length, lows)
     print("low elements up to length %d: %d found" % (args.max_length, len(lows)))
     payload = []
-    for low in lows:
-        mask = small_inversion_mask(rs, sigma, low)
+    for low, mask in lows.items():
         print("  %-20s length=%2d lambda=%s"
               % (_word_str(low.word), low.length, bin(mask)))
         payload.append({"word": list(low.word), "length": low.length,

@@ -251,9 +251,9 @@ def construct_low_from_lambda(rs, sigma, lam, fallback_max_len=25, _memo=None):
     Primary path: take the shortest element realizing lam, pick a source of
     its bipartite graph (a descent), peel it off and recurse; the candidate
     is verified before being returned.  Falls back on the least low
-    element of length <= fallback_max_len realizing lam; failure at this
-    bounded scale signals a bug in the construction, not a
-    counterexample."""
+    element of length <= fallback_max_len realizing lam, looked up in one
+    low-element search per ``_memo``; failure at this bounded scale
+    signals a bug in the construction, not a counterexample."""
     mask = lam.mask if hasattr(lam, "mask") else int(lam)
     if _memo is None:
         _memo = {}
@@ -292,12 +292,17 @@ def construct_low_from_lambda(rs, sigma, lam, fallback_max_len=25, _memo=None):
                 and is_low(rs, sigma, candidate)):
             _memo[mask] = candidate
             return candidate
-    # fallback: look the mask up among all low elements
-    lows, _ = _low_search(rs, sigma, fallback_max_len)
-    for elem, elem_mask in lows.items():
-        if elem_mask == mask:
-            _memo[mask] = elem
-            return elem
+    # fallback: look the mask up among all low elements, searched once
+    search = ("low search", fallback_max_len)
+    if search not in _memo:
+        least = {}
+        lows, _ = _low_search(rs, sigma, fallback_max_len)
+        for elem, elem_mask in lows.items():     # in (length, word) order
+            least.setdefault(elem_mask, elem)
+        _memo[search] = least
+    if mask in _memo[search]:
+        _memo[mask] = _memo[search][mask]
+        return _memo[mask]
     raise ConstructionFailed(
         "no low element realizing mask %d found (descent peeling and the "
         "low-element search up to length %d both failed)"

@@ -2,7 +2,10 @@
 
 Elements are identified with their ShortLex normal form (the
 lexicographically least among the shortest words); equality and hashing go
-through the normal form exclusively.  The inversion set convention is
+through the normal form exclusively.  ``elements_by_length`` walks those
+normal forms with the ShortLex automaton, which accepts exactly one word
+per element, so the walk is exact, compares no two elements and keeps only
+two levels.  The inversion set convention is
 N(w) = Phi+ cap w(Phi-), computed by the prefix formula
 N(s1...sk) = {alpha_s1, s1(alpha_s2), ..., s1...s_{k-1}(alpha_sk)};
 left descents are the generators whose simple root lies in N(w).
@@ -17,10 +20,12 @@ Low elements are found exactly by extending low elements on the left (see
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
-from .automaton import build_automaton
+from .automaton import build_automaton, build_shortlex_automaton
 from .core import Root
 from .errors import NonReducedInput, NumericallyAmbiguous
+from .smallroots import small_roots
 
 DEFAULT_EPS_CONE = 1e-7
 
@@ -44,9 +49,13 @@ IDENTITY = Element(())
 
 # -- matrix action ------------------------------------------------------
 
+def _zero(rs):
+    return Fraction(0) if rs.exact else 0.0
+
+
 def identity_matrix(rs):
     one = Fraction(1) if rs.exact else 1.0
-    zero = Fraction(0) if rs.exact else 0.0
+    zero = _zero(rs)
     return tuple(tuple(one if i == j else zero for j in range(rs.rank))
                  for i in range(rs.rank))
 
@@ -58,6 +67,12 @@ def reflection_matrix(rs, s):
     return tuple(row if i == s else ident[i] for i in range(rs.rank))
 
 
+def reflection_rows(rs):
+    """Row s of reflection_matrix(rs, s) for each s: the one row in which
+    the matrix of s differs from the identity."""
+    return tuple(reflection_matrix(rs, s)[s] for s in range(rs.rank))
+
+
 def mat_mul(a, b):
     n = len(a)
     return tuple(
@@ -65,9 +80,27 @@ def mat_mul(a, b):
         for i in range(n))
 
 
-def mat_apply(m, v):
-    n = len(m)
-    return tuple(sum(m[i][j] * v[j] for j in range(n)) for i in range(n))
+def mat_mul_reflection(w, s, r, zero):
+    """w R_s, where r is row s of R_s: only column s mixes into the others.
+
+    The same numbers as mat_mul(w, reflection_matrix(rs, s)), bit for bit:
+    every entry of that product has at most two nonzero terms.  ``zero`` is
+    the backend's zero; zero - a instead of -a never gives -0.0, just as
+    mat_mul's sums, which start at the integer 0, never do."""
+    out = []
+    for row in w:
+        a = row[s]
+        new = [x + a * c for x, c in zip(row, r)]
+        new[s] = zero - a
+        out.append(tuple(new))
+    return tuple(out)
+
+
+def reflection_mat_mul(r, s, w):
+    """R_s w, where r is row s of R_s: only row s changes, and the other
+    rows are shared with w.  Row s is summed as mat_mul sums it."""
+    new = tuple([sum(map(mul, r, col)) for col in zip(*w)])
+    return w[:s] + (new,) + w[s + 1:]
 
 
 def mat_column(m, j):
@@ -76,12 +109,13 @@ def mat_column(m, j):
 
 def word_matrices(rs, word):
     """(W, W_inverse) for the element s1...sk acting on root coordinates."""
+    rows = reflection_rows(rs)
+    zero = _zero(rs)
     w = identity_matrix(rs)
-    w_inv = identity_matrix(rs)
+    w_inv = w
     for s in word:
-        m = reflection_matrix(rs, s)
-        w = mat_mul(w, m)
-        w_inv = mat_mul(m, w_inv)
+        w = mat_mul_reflection(w, s, rows[s], zero)
+        w_inv = reflection_mat_mul(rows[s], s, w_inv)
     return w, w_inv
 
 
@@ -97,15 +131,16 @@ def normalize(rs, word):
     for s in word:
         if not 0 <= s < rs.rank:
             raise ValueError("generator %r out of range" % (s,))
+    rows = reflection_rows(rs)
+    zero = _zero(rs)
     w, w_inv = word_matrices(rs, word)
     letters = []
     while True:
         for s in range(rs.rank):
             if rs.is_negative_root_vec(mat_column(w_inv, s)):
                 letters.append(s)
-                m = reflection_matrix(rs, s)
-                w = mat_mul(m, w)
-                w_inv = mat_mul(w_inv, m)
+                w = reflection_mat_mul(rows[s], s, w)
+                w_inv = mat_mul_reflection(w_inv, s, rows[s], zero)
                 break
         else:
             return Element(tuple(letters))
@@ -142,11 +177,13 @@ class InversionSet:
 
 def inversion_set(rs, w):
     """Inversion set by the prefix formula; |N(w)| = length(w)."""
+    rows = reflection_rows(rs)
+    zero = _zero(rs)
     roots = []
     seen = set()
     prefix = identity_matrix(rs)
     for s in w.word:
-        v = mat_apply(prefix, rs.simple_roots[s])
+        v = mat_column(prefix, s)   # prefix(alpha_s)
         if rs.is_negative_root_vec(v):
             raise NonReducedInput(
                 "negative prefix root %r: word %r is not reduced" % (v, w.word))
@@ -156,7 +193,7 @@ def inversion_set(rs, w):
                 "duplicate inversion %r: word %r is not reduced" % (v, w.word))
         seen.add(key)
         roots.append(rs.make_root(v, rs.root_depth(v)))
-        prefix = mat_mul(prefix, reflection_matrix(rs, s))
+        prefix = mat_mul_reflection(prefix, s, rows[s], zero)
     return InversionSet(rs, roots)
 
 
@@ -314,37 +351,37 @@ def is_low(rs, sigma, w, eps_cone=DEFAULT_EPS_CONE, inv=None):
 # -- element enumeration ------------------------------------------------
 
 def elements_by_length(rs, max_len=None):
-    """Yield (length, entries) level by level over the right Cayley graph.
+    """Yield (length, entries) level by level over the ShortLex normal forms.
 
-    Each entry is (Element, matrix, inverse matrix).  First-come dedup:
-    since parents are visited in ShortLex order and letters in increasing
-    order, the discovery word of each element is its ShortLex normal form."""
-    def mat_key(m):
-        return tuple(rs.vec_key(row) for row in m)
-
+    Each entry is (Element, matrix, inverse matrix).  The walk runs the
+    ShortLex automaton built from the small roots, which accepts exactly one
+    word per element (Brink-Howlett, "A finiteness property and an automatic
+    structure for Coxeter groups", 1993): a level's entries are the
+    one-letter extensions of the previous level's words that the automaton
+    accepts, in ShortLex order.  So the walk is exact, never compares two
+    elements, and keeps only the previous level and the current one."""
+    aut = build_shortlex_automaton(rs, small_roots(rs))
+    rows = reflection_rows(rs)
+    zero = _zero(rs)
     ident = identity_matrix(rs)
-    seen = {mat_key(ident)}
     frontier = [(IDENTITY, ident, ident)]
-    refl = [reflection_matrix(rs, s) for s in range(rs.rank)]
+    states = [0]       # automaton state of each entry of frontier
     length = 0
     yield 0, frontier
-    while frontier and (max_len is None or length < max_len):
+    while max_len is None or length < max_len:
         new_frontier = []
-        for elem, w, w_inv in frontier:
-            for s in range(rs.rank):
-                # length increases iff w(alpha_s) is positive
-                if rs.is_negative_root_vec(mat_column(w, s)):
+        new_states = []
+        for (elem, w, w_inv), state in zip(frontier, states):
+            for s, target in enumerate(aut.transitions[state]):
+                if target is None:
                     continue
-                nw = mat_mul(w, refl[s])
-                key = mat_key(nw)
-                if key in seen:
-                    continue
-                seen.add(key)
-                new_frontier.append(
-                    (Element(elem.word + (s,)), nw, mat_mul(refl[s], w_inv)))
+                new_frontier.append((Element(elem.word + (s,)),
+                                     mat_mul_reflection(w, s, rows[s], zero),
+                                     reflection_mat_mul(rows[s], s, w_inv)))
+                new_states.append(target)
         if not new_frontier:
             return
-        frontier = new_frontier
+        frontier, states = new_frontier, new_states
         length += 1
         yield length, frontier
 

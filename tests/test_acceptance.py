@@ -16,7 +16,6 @@ from coxlow import (
     construct_low_from_lambda,
     count_elements,
     dihedral_matrix,
-    elements_by_length,
     enumerate_low_stable,
     inversion_walk,
     is_bipodal,
@@ -36,7 +35,7 @@ from coxlow.conjecture import (
 from coxlow.elements import mat_column, reflection_matrix
 from coxlow.elements import left_descents, mat_mul
 
-from conftest import RATIONAL_NAMES
+from conftest import RATIONAL_NAMES, matrix_bfs_levels
 
 NAMES = [name for name, _, _ in BATTERY]
 
@@ -131,7 +130,7 @@ def test_criterion_3_element_counts():
         rs, sigma, _ = group(name)
         counts = count_elements(rs, sigma, 10)
         oracle = [0] * 11
-        for length, entries in elements_by_length(rs, 10):
+        for length, entries in matrix_bfs_levels(rs, 10):
             oracle[length] = len(entries)
         if counts != oracle:
             bad.append(name)

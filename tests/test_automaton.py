@@ -21,6 +21,8 @@ from coxlow import (
     small_roots,
 )
 
+from conftest import matrix_bfs_levels
+
 
 def make(matrix, **kw):
     rs = build_root_system(matrix, **kw)
@@ -79,7 +81,7 @@ def test_reduced_agrees_with_matrix_oracle(battery):
 
 def test_normal_forms_never_rejected(battery):
     rs, _, aut = battery.get("hyperbolic-2-3-7")
-    for _, entries in elements_by_length(rs, 7):
+    for _, entries in matrix_bfs_levels(rs, 7):
         for elem, _, _ in entries:
             assert aut.run(elem.word) is not None
 
@@ -125,7 +127,7 @@ def test_counts_match_bfs_oracle(battery):
         rs, sigma, _ = battery.get(name)
         counts = count_elements(rs, sigma, 8)
         oracle = [0] * 9
-        for length, entries in elements_by_length(rs, 8):
+        for length, entries in matrix_bfs_levels(rs, 8):
             oracle[length] = len(entries)
         assert counts == oracle, name
 
@@ -145,8 +147,8 @@ def test_shortlex_automaton_accepts_exactly_normal_forms():
     accepted = [w for k in range(4)
                 for w in itertools.product(range(2), repeat=k)
                 if aut.run(w) is not None]
-    from coxlow import elements_up_to_length
-    normal_forms = {e.word for e, _, _ in elements_up_to_length(rs, 3)}
+    normal_forms = {e.word for _, entries in matrix_bfs_levels(rs, 3)
+                    for e, _, _ in entries}
     assert set(accepted) == normal_forms
 
 

@@ -25,6 +25,7 @@ from coxlow import (
     verify_bijection,
     verify_inversion_polytopes,
 )
+from coxlow.elements import _low_search
 from coxlow.errors import ConstructionFailed, CyclicGraph, RankNotThree
 
 RANK3_SAMPLE = ("A3", "affine-3-3-3", "hyperbolic-3-3-4", "universal-override")
@@ -166,10 +167,25 @@ def test_construct_falls_back_on_the_low_search(battery, monkeypatch):
     monkeypatch.setattr(coxlow.conjecture, "source_generators",
                         lambda graph: ())
     rs, sigma, aut = battery.get("B3")
+    built = {}
     for mask in aut.states:
         x = construct_low_from_lambda(rs, sigma, mask)
         assert is_low(rs, sigma, x)
         assert small_inversion_mask(rs, sigma, x) == mask
+        built[mask] = x
+    # one memo, one search: each later mask is looked up in the first one
+    searches = []
+
+    def counting(*args, **kwargs):
+        searches.append(args)
+        return _low_search(*args, **kwargs)
+
+    monkeypatch.setattr(coxlow.conjecture, "_low_search", counting)
+    memo = {}
+    for mask in aut.states:
+        assert construct_low_from_lambda(rs, sigma, mask, _memo=memo) \
+            == built[mask]
+    assert len(searches) == 1
 
 
 def test_construct_all_lambdas(battery):

@@ -29,7 +29,7 @@ from coxlow import (
 from coxlow.elements import DEFAULT_EPS_CONE
 from coxlow.errors import NonReducedInput, NumericallyAmbiguous
 
-from conftest import RATIONAL_NAMES
+from conftest import RATIONAL_NAMES, matrix_bfs_levels
 
 
 def dihedral(m, **kw):
@@ -256,6 +256,33 @@ def test_enumerate_low_stable_wrapper(battery):
     assert report.complete
     assert len(lows) == 24  # all of A3 is low
     assert reached <= 25
+
+
+def _walk_data(levels):
+    # repr round-trips a float exactly and tells -0.0 from 0.0
+    return [(length, [(elem.word, repr(w), repr(w_inv))
+                      for elem, w, w_inv in entries])
+            for length, entries in levels]
+
+
+@pytest.mark.parametrize("backend", ["float", "rational"])
+def test_walk_matches_matrix_bfs_oracle(battery, backend):
+    # the automaton walk and the matrix BFS of conftest: the same words in
+    # the same order, and the same matrices to the last bit
+    names = ([name for name, _, _ in BATTERY] if backend == "float"
+             else RATIONAL_NAMES)
+    for name in names:
+        rs, _, _ = battery.get(name, backend)
+        assert (_walk_data(elements_by_length(rs, 8))
+                == _walk_data(matrix_bfs_levels(rs, 8))), name
+    if backend == "float":
+        rs, _, _ = battery.get("hyperbolic-2-3-7")
+        assert (_walk_data(elements_by_length(rs, 25))
+                == _walk_data(matrix_bfs_levels(rs, 25)))
+        # normalize reads descents off matrices and knows no automaton
+        for _, entries in elements_by_length(rs, 12):
+            for elem, _, _ in entries:
+                assert normalize(rs, elem.word) == elem, elem
 
 
 def test_element_enumeration_counts():
