@@ -11,6 +11,7 @@ from coxlow import (
     RenderOptions,
     build_automaton,
     check_simplex_edge_condition,
+    enumerate_low,
     load_root_system,
     render_svg,
     small_roots,
@@ -32,7 +33,8 @@ for name, depth in [("affine-3-3-3", 4), ("hyperbolic-3-3-4", 5)]:
     print("wrote %s (%d small roots highlighted)" % (path, len(sigma)))
 
     if check_simplex_edge_condition(rs, sigma):
-        rep = verify_inversion_polytopes(rs, sigma, aut, max_len=12)
+        lows, _ = enumerate_low(rs, sigma, 12)
+        rep = verify_inversion_polytopes(rs, sigma, aut, lows)
         matched = sum(1 for v in rep.witnesses.values() if v is not None)
         print("  small roots lie on simplex edges; conv(lambda) matched "
               "an inversion polytope for %d/%d lambdas"

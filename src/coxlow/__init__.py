@@ -43,7 +43,6 @@ from .elements import (
     Element,
     IDENTITY,
     InversionSet,
-    SmallInversionSet,
     cone_membership,
     elements_by_length,
     elements_up_to_length,
@@ -57,7 +56,6 @@ from .elements import (
     multiply,
     normalize,
     small_inversion_mask,
-    small_inversion_set,
 )
 from .errors import *  # noqa: F401,F403 (small, explicit error module)
 from .groupfile import group_to_json, load_root_system, parse_group_file

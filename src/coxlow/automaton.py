@@ -131,7 +131,10 @@ def is_reduced(aut, word):
     return aut.run(word) is not None
 
 
-def _path_counts(aut, k):
+def growth_series(aut, k):
+    """Number of accepted words of each length 0..k (exact big integers):
+    the reduced words for build_automaton, the elements for
+    build_shortlex_automaton."""
     counts = [0] * len(aut.states)
     counts[0] = 1
     series = [1]
@@ -148,11 +151,6 @@ def _path_counts(aut, k):
     return series
 
 
-def growth_series(aut, k):
-    """Number of reduced words of each length 0..k (exact big integers)."""
-    return _path_counts(aut, k)
-
-
 def count_elements(rs, sigma, k):
     """Number of distinct group elements of each length 0..k.
 
@@ -160,11 +158,7 @@ def count_elements(rs, sigma, k):
     elements and their normal forms; the tests cross-check the counts
     against a matrix BFS that knows no automaton (``matrix_bfs_levels`` in
     tests/conftest.py)."""
-    cache = rs._caches.setdefault("shortlex_aut", {})
-    key = tuple(root.key for root in sigma)
-    if key not in cache:
-        cache[key] = build_shortlex_automaton(rs, sigma)
-    return _path_counts(cache[key], k)
+    return growth_series(build_shortlex_automaton(rs, sigma), k)
 
 
 def export_dot(aut):

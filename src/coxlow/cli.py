@@ -167,7 +167,7 @@ def cmd_verify(args):
         if not check_simplex_edge_condition(rs, sigma):
             print("note: small roots leave the simplex edges; the polytope "
                   "claim is outside its stated hypothesis")
-        rep = verify_inversion_polytopes(rs, sigma, aut, args.max_length)
+        rep = verify_inversion_polytopes(rs, sigma, aut, bij.mapping)
         matched = sum(1 for w in rep.witnesses.values() if w is not None)
         poly_summary = {"hypothesis_met": rep.hypothesis_met,
                         "matched": matched, "total": len(rep.witnesses)}

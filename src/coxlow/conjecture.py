@@ -72,7 +72,7 @@ class BipGraph:
     must join the two classes.  Synthetic graphs (for testing the checks)
     can be built directly with string labels."""
 
-    def __init__(self, gen_vertices, root_vertices, edges, roots_by_label=None):
+    def __init__(self, gen_vertices, root_vertices, edges):
         self.gen_vertices = tuple(("g", v) for v in gen_vertices)
         self.root_vertices = tuple(("r", v) for v in root_vertices)
         self.vertices = self.gen_vertices + self.root_vertices
@@ -84,7 +84,6 @@ class BipGraph:
                 raise ValueError("edge %r does not join the two classes"
                                  % ((u, v),))
         self.edges = tuple(edges)
-        self.roots_by_label = dict(roots_by_label or {})
 
 
 def build_gbip(rs, w, inv=None):
@@ -137,8 +136,7 @@ def build_gbip(rs, w, inv=None):
                 engaged_nondescents.add(s)
                 blocking.append((("r", root.key), ("g", s)))
     gens = sorted(descents | engaged_nondescents)
-    return BipGraph(gens, [r.key for r in deep], supporting + blocking,
-                    roots_by_label={r.key: r for r in deep})
+    return BipGraph(gens, [r.key for r in deep], supporting + blocking)
 
 
 def check_acyclic(graph):
@@ -203,6 +201,9 @@ class BijectionReport:
 
 
 def verify_bijection(rs, sigma, aut, max_len):
+    """Map each low element of length <= max_len to its small inversion set
+    (``mapping``, in (length, word) order) and compare the image with the
+    states of ``aut``, the automaton built from sigma."""
     mapping, _ = _low_search(rs, sigma, max_len)
     realized = set(mapping.values())
     unresolved = tuple(sorted(set(aut.states) - realized))
@@ -245,29 +246,29 @@ def _shortest_state_word(aut, mask):
     return None
 
 
-def construct_low_from_lambda(rs, sigma, lam, fallback_max_len=25, _memo=None):
-    """Build a low element whose small inversion set is ``lam`` (a bitmask).
+FALLBACK_MAX_LEN = 25
 
-    Primary path: take the shortest element realizing lam, pick a source of
-    its bipartite graph (a descent), peel it off and recurse; the candidate
-    is verified before being returned.  Falls back on the least low
-    element of length <= fallback_max_len realizing lam, looked up in one
-    low-element search per ``_memo``; failure at this bounded scale
-    signals a bug in the construction, not a counterexample."""
-    mask = lam.mask if hasattr(lam, "mask") else int(lam)
+
+def construct_low_from_lambda(rs, sigma, mask, _memo=None):
+    """Build a low element whose small inversion set is ``mask``.
+
+    Primary path: take the shortest element realizing the mask, pick a
+    source of its bipartite graph (a descent), peel it off and recurse; the
+    candidate is verified before being returned.  Falls back on the least
+    low element of length <= FALLBACK_MAX_LEN realizing the mask, looked up
+    in one low-element search per ``_memo``; failure at this bounded scale
+    signals a bug in the construction, not a counterexample.  ``_memo``
+    also holds the automaton, so one memo serves one (rs, sigma) only."""
     if _memo is None:
         _memo = {}
     if mask in _memo:
         return _memo[mask]
-    aut = rs._caches.setdefault("aut", {})
-    key = tuple(root.key for root in sigma)
-    if key not in aut:
-        aut[key] = build_automaton(rs, sigma)
-    aut = aut[key]
+    if "automaton" not in _memo:
+        _memo["automaton"] = build_automaton(rs, sigma)
     if mask == 0:
         _memo[0] = IDENTITY
         return IDENTITY
-    letters = _shortest_state_word(aut, mask)
+    letters = _shortest_state_word(_memo["automaton"], mask)
     if letters is None:
         raise ConstructionFailed("mask %d is not a state of the automaton"
                                  % mask)
@@ -283,8 +284,7 @@ def construct_low_from_lambda(rs, sigma, lam, fallback_max_len=25, _memo=None):
             continue
         sub_mask = small_inversion_mask(rs, sigma, peeled)
         try:
-            x_sub = construct_low_from_lambda(rs, sigma, sub_mask,
-                                              fallback_max_len, _memo)
+            x_sub = construct_low_from_lambda(rs, sigma, sub_mask, _memo)
         except ConstructionFailed:
             continue
         candidate = normalize(rs, (s,) + x_sub.word)
@@ -293,20 +293,19 @@ def construct_low_from_lambda(rs, sigma, lam, fallback_max_len=25, _memo=None):
             _memo[mask] = candidate
             return candidate
     # fallback: look the mask up among all low elements, searched once
-    search = ("low search", fallback_max_len)
-    if search not in _memo:
+    if "low search" not in _memo:
         least = {}
-        lows, _ = _low_search(rs, sigma, fallback_max_len)
+        lows, _ = _low_search(rs, sigma, FALLBACK_MAX_LEN)
         for elem, elem_mask in lows.items():     # in (length, word) order
             least.setdefault(elem_mask, elem)
-        _memo[search] = least
-    if mask in _memo[search]:
-        _memo[mask] = _memo[search][mask]
+        _memo["low search"] = least
+    if mask in _memo["low search"]:
+        _memo[mask] = _memo["low search"][mask]
         return _memo[mask]
     raise ConstructionFailed(
         "no low element realizing mask %d found (descent peeling and the "
         "low-element search up to length %d both failed)"
-        % (mask, fallback_max_len))
+        % (mask, FALLBACK_MAX_LEN))
 
 
 def check_simplex_edge_condition(rs, sigma):
@@ -321,7 +320,6 @@ def check_simplex_edge_condition(rs, sigma):
 @dataclass
 class PolytopeReport:
     hypothesis_met: bool
-    max_len: int
     witnesses: dict = field(default_factory=dict)   # mask -> Element or None
 
     @property
@@ -329,25 +327,26 @@ class PolytopeReport:
         return all(w is not None for w in self.witnesses.values())
 
 
-def verify_inversion_polytopes(rs, sigma, aut, max_len, eps_hull=1e-6):
-    """For each automaton state lam, look for a low element x whose
-    inversion polytope conv(N(x)) equals conv(lam) on the projective chart.
+def verify_inversion_polytopes(rs, sigma, aut, lows):
+    """For each automaton state lam, look for a low element x among
+    ``lows`` whose inversion polytope conv(N(x)) equals conv(lam) on the
+    projective chart; the first match in the order of ``lows`` is the
+    witness.
 
     The underlying claim is only asserted when all small roots lie on
     simplex edges; outside that hypothesis the check still runs and the
     report flags it."""
     if rs.rank != 3:
         raise RankNotThree("inversion polytopes are checked on the rank-3 chart")
-    report = PolytopeReport(hypothesis_met=check_simplex_edge_condition(rs, sigma),
-                            max_len=max_len)
-    lows, _ = _low_search(rs, sigma, max_len)
-    low_hulls = [(low, projective_hull(rs, inversion_set(rs, low), eps=eps_hull))
+    report = PolytopeReport(
+        hypothesis_met=check_simplex_edge_condition(rs, sigma))
+    low_hulls = [(low, projective_hull(rs, inversion_set(rs, low)))
                  for low in lows]
     for mask in aut.states:
-        target = projective_hull(rs, sigma.mask_to_roots(mask), eps=eps_hull)
+        target = projective_hull(rs, sigma.mask_to_roots(mask))
         witness = None
         for low, hull in low_hulls:
-            if hulls_equal(hull, target, eps=eps_hull):
+            if hulls_equal(hull, target):
                 witness = low
                 break
         report.witnesses[mask] = witness

@@ -107,8 +107,11 @@ class Root:
 class BasedRootSystem:
     """Simple roots plus the symmetric bilinear form of a Coxeter system.
 
-    Immutable after construction (the private caches are only used for
-    memoization and do not affect observable behavior)."""
+    Immutable after construction.  The one memo left is ``_caches["cone"]``,
+    the cone tests of ``is_low`` keyed by (lambda keys, root key): it lets
+    a second low-element search on the same root system (enumerate_low_stable
+    then verify_bijection, say) skip every cone solve of the first.  Derived
+    data such as automata is passed explicitly."""
 
     def __init__(self, matrix, gram, backend, eps):
         self.matrix = matrix

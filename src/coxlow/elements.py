@@ -27,7 +27,7 @@ from .core import Root
 from .errors import NonReducedInput, NumericallyAmbiguous
 from .smallroots import small_roots
 
-DEFAULT_EPS_CONE = 1e-7
+EPS_CONE = 1e-7
 
 
 @dataclass(frozen=True)
@@ -207,24 +207,8 @@ def left_descents(rs, w, inv=None):
             if rs.vec_key(rs.simple_roots[s]) in inv.keys}
 
 
-@dataclass(frozen=True)
-class SmallInversionSet:
-    """A subset of the small roots as a bitmask over their frozen indices."""
-
-    mask: int
-    size: int
-
-    def indices(self):
-        return [i for i in range(self.size) if self.mask >> i & 1]
-
-    def roots(self, sigma):
-        return sigma.mask_to_roots(self.mask)
-
-    def __len__(self):
-        return bin(self.mask).count("1")
-
-
 def small_inversion_mask(rs, sigma, w, inv=None):
+    """lambda(w) = Sigma cap N(w), as a bitmask over Sigma's indexing."""
     mask = 0
     for root in inversion_set(rs, w) if inv is None else inv:
         i = sigma.index_of(root.key)
@@ -233,24 +217,19 @@ def small_inversion_mask(rs, sigma, w, inv=None):
     return mask
 
 
-def small_inversion_set(rs, sigma, w):
-    """lambda(w) = Sigma cap N(w), as a bitmask over Sigma's indexing."""
-    return SmallInversionSet(small_inversion_mask(rs, sigma, w), len(sigma))
-
-
 # -- cone membership ----------------------------------------------------
 
-def _solve_subset(rs, cols, target, eps_cone):
+def _solve_subset(rs, cols, target):
     """Solve sum c_i a_i = target by Gaussian elimination.
 
     Returns (coeffs, residual_ok_value) or None when the subset is
     rank-deficient.  In the exact backend the solve is exact and the
     residual is exactly checked; in the float backend the pivoting uses
-    eps_cone and the caller checks residual/coefficients."""
+    EPS_CONE and the caller checks residual/coefficients."""
     n = rs.rank
     k = len(cols)
     rows = [[cols[j][i] for j in range(k)] + [target[i]] for i in range(n)]
-    piv_tol = 0 if rs.exact else eps_cone
+    piv_tol = 0 if rs.exact else EPS_CONE
     pivots = []
     r = 0
     for c in range(k):
@@ -272,14 +251,14 @@ def _solve_subset(rs, cols, target, eps_cone):
     return coeffs, residual
 
 
-def cone_membership(rs, generators, gamma, eps_cone=DEFAULT_EPS_CONE):
+def cone_membership(rs, generators, gamma):
     """Is gamma a nonnegative combination of the given roots?
 
     By conic Caratheodory, membership holds iff gamma lies in the cone of
     some linearly independent subset of size <= rank, so all such subsets
     are solved directly (exactly in the rational backend).  Float solves
-    whose best residual lands in the gray zone [eps_cone, 10 eps_cone]
-    raise NumericallyAmbiguous instead of silently flipping."""
+    whose best residual lands in the gray zone [EPS_CONE, 10 EPS_CONE]
+    raise NumericallyAmbiguous, naming gamma, instead of silently flipping."""
     vecs = []
     seen = set()
     for g in generators:
@@ -293,11 +272,11 @@ def cone_membership(rs, generators, gamma, eps_cone=DEFAULT_EPS_CONE):
         return True
     if not vecs:
         return False
-    coeff_tol = 0 if rs.exact else eps_cone
+    coeff_tol = 0 if rs.exact else EPS_CONE
     gray = None
     for k in range(1, rs.rank + 1):
         for subset in itertools.combinations(vecs, k):
-            solved = _solve_subset(rs, subset, target, eps_cone)
+            solved = _solve_subset(rs, subset, target)
             if solved is None:
                 continue
             coeffs, residual = solved
@@ -306,44 +285,37 @@ def cone_membership(rs, generators, gamma, eps_cone=DEFAULT_EPS_CONE):
             if rs.exact:
                 if residual == 0:
                     return True
-            elif residual < eps_cone:
+            elif residual < EPS_CONE:
                 return True
-            elif residual <= 10 * eps_cone:
+            elif residual <= 10 * EPS_CONE:
                 gray = residual if gray is None else min(gray, residual)
     if gray is not None:
         raise NumericallyAmbiguous(
-            "cone membership residual %g in gray zone [%g, %g]"
-            % (gray, eps_cone, 10 * eps_cone))
+            "cone membership of %r: residual %g in gray zone [%g, %g]"
+            % (target, gray, EPS_CONE, 10 * EPS_CONE))
     return False
 
 
 # -- low elements -------------------------------------------------------
 
-def _cone_cache(rs):
-    return rs._caches.setdefault("cone", {})
-
-
-def _cached_cone(rs, lam_keys, lam_coords, root, eps_cone):
-    cache = _cone_cache(rs)
-    key = (lam_keys, root.key, eps_cone)
-    if key not in cache:
-        cache[key] = cone_membership(rs, lam_coords, root, eps_cone=eps_cone)
-    return cache[key]
-
-
-def is_low(rs, sigma, w, eps_cone=DEFAULT_EPS_CONE, inv=None):
+def is_low(rs, sigma, w, inv=None):
     """w is low iff N(w) lies in the cone spanned by Sigma cap N(w).
 
-    ``inv`` is N(w) when the caller already has it."""
+    ``inv`` is N(w) when the caller already has it.  Cone tests are cached
+    on rs by (lambda keys, root key); see BasedRootSystem."""
     if inv is None:
         inv = inversion_set(rs, w)
     lam = [root for root in inv if sigma.index_of(root.key) is not None]
     lam_keys = frozenset(root.key for root in lam)
     lam_coords = tuple(root.coords for root in lam)
+    cache = rs._caches.setdefault("cone", {})
     for root in inv:
         if root.key in lam_keys:
             continue
-        if not _cached_cone(rs, lam_keys, lam_coords, root, eps_cone):
+        key = (lam_keys, root.key)
+        if key not in cache:
+            cache[key] = cone_membership(rs, lam_coords, root)
+        if not cache[key]:
             return False
     return True
 
@@ -464,7 +436,7 @@ class CompletenessReport:
         return not self.unrealized_masks
 
 
-def _low_search(rs, sigma, cap, eps_cone=DEFAULT_EPS_CONE):
+def _low_search(rs, sigma, cap):
     """The low elements of length <= cap, by left extension.
 
     Low elements are closed under suffixes (Dyer-Hohlweg, "Small roots, low
@@ -501,7 +473,7 @@ def _low_search(rs, sigma, cap, eps_cone=DEFAULT_EPS_CONE):
                     continue
                 seen.add(inv_y.keys)
                 y = Element((s,) + x.word)
-                if is_low(rs, sigma, y, eps_cone=eps_cone, inv=inv_y):
+                if is_low(rs, sigma, y, inv=inv_y):
                     masks[y] = small_inversion_mask(rs, sigma, y, inv=inv_y)
                     new_level.append((y, inv_y))
         level = new_level
@@ -515,20 +487,20 @@ def _completeness(rs, sigma, max_len, masks):
                               tuple(sorted(states - realized)))
 
 
-def enumerate_low(rs, sigma, max_len, eps_cone=DEFAULT_EPS_CONE):
+def enumerate_low(rs, sigma, max_len):
     """All low elements of length <= max_len, with a completeness report.
 
     The report states whether every state of the canonical automaton (every
     small inversion set) is realized by some low element found."""
-    masks, _ = _low_search(rs, sigma, max_len, eps_cone)
+    masks, _ = _low_search(rs, sigma, max_len)
     return list(masks), _completeness(rs, sigma, max_len, masks)
 
 
-def enumerate_low_stable(rs, sigma, cap=25, eps_cone=DEFAULT_EPS_CONE):
+def enumerate_low_stable(rs, sigma, cap=25):
     """All low elements, by a search that stops on its own.
 
     ``cap`` is only a safety bound on the length.  Returns (lows, report,
     reached), where reached is the last length the search examined: one
     more than the longest low element, unless the cap was hit."""
-    masks, reached = _low_search(rs, sigma, cap, eps_cone)
+    masks, reached = _low_search(rs, sigma, cap)
     return list(masks), _completeness(rs, sigma, reached, masks), reached

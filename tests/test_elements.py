@@ -23,10 +23,8 @@ from coxlow import (
     multiply,
     normalize,
     small_inversion_mask,
-    small_inversion_set,
     small_roots,
 )
-from coxlow.elements import DEFAULT_EPS_CONE
 from coxlow.errors import NonReducedInput, NumericallyAmbiguous
 
 from conftest import RATIONAL_NAMES, matrix_bfs_levels
@@ -150,17 +148,18 @@ def test_descents_agree_with_length_drop(battery):
         assert via_inv == via_len
 
 
-def test_small_inversion_set():
+def test_small_inversion_mask():
     rs = dihedral(INF)
     sigma = small_roots(rs)
     assert small_inversion_mask(rs, sigma, IDENTITY) == 0
     # lambda(st) = {alpha_s}: the deep inversion is not small
-    lam = small_inversion_set(rs, sigma, Element((0, 1)))
-    assert lam.roots(sigma) == [rs.simple_root(0)]
+    lam = small_inversion_mask(rs, sigma, Element((0, 1)))
+    assert sigma.mask_to_roots(lam) == [rs.simple_root(0)]
     rs3 = dihedral(3)
     sigma3 = small_roots(rs3)
-    lam3 = small_inversion_set(rs3, sigma3, Element((0, 1, 0)))
-    assert len(lam3) == 3  # longest element inverts all of Sigma
+    lam3 = small_inversion_mask(rs3, sigma3, Element((0, 1, 0)))
+    # the longest element inverts all of Sigma
+    assert len(sigma3.mask_to_roots(lam3)) == 3
 
 
 # -- cone membership ----------------------------------------------------
@@ -184,29 +183,29 @@ def test_cone_membership_exact_backend():
     assert cone_membership(rs, [rs.simple_root(0), rs.simple_root(1)], gamma)
 
 
-def test_cone_cache_is_keyed_by_tolerance(monkeypatch):
+def test_cone_cache_solves_each_cone_test_once(monkeypatch):
     rs = dihedral(INF)
     sigma = small_roots(rs)
     solves = []
 
-    def counting(*args, **kwargs):
-        solves.append(kwargs["eps_cone"])
-        return cone_membership(*args, **kwargs)
+    def counting(*args):
+        solves.append(args[2])
+        return cone_membership(*args)
 
     monkeypatch.setattr(coxlow.elements, "cone_membership", counting)
     w = Element((0, 1))        # not low: one cone test on its deep root
-    for eps in (1e-7, 1e-7, 1e-3, 1e-3, 1e-7):
-        assert not is_low(rs, sigma, w, eps_cone=eps)
-    # each tolerance is solved once, then served from its own entry
-    assert solves == [1e-7, 1e-3]
-    keys = rs._caches["cone"]
-    assert sorted(key[-1] for key in keys) == [1e-7, 1e-3]
+    for _ in range(3):
+        assert not is_low(rs, sigma, w)
+    # solved once, then served from the cache on rs
+    assert len(solves) == 1
+    assert list(rs._caches["cone"]) == [(frozenset({rs.vec_key((1.0, 0.0))}),
+                                         solves[0].key)]
 
 
 def test_cone_gray_zone():
     rs = dihedral(INF)
     # target off the ray by 8e-7: residual inside the gray zone
-    with pytest.raises(NumericallyAmbiguous):
+    with pytest.raises(NumericallyAmbiguous, match=r"\(1\.0, 8e-07\)"):
         cone_membership(rs, [(1.0, 0.0)], (1.0, 8e-7))
 
 
@@ -344,9 +343,9 @@ def test_low_search_inversion_sets_match_inversion_set(monkeypatch, backend):
     # from the parent as {alpha_s} u s N(x); record them all
     seen = []
 
-    def recording(rs, sigma, w, eps_cone=DEFAULT_EPS_CONE, inv=None):
+    def recording(rs, sigma, w, inv=None):
         seen.append((w, inv))
-        return is_low(rs, sigma, w, eps_cone=eps_cone, inv=inv)
+        return is_low(rs, sigma, w, inv=inv)
 
     monkeypatch.setattr(coxlow.elements, "is_low", recording)
     names = ([name for name, _, _ in BATTERY] if backend == "float"
