@@ -25,10 +25,6 @@ class Automaton:
     def __len__(self):
         return len(self.states)
 
-    def step(self, state, s):
-        """Next state index, or None when the transition is undefined."""
-        return self.transitions[state][s]
-
     def run(self, word):
         state = 0
         for s in word:

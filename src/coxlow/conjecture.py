@@ -94,49 +94,51 @@ def build_gbip(rs, w, inv=None):
         raise RankNotThree("the graph construction requires rank 3")
     if inv is None:
         inv = inversion_set(rs, w)
-    simple_keys = {rs.vec_key(rs.simple_roots[s]): s for s in range(rs.rank)}
-    descents = {simple_keys[r.key] for r in inv if r.key in simple_keys}
-    deep = [r for r in inv if r.key not in simple_keys]
+    table = rs.root_table
+    descents = {s for s in range(rs.rank) if s in inv.ids}
+    deep = [i for i in inv.order if i >= rs.rank]   # ids < rank are simple
 
-    def support(root):
-        """Descents reachable from root by depth-decreasing peeling in N(w).
+    def support(i):
+        """Descents reachable from root i by depth-decreasing peeling in N(w).
 
-        Each step v -> s v with B(alpha_s, v) > 0 writes v as a positive
-        combination of alpha_s and s v, and coclosedness of N(w) puts at
-        least one of the two feet inside N(w); a foot that is a simple root
-        of N(w) is a supporting descent."""
+        Each step beta -> s beta with B(alpha_s, beta) > 0 (a down edge of
+        the table) writes beta as a positive combination of alpha_s and
+        s beta, and coclosedness of N(w) puts at least one of the two feet
+        inside N(w); a foot that is a simple root of N(w) is a supporting
+        descent."""
         reached = set()
-        stack = [root.coords]
-        seen = {root.key}
+        stack = [i]
+        seen = {i}
         while stack:
-            v = stack.pop()
-            for s in range(rs.rank):
-                if not rs.is_pos(rs.form_simple(s, v)):
+            j = stack.pop()
+            for s, sign in enumerate(table.signs[j]):
+                if sign <= 0:
                     continue
                 if s in descents:
                     reached.add(s)
-                sv = rs.reflect(s, v)
-                key = rs.vec_key(sv)
-                if key in inv.keys and key not in seen:
-                    if key in simple_keys:
-                        reached.add(simple_keys[key])
+                k = table.reflect(j, s)
+                if k in inv.ids and k not in seen:
+                    if k < rs.rank:
+                        reached.add(k)
                     else:
-                        seen.add(key)
-                        stack.append(sv)
+                        seen.add(k)
+                        stack.append(k)
         return reached
 
     engaged_nondescents = set()
     blocking = []
     supporting = []
-    for root in deep:
-        for s in support(root):
-            supporting.append((("g", s), ("r", root.key)))
-        for s in range(rs.rank):
-            if s not in descents and rs.is_pos(rs.form_simple(s, root.coords)):
+    for i in deep:
+        key = table.roots[i].key
+        for s in support(i):
+            supporting.append((("g", s), ("r", key)))
+        for s, sign in enumerate(table.signs[i]):
+            if s not in descents and sign > 0:
                 engaged_nondescents.add(s)
-                blocking.append((("r", root.key), ("g", s)))
+                blocking.append((("r", key), ("g", s)))
     gens = sorted(descents | engaged_nondescents)
-    return BipGraph(gens, [r.key for r in deep], supporting + blocking)
+    return BipGraph(gens, [table.roots[i].key for i in deep],
+                    supporting + blocking)
 
 
 def check_acyclic(graph):

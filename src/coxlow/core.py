@@ -15,6 +15,7 @@ Conventions used throughout the package:
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 from .errors import (
     DimensionMismatch,
@@ -104,13 +105,77 @@ class Root:
         return "Root(%s, depth=%d)" % (list(self.coords), self.depth)
 
 
+def _float_key(v):
+    return tuple(int(round(float(c) * _KEY_SCALE)) for c in v)
+
+
+class RootTable:
+    """The positive roots met so far, each under an integer id.
+
+    ``roots[i]`` is root i, with the coordinates it was first found with;
+    ``ids`` maps a root key to its id; ``signs[i][s]`` is the sign (+1, 0 or
+    -1) of B(alpha_s, root i).  The simple root alpha_s has id s.
+    ``reflect(i, s)`` is filled lazily and never peels: depth(s beta) is
+    depth(beta) - sign, and an orthogonal s fixes the root.  A vector of
+    unknown depth enters through BasedRootSystem.root_depth.  The table
+    holds no reference to its root system, so the two form no cycle."""
+
+    def __init__(self, simple_roots, gram, eps, vec_key):
+        self.gram = gram
+        self.eps = eps
+        self.vec_key = vec_key
+        self.roots = []
+        self.ids = {}
+        self.signs = []
+        self._succ = []     # _succ[i][s]: id of s . root i, None until asked
+        for v in simple_roots:
+            self.add(v, vec_key(v), 1)
+
+    def add(self, coords, key, depth):
+        """Record a positive root the table does not hold; returns its id."""
+        i = len(self.roots)
+        self.roots.append(Root(coords, depth, 1, key))
+        self.ids[key] = i
+        self.signs.append(tuple(   # bools subtract to 1, 0 or -1
+            (b > self.eps) - (b < -self.eps)
+            for b in (sum(map(mul, row, coords)) for row in self.gram)))
+        self._succ.append([None] * len(self.gram))
+        return i
+
+    def reflect(self, i, s):
+        """Id of s . root i; root i must not be alpha_s, which s negates."""
+        j = self._succ[i][s]
+        if j is None:
+            if i == s:
+                raise ValueError("s%d negates alpha_%d" % (s, s))
+            sign = self.signs[i][s]
+            if sign == 0:
+                j = i
+            else:
+                beta = self.roots[i]
+                c = 2 * sum(map(mul, self.gram[s], beta.coords))
+                v = tuple(x - c if k == s else x
+                          for k, x in enumerate(beta.coords))
+                key = self.vec_key(v)
+                j = self.ids.get(key)
+                if j is None:
+                    j = self.add(v, key, beta.depth - sign)
+                self._succ[j][s] = i
+            self._succ[i][s] = j
+        return j
+
+
 class BasedRootSystem:
     """Simple roots plus the symmetric bilinear form of a Coxeter system.
 
-    Immutable after construction.  The one memo left is ``_caches["cone"]``,
-    the cone tests of ``is_low`` keyed by (lambda keys, root key): it lets
-    a second low-element search on the same root system (enumerate_low_stable
-    then verify_bijection, say) skip every cone solve of the first.  Derived
+    The form and the simple roots are fixed at construction.  What grows is
+    ``root_table`` (a RootTable): every positive root that an inversion set,
+    a peeling graph or ``root_depth`` has met, with its depth and its
+    reflections, so that each (root, s) pair is computed once per root
+    system.  The one memo besides it is ``_caches["cone"]``, the cone tests
+    of ``is_low`` keyed by (lambda keys, root key): it lets a second
+    low-element search on the same root system (enumerate_low_stable then
+    verify_bijection, say) skip every cone solve of the first.  Derived
     data such as automata is passed explicitly."""
 
     def __init__(self, matrix, gram, backend, eps):
@@ -125,6 +190,8 @@ class BasedRootSystem:
         self.simple_roots = tuple(
             tuple(one if i == s else zero for i in range(self.rank))
             for s in range(self.rank))
+        self.root_table = RootTable(self.simple_roots, self.gram, self.eps,
+                                    tuple if self.exact else _float_key)
         self._caches = {}
 
     # -- scalar comparison helpers -------------------------------------
@@ -166,9 +233,7 @@ class BasedRootSystem:
 
     def vec_key(self, v):
         """Canonical hashable key identifying a coordinate vector."""
-        if self.exact:
-            return tuple(v)
-        return tuple(int(round(float(c) * _KEY_SCALE)) for c in v)
+        return tuple(v) if self.exact else _float_key(v)
 
     def vec_sign(self, v):
         """+1 for a nonnegative vector, -1 for nonpositive, 0 for mixed."""
@@ -188,26 +253,31 @@ class BasedRootSystem:
     def simple_root(self, s):
         return self.make_root(self.simple_roots[s], 1)
 
-    def is_simple_vec(self, v):
-        nonzero = [i for i in range(self.rank) if not self.is_zero(v[i])]
-        return len(nonzero) == 1 and self.is_zero(v[nonzero[0]] - 1)
-
     def root_depth(self, v):
-        """Depth of a positive root.
+        """Depth of a positive root, read from root_table.
 
-        Greedy peeling: any s with B(alpha_s, v) > 0 lowers the depth by
-        exactly one, so counting steps down to a simple root is exact."""
-        v = tuple(v)
-        steps = 0
-        while not self.is_simple_vec(v):
+        A vector the table does not hold is peeled greedily: any s with
+        B(alpha_s, v) > 0 lowers the depth by exactly one, so the steps down
+        to a root the table holds count the depth exactly.  Every root on
+        the way is recorded."""
+        table = self.root_table
+        v = start = tuple(v)
+        key = self.vec_key(v)
+        path = []
+        while key not in table.ids:
             for s in range(self.rank):
                 if self.is_pos(self.form_simple(s, v)):
+                    path.append((v, key))
                     v = self.reflect(s, v)
-                    steps += 1
+                    key = self.vec_key(v)
                     break
             else:
-                raise ValueError("not a positive root: %r" % (v,))
-        return steps + 1
+                raise ValueError("not a positive root: %r" % (start,))
+        depth = table.roots[table.ids[key]].depth
+        for u, k in reversed(path):
+            depth += 1
+            table.add(u, k, depth)
+        return depth
 
     def __repr__(self):
         return "BasedRootSystem(rank=%d, backend=%r)" % (self.rank, self.backend)
@@ -275,32 +345,18 @@ def build_root_system(matrix, gram_overrides=None, backend="float",
 
 
 def roots_up_to_depth(rs, d):
-    """All positive roots of depth <= d, sorted by (depth, coordinates).
+    """All positive roots of depth <= d, sorted by (depth, key).
 
-    BFS over simple reflections starting from the simple roots; a step
-    increases depth exactly when B(alpha_s, beta) < 0 (a zero value fixes
-    the root, a positive value points back to an already-known root).
-    """
+    Breadth-first over rs.root_table from the simple roots; a step increases
+    depth exactly when B(alpha_s, beta) < 0 (a zero value fixes the root, a
+    positive value points back to a shallower root)."""
     if d < 1:
         raise ValueError("depth bound must be >= 1")
-    seen = {}
-    frontier = []
-    for s in range(rs.rank):
-        root = rs.simple_root(s)
-        seen[root.key] = root
-        frontier.append(root)
-    depth = 1
-    while frontier and depth < d:
-        new_frontier = []
-        for beta in frontier:
-            for s in range(rs.rank):
-                if rs.is_neg(rs.form_simple(s, beta.coords)):
-                    v = rs.reflect(s, beta.coords)
-                    key = rs.vec_key(v)
-                    if key not in seen:
-                        root = rs.make_root(v, depth + 1)
-                        seen[key] = root
-                        new_frontier.append(root)
-        frontier = new_frontier
-        depth += 1
-    return sorted(seen.values(), key=Root.sort_key)
+    table = rs.root_table
+    found = frontier = list(range(rs.rank))
+    for _ in range(d - 1):
+        frontier = list(dict.fromkeys(
+            table.reflect(i, s) for i in frontier for s in range(rs.rank)
+            if table.signs[i][s] < 0))
+        found = found + frontier
+    return sorted((table.roots[i] for i in found), key=Root.sort_key)

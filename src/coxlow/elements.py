@@ -5,9 +5,10 @@ lexicographically least among the shortest words); equality and hashing go
 through the normal form exclusively.  ``elements_by_length`` walks those
 normal forms with the ShortLex automaton, which accepts exactly one word
 per element, so the walk is exact, compares no two elements and keeps only
-two levels.  The inversion set convention is
-N(w) = Phi+ cap w(Phi-), computed by the prefix formula
-N(s1...sk) = {alpha_s1, s1(alpha_s2), ..., s1...s_{k-1}(alpha_sk)};
+two levels.  The inversion set convention is N(w) = Phi+ cap w(Phi-);
+an InversionSet holds the ids of its roots in ``rs.root_table``.
+``inversion_set`` builds it by left extension along the word,
+N(s x) = {alpha_s} u s N(x), which reads only the table's reflections;
 left descents are the generators whose simple root lies in N(w).
 ``inversion_walk`` carries N(w) along the element walk instead, as
 N(ws) = N(w) u {w(alpha_s)}.
@@ -19,6 +20,7 @@ Low elements are found exactly by extending low elements on the left (see
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from operator import mul
 
@@ -60,33 +62,21 @@ def identity_matrix(rs):
                  for i in range(rs.rank))
 
 
-def reflection_matrix(rs, s):
-    """Matrix of the simple reflection s acting on root coordinates."""
-    ident = identity_matrix(rs)
-    row = tuple(ident[s][j] - 2 * rs.gram[s][j] for j in range(rs.rank))
-    return tuple(row if i == s else ident[i] for i in range(rs.rank))
-
-
 def reflection_rows(rs):
-    """Row s of reflection_matrix(rs, s) for each s: the one row in which
-    the matrix of s differs from the identity."""
-    return tuple(reflection_matrix(rs, s)[s] for s in range(rs.rank))
-
-
-def mat_mul(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n))
+    """Row s of R_s, the matrix of the simple reflection s on root
+    coordinates, for each s: the one row where R_s is not the identity."""
+    ident = identity_matrix(rs)
+    return tuple(tuple(ident[s][j] - 2 * rs.gram[s][j] for j in range(rs.rank))
+                 for s in range(rs.rank))
 
 
 def mat_mul_reflection(w, s, r, zero):
     """w R_s, where r is row s of R_s: only column s mixes into the others.
 
-    The same numbers as mat_mul(w, reflection_matrix(rs, s)), bit for bit:
-    every entry of that product has at most two nonzero terms.  ``zero`` is
-    the backend's zero; zero - a instead of -a never gives -0.0, just as
-    mat_mul's sums, which start at the integer 0, never do."""
+    The same numbers as the plain matrix product, bit for bit: every entry
+    of that product has at most two nonzero terms.  ``zero`` is the
+    backend's zero; zero - a instead of -a never gives -0.0, just as sums
+    that start at the integer 0 never do."""
     out = []
     for row in w:
         a = row[s]
@@ -98,25 +88,13 @@ def mat_mul_reflection(w, s, r, zero):
 
 def reflection_mat_mul(r, s, w):
     """R_s w, where r is row s of R_s: only row s changes, and the other
-    rows are shared with w.  Row s is summed as mat_mul sums it."""
+    rows are shared with w.  Row s is summed as the plain product sums it."""
     new = tuple([sum(map(mul, r, col)) for col in zip(*w)])
     return w[:s] + (new,) + w[s + 1:]
 
 
 def mat_column(m, j):
     return tuple(row[j] for row in m)
-
-
-def word_matrices(rs, word):
-    """(W, W_inverse) for the element s1...sk acting on root coordinates."""
-    rows = reflection_rows(rs)
-    zero = _zero(rs)
-    w = identity_matrix(rs)
-    w_inv = w
-    for s in word:
-        w = mat_mul_reflection(w, s, rows[s], zero)
-        w_inv = reflection_mat_mul(rows[s], s, w_inv)
-    return w, w_inv
 
 
 # -- normal forms -------------------------------------------------------
@@ -133,13 +111,14 @@ def normalize(rs, word):
             raise ValueError("generator %r out of range" % (s,))
     rows = reflection_rows(rs)
     zero = _zero(rs)
-    w, w_inv = word_matrices(rs, word)
+    w_inv = identity_matrix(rs)
+    for s in word:
+        w_inv = reflection_mat_mul(rows[s], s, w_inv)
     letters = []
     while True:
         for s in range(rs.rank):
             if rs.is_negative_root_vec(mat_column(w_inv, s)):
                 letters.append(s)
-                w = reflection_mat_mul(rows[s], s, w)
                 w_inv = mat_mul_reflection(w_inv, s, rows[s], zero)
                 break
         else:
@@ -158,43 +137,46 @@ def inverse(rs, a):
 # -- inversion sets -----------------------------------------------------
 
 class InversionSet:
-    """N(w): the positive roots sent negative by w^{-1}."""
+    """N(w): the positive roots sent negative by w^{-1}.
 
-    def __init__(self, rs, roots):
+    ``ids`` are the roots' ids in rs.root_table, so alpha_s is in N(w) iff s
+    is in ``ids``; ``order`` lists them by (depth, key), as ``roots``."""
+
+    def __init__(self, rs, ids):
         self.rs = rs
-        self.roots = tuple(sorted(roots, key=Root.sort_key))
-        self.keys = frozenset(root.key for root in self.roots)
+        self.ids = frozenset(ids)
+
+    @cached_property
+    def order(self):
+        roots = self.rs.root_table.roots
+        return tuple(sorted(self.ids, key=lambda i: roots[i].sort_key()))
+
+    @cached_property
+    def roots(self):
+        roots = self.rs.root_table.roots
+        return tuple(roots[i] for i in self.order)
 
     def __len__(self):
-        return len(self.roots)
+        return len(self.ids)
 
     def __iter__(self):
         return iter(self.roots)
 
-    def __contains__(self, root):
-        return root.key in self.keys
-
 
 def inversion_set(rs, w):
-    """Inversion set by the prefix formula; |N(w)| = length(w)."""
-    rows = reflection_rows(rs)
-    zero = _zero(rs)
-    roots = []
-    seen = set()
-    prefix = identity_matrix(rs)
-    for s in w.word:
-        v = mat_column(prefix, s)   # prefix(alpha_s)
-        if rs.is_negative_root_vec(v):
+    """N(w) by left extension, reading the word from the right:
+    N(s x) = {alpha_s} u s N(x), and s x is longer than x exactly when
+    alpha_s is not in N(x).  |N(w)| = length(w)."""
+    reflect = rs.root_table.reflect
+    ids = []
+    for pos in range(len(w.word) - 1, -1, -1):
+        s = w.word[pos]
+        if s in ids:
             raise NonReducedInput(
-                "negative prefix root %r: word %r is not reduced" % (v, w.word))
-        key = rs.vec_key(v)
-        if key in seen:
-            raise NonReducedInput(
-                "duplicate inversion %r: word %r is not reduced" % (v, w.word))
-        seen.add(key)
-        roots.append(rs.make_root(v, rs.root_depth(v)))
-        prefix = mat_mul_reflection(prefix, s, rows[s], zero)
-    return InversionSet(rs, roots)
+                "word %r is not reduced at position %d: alpha_%d is already "
+                "in N(%r)" % (w.word, pos, s, w.word[pos + 1:]))
+        ids = [s] + [reflect(i, s) for i in ids]
+    return InversionSet(rs, ids)
 
 
 def left_descents(rs, w, inv=None):
@@ -203,8 +185,7 @@ def left_descents(rs, w, inv=None):
     ``inv`` is N(w) when the caller already has it."""
     if inv is None:
         inv = inversion_set(rs, w)
-    return {s for s in range(rs.rank)
-            if rs.vec_key(rs.simple_roots[s]) in inv.keys}
+    return {s for s in range(rs.rank) if s in inv.ids}
 
 
 def small_inversion_mask(rs, sigma, w, inv=None):
@@ -371,55 +352,27 @@ def inversion_walk(rs, max_len=None):
     each entry is (Element, InversionSet).
 
     N(ws) = N(w) u {w(alpha_s)} when ws is longer than w, and w(alpha_s) is
-    column s of w's walk matrix: the vector the prefix formula of
-    inversion_set computes, bit for bit.  So every InversionSet yielded
-    equals inversion_set(rs, elem), roots, depths and order included.
-    Depths are read from a root table local to this walk; a root missing
-    from it is peeled greedily down to a known root, and every root on the
-    way is recorded.  Between levels only each element's tuple of roots
-    (shared with its children) and its matrix are kept; entries is a
-    generator, so each InversionSet is built when drawn and freed after."""
-    table = {}
-    for s in range(rs.rank):
-        root = rs.simple_root(s)
-        table[root.key] = root
-
-    def lookup(v):
-        key = rs.vec_key(v)
-        if key not in table:
-            path = []
-            u, k = v, key
-            while k not in table:
-                path.append((u, k))
-                for s in range(rs.rank):
-                    if rs.is_pos(rs.form_simple(s, u)):
-                        u = rs.reflect(s, u)
-                        break
-                else:
-                    raise ValueError("not a positive root: %r" % (v,))
-                k = rs.vec_key(u)
-            depth = table[k].depth
-            for u, k in reversed(path):
-                depth += 1
-                table[k] = rs.make_root(u, depth)
-        known = table[key]
-        # the table's root may come from another element, whose float
-        # coordinates differ from v in the last bits; v's own are kept
-        return known if known.coords == v else rs.make_root(v, known.depth)
-
+    column s of w's walk matrix, looked up in rs.root_table by key (a root
+    the table lacks enters it through rs.root_depth).  Between levels only
+    each element's ids and matrix are kept; entries is a generator, so each
+    InversionSet is built when drawn and freed after."""
+    ids = rs.root_table.ids
     prev = {}
     for length, entries in elements_by_length(rs, max_len):
         level = {}
         for elem, w, _ in entries:
-            roots = ()
+            inv = ()
             if elem.word:
-                _, parent_roots, parent_w = prev[elem.word[:-1]]
-                roots = parent_roots + (
-                    lookup(mat_column(parent_w, elem.word[-1])),)
-            level[elem.word] = (elem, roots, w)
+                _, parent_inv, parent_w = prev[elem.word[:-1]]
+                v = mat_column(parent_w, elem.word[-1])
+                key = rs.vec_key(v)
+                if key not in ids:
+                    rs.root_depth(v)
+                inv = parent_inv + (ids[key],)
+            level[elem.word] = (elem, inv, w)
         prev = level
-        yield length, ((elem, InversionSet(rs, roots))
-                       for elem, roots, _ in level.values())
+        yield length, ((elem, InversionSet(rs, inv))
+                       for elem, inv, _ in level.values())
 
 
 @dataclass
@@ -447,15 +400,7 @@ def _low_search(rs, sigma, cap):
     (s,) + x.word in lexicographic order wins: since (least left descent)
     y is low, that is y's ShortLex normal form.  Returns ({Element: lambda
     mask} in (length, word) order, the last length examined)."""
-    depths = {}     # root key -> depth, local to this search
-
-    def root(v):
-        key = rs.vec_key(v)
-        if key not in depths:
-            depths[key] = rs.root_depth(v)
-        return rs.make_root(v, depths[key])
-
-    simple = [rs.simple_root(s) for s in range(rs.rank)]
+    reflect = rs.root_table.reflect
     masks = {IDENTITY: 0}
     level = [(IDENTITY, InversionSet(rs, ()))]
     length = 0
@@ -465,13 +410,13 @@ def _low_search(rs, sigma, cap):
         new_level = []
         for s in range(rs.rank):
             for x, inv in level:
-                if simple[s].key in inv.keys:
+                if s in inv.ids:
                     continue
-                inv_y = InversionSet(rs, (simple[s],) + tuple(
-                    root(rs.reflect(s, r.coords)) for r in inv))
-                if inv_y.keys in seen:
+                inv_y = InversionSet(
+                    rs, [s] + [reflect(i, s) for i in inv.ids])
+                if inv_y.ids in seen:
                     continue
-                seen.add(inv_y.keys)
+                seen.add(inv_y.ids)
                 y = Element((s,) + x.word)
                 if is_low(rs, sigma, y, inv=inv_y):
                     masks[y] = small_inversion_mask(rs, sigma, y, inv=inv_y)

@@ -37,9 +37,6 @@ class SmallRootSet:
     def index_of(self, key):
         return self.by_key.get(key)
 
-    def contains_vec(self, v):
-        return self.rs.vec_key(v) in self.by_key
-
     def mask_to_roots(self, mask):
         return [self.roots[i] for i in range(len(self.roots)) if mask >> i & 1]
 
@@ -159,7 +156,7 @@ def is_bipodal(rs, roots):
     simple_keys = [rs.vec_key(rs.simple_roots[s]) for s in range(rs.rank)]
     for root in roots:
         coords = root.coords if isinstance(root, Root) else tuple(root)
-        if rs.is_simple_vec(coords):
+        if rs.vec_key(coords) in simple_keys:
             continue
         for s in range(rs.rank):
             if rs.is_pos(rs.form_simple(s, coords)):

@@ -1,18 +1,25 @@
 import pytest
 
-from coxlow import battery_root_system, build_automaton, small_roots
-from coxlow.elements import (
-    IDENTITY,
-    Element,
-    identity_matrix,
-    mat_column,
-    mat_mul,
-    reflection_matrix,
-)
+from coxlow import Root, battery_root_system, build_automaton, small_roots
+from coxlow.elements import IDENTITY, Element, identity_matrix, mat_column
 
 # rational-form battery groups (all bond labels in {1, 2, 3, inf})
 RATIONAL_NAMES = ["2-2-2", "3-2-2", "A3", "affine-3-3-3", "2-2-inf",
                   "2-inf-inf", "universal", "inf-3-3", "universal-override"]
+
+
+def reflection_matrix(rs, s):
+    """Matrix of the simple reflection s acting on root coordinates."""
+    ident = identity_matrix(rs)
+    row = tuple(ident[s][j] - 2 * rs.gram[s][j] for j in range(rs.rank))
+    return tuple(row if i == s else ident[i] for i in range(rs.rank))
+
+
+def mat_mul(a, b):
+    n = len(a)
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
+        for i in range(n))
 
 
 class _BatteryCache:
@@ -34,6 +41,78 @@ class _BatteryCache:
 @pytest.fixture(scope="session")
 def battery():
     return _BatteryCache()
+
+
+def peel_depth(rs, v):
+    """Test oracle: the depth of a positive root by greedy peeling from
+    scratch, reading no root table.  Any s with B(alpha_s, v) > 0 lowers
+    the depth by exactly one, so the steps down to a simple root count it."""
+    v = tuple(v)
+    simple = {rs.vec_key(alpha) for alpha in rs.simple_roots}
+    depth = 1
+    while rs.vec_key(v) not in simple:
+        for s in range(rs.rank):
+            if rs.is_pos(rs.form_simple(s, v)):
+                v = rs.reflect(s, v)
+                depth += 1
+                break
+        else:
+            raise ValueError("not a positive root: %r" % (v,))
+    return depth
+
+
+def prefix_inversion_roots(rs, word):
+    """Test oracle: N(w) for a reduced word by the prefix formula
+    N(s1...sk) = {alpha_s1, s1(alpha_s2), ..., s1...s_{k-1}(alpha_sk)},
+    with plain matrix products and depths from peel_depth, so it reads no
+    root table.  The roots are sorted as InversionSet.roots are."""
+    prefix = identity_matrix(rs)
+    roots = []
+    for s in word:
+        v = mat_column(prefix, s)      # prefix(alpha_s)
+        assert not rs.is_negative_root_vec(v), ("not reduced", word)
+        roots.append(rs.make_root(v, peel_depth(rs, v)))
+        prefix = mat_mul(prefix, reflection_matrix(rs, s))
+    return sorted(roots, key=Root.sort_key)
+
+
+def gbip_oracle(rs, word):
+    """Test oracle: (generator vertices, root vertices, edges) of
+    build_gbip's graph for a reduced word, from the roots of
+    prefix_inversion_roots and their coordinates, reading no root table.
+    Supporting edges come first, as in build_gbip."""
+    inv = prefix_inversion_roots(rs, word)
+    keys = {root.key for root in inv}
+    simple = {rs.vec_key(rs.simple_roots[s]): s for s in range(rs.rank)}
+    descents = {simple[k] for k in keys if k in simple}
+    deep = [root for root in inv if root.key not in simple]
+    supporting = []
+    blocking = []
+    gens = set(descents)
+    for root in deep:
+        reached = set()
+        stack, seen = [root.coords], {root.key}
+        while stack:               # peel inside N(w), down to descents
+            v = stack.pop()
+            for s in range(rs.rank):
+                if not rs.is_pos(rs.form_simple(s, v)):
+                    continue
+                if s in descents:
+                    reached.add(s)
+                sv = rs.reflect(s, v)
+                k = rs.vec_key(sv)
+                if k in keys and k not in seen:
+                    if k in simple:
+                        reached.add(simple[k])
+                    else:
+                        seen.add(k)
+                        stack.append(sv)
+        supporting += [(("g", s), ("r", root.key)) for s in sorted(reached)]
+        for s in range(rs.rank):
+            if s not in descents and rs.is_pos(rs.form_simple(s, root.coords)):
+                gens.add(s)
+                blocking.append((("r", root.key), ("g", s)))
+    return sorted(gens), [root.key for root in deep], supporting + blocking
 
 
 def matrix_bfs_levels(rs, max_len=None):

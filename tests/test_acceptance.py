@@ -32,10 +32,10 @@ from coxlow.conjecture import (
     check_acyclic,
     source_generators,
 )
-from coxlow.elements import mat_column, reflection_matrix
-from coxlow.elements import left_descents, mat_mul
+from coxlow.elements import left_descents, mat_column
 
-from conftest import RATIONAL_NAMES, matrix_bfs_levels
+from conftest import (
+    RATIONAL_NAMES, mat_mul, matrix_bfs_levels, reflection_matrix)
 
 NAMES = [name for name, _, _ in BATTERY]
 
@@ -108,7 +108,7 @@ def test_criterion_2_automaton_vs_oracle():
             for s in range(rs.rank):
                 total[0] += 1
                 oracle_red = not rs.is_negative_root_vec(mat_column(w, s))
-                step = aut.step(state, s)
+                step = aut.transitions[state][s]
                 if (step is not None) != oracle_red:
                     bad.append((name, depth, s))
                     continue

@@ -40,7 +40,8 @@ def test_infinite_dihedral_states():
     # from {alpha_s}, reading t lands in {alpha_t} and cycles there
     state = aut.run((0, 1))
     assert aut.states[state] == 1 << sigma.simple_index[1]
-    assert aut.step(state, 0) == aut.state_index[1 << sigma.simple_index[0]]
+    assert (aut.transitions[state][0]
+            == aut.state_index[1 << sigma.simple_index[0]])
 
 
 def test_m3_dihedral_states():

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 import coxlow.conjecture
@@ -7,6 +10,7 @@ from coxlow import (
     IDENTITY,
     INF,
     SmallRootSet,
+    battery_root_system,
     build_gbip,
     build_root_system,
     check_acyclic,
@@ -28,6 +32,8 @@ from coxlow import (
 )
 from coxlow.elements import _low_search
 from coxlow.errors import ConstructionFailed, CyclicGraph, RankNotThree
+
+from conftest import gbip_oracle
 
 RANK3_SAMPLE = ("A3", "affine-3-3-3", "hyperbolic-3-3-4", "universal-override")
 
@@ -73,6 +79,34 @@ def test_gbip_identity(battery):
     rs, _, _ = battery.get("hyperbolic-3-3-4")
     graph = build_gbip(rs, IDENTITY)
     assert graph.vertices == ()
+
+
+def test_gbip_matches_coordinate_oracle():
+    # fresh root systems: the table is filled by build_gbip alone
+    for name, _, _ in BATTERY:
+        rs = battery_root_system(name)
+        for elem, _, _ in elements_up_to_length(rs, 7):
+            graph = build_gbip(rs, elem)
+            gens, roots, edges = gbip_oracle(rs, elem.word)
+            assert [v for _, v in graph.gen_vertices] == gens, (name, elem)
+            assert [v for _, v in graph.root_vertices] == roots, (name, elem)
+            assert sorted(graph.edges) == sorted(edges), (name, elem)
+
+
+def test_root_table_keeps_no_cycle_with_its_root_system():
+    # without a cycle a root system and its filled table are freed as soon
+    # as the last reference goes, not at the next cyclic collection
+    rs = battery_root_system("hyperbolic-3-3-4")
+    for elem, _, _ in elements_up_to_length(rs, 6):
+        build_gbip(rs, elem)
+    assert len(rs.root_table.roots) > rs.rank
+    ref = weakref.ref(rs)
+    gc.disable()
+    try:
+        del rs
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_gbip_requires_rank3():

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from coxlow import (
+    BATTERY,
     INF,
     CoxeterMatrix,
     build_root_system,
@@ -21,7 +22,7 @@ from coxlow.errors import (
     OverrideOnFiniteBond,
 )
 
-from conftest import RATIONAL_NAMES
+from conftest import RATIONAL_NAMES, peel_depth
 
 
 def dihedral(m, **kw):
@@ -151,9 +152,44 @@ def test_roots_sign_purity_and_norm():
 
 
 def test_root_depths_are_correct():
-    rs = _battery("hyperbolic-3-3-4")
-    for root in roots_up_to_depth(rs, 6):
-        assert rs.root_depth(root.coords) == root.depth
+    # root_depth fills the table by peeling; the oracle peels from scratch.
+    # The roots come from another root system, so that rs's table is
+    # filled by root_depth alone
+    for name, _, _ in BATTERY:
+        rs = _battery(name)
+        for root in roots_up_to_depth(_battery(name), 8):
+            assert (rs.root_depth(root.coords) == peel_depth(rs, root.coords)
+                    == root.depth), (name, root)
+
+
+def test_root_table_reflections_match_peeling_oracle():
+    # the deepest roots enter by root_depth, which records only their
+    # peeling paths; reflect(i, s) fills in the rest, up and down, with
+    # depths from the signs alone
+    for name, _, _ in BATTERY:
+        rs = _battery(name)
+        table = rs.root_table
+        for i in range(rs.rank):
+            assert table.roots[i].key == rs.vec_key(rs.simple_roots[i])
+        roots = roots_up_to_depth(_battery(name), 8)
+        for root in roots:
+            if root.depth == roots[-1].depth:
+                rs.root_depth(root.coords)
+        i = 0
+        while i < len(table.roots):
+            for s in range(rs.rank):
+                if i != s and (table.roots[i].depth < 8
+                               or table.signs[i][s] > 0):
+                    j = table.reflect(i, s)
+                    assert table.roots[j].key == rs.vec_key(
+                        rs.reflect(s, table.roots[i].coords)), (name, i, s)
+                    assert table.reflect(j, s) == i, (name, i, s)
+            i += 1
+        for root in table.roots:
+            assert root.depth == peel_depth(rs, root.coords), (name, root)
+            assert table.ids[root.key] == table.roots.index(root)
+        assert ({r.key: r.depth for r in table.roots}
+                == {r.key: r.depth for r in roots}), name
 
 
 def test_depth_changes_by_at_most_one():

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 import coxlow.elements
@@ -27,7 +29,7 @@ from coxlow import (
 )
 from coxlow.errors import NonReducedInput, NumericallyAmbiguous
 
-from conftest import RATIONAL_NAMES, matrix_bfs_levels
+from conftest import RATIONAL_NAMES, matrix_bfs_levels, prefix_inversion_roots
 
 
 def dihedral(m, **kw):
@@ -78,6 +80,17 @@ def test_inversion_set_rejects_nonreduced():
         inversion_set(rs, Element((0, 1, 0, 1)))  # stst = ts
 
 
+@pytest.mark.parametrize("word,pos", [
+    ((0, 1, 0, 1), 0),     # 0 1 0 1 = 1 0 in A3: alpha_0 in N(101)
+    ((2, 0, 0, 1), 1),     # alpha_0 in N(01)
+])
+def test_inversion_set_names_the_nonreduced_position(word, pos):
+    rs = battery_root_system("A3")
+    with pytest.raises(NonReducedInput, match=re.escape(
+            "word %r is not reduced at position %d" % (word, pos))):
+        inversion_set(rs, Element(word))
+
+
 def test_inversion_size_is_length(battery):
     for name in ("hyperbolic-3-3-4", "affine-4-4-2"):
         rs, _, _ = battery.get(name)
@@ -98,17 +111,29 @@ def test_two_closure(battery):
                 summed = tuple(x + y for x, y in zip(a.coords, b.coords))
                 key = rs.vec_key(summed)
                 if key in roots:
-                    assert key in inv.keys, (elem, a, b)
+                    assert key in {r.key for r in inv}, (elem, a, b)
 
 
-def _root_data(inv):
-    # repr round-trips a float exactly and tells -0.0 from 0.0
-    return [(tuple(map(repr, r.coords)), r.depth, r.key, r.sign)
-            for r in inv.roots]
+def assert_matches_oracle(rs, inv, word, where):
+    """inv against the prefix-formula oracle of conftest: keys, depths,
+    signs and order exactly; coordinates exactly in the rational backend
+    and to 1e-9 in float, where the root table keeps the coordinates it
+    found first."""
+    ref = prefix_inversion_roots(rs, word)
+    assert ([(r.key, r.depth, r.sign) for r in inv.roots]
+            == [(r.key, r.depth, r.sign) for r in ref]), where
+    assert len(inv) == len(word), where
+    for root, ref_root in zip(inv.roots, ref):
+        if rs.exact:
+            assert root.coords == ref_root.coords, where
+        else:
+            assert max(abs(a - b) for a, b in zip(root.coords, ref_root.coords)
+                       ) <= 1e-9, where
 
 
 @pytest.mark.parametrize("backend", ["float", "rational"])
 def test_inversion_walk_matches_inversion_set(battery, backend):
+    # the walk's N(w) and inversion_set's both match the oracle
     names = ([name for name, _, _ in BATTERY] if backend == "float"
              else RATIONAL_NAMES)
     for name in names:
@@ -117,9 +142,8 @@ def test_inversion_walk_matches_inversion_set(battery, backend):
         for length, entries in inversion_walk(rs, 8):
             for elem, inv in entries:
                 assert elem.length == length
-                ref = inversion_set(rs, elem)
-                assert _root_data(inv) == _root_data(ref), (name, elem)
-                assert inv.keys == ref.keys, (name, elem)
+                assert_matches_oracle(rs, inv, elem.word, (name, elem))
+                assert inversion_set(rs, elem).ids == inv.ids, (name, elem)
                 walked.append(elem)
         assert walked == [e for e, _, _ in elements_up_to_length(rs, 8)], name
 
@@ -357,14 +381,8 @@ def test_low_search_inversion_sets_match_inversion_set(monkeypatch, backend):
         lows, _, _ = enumerate_low_stable(rs, sigma)
         assert set(lows) <= {IDENTITY} | {w for w, _ in seen}, name
         for w, inv in seen:
-            ref = inversion_set(rs, w)
-            assert inv.keys == ref.keys, (name, w)
-            if backend == "float":
-                assert ([(r.depth, r.key, r.sign) for r in inv.roots]
-                        == [(r.depth, r.key, r.sign) for r in ref.roots]), \
-                    (name, w)
-            else:
-                assert _root_data(inv) == _root_data(ref), (name, w)
+            assert_matches_oracle(rs, inv, w.word, (name, w))
+            assert inversion_set(rs, w).ids == inv.ids, (name, w)
         # a low element's word is its ShortLex normal form, found without
         # normalize (a rejected candidate's word need not be)
         for w in lows:
