@@ -48,12 +48,10 @@ from .elements import (
     elements_up_to_length,
     enumerate_low,
     enumerate_low_stable,
-    inverse,
     inversion_set,
     inversion_walk,
     is_low,
     left_descents,
-    multiply,
     normalize,
     small_inversion_mask,
 )
@@ -71,7 +69,6 @@ from .smallroots import (
     SmallRootSet,
     dominates,
     is_bipodal,
-    is_small,
     small_roots,
     small_roots_by_dominance,
 )

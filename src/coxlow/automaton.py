@@ -35,14 +35,12 @@ class Automaton:
 
 
 def _reflection_table(rs, sigma):
-    """table[i][s] = index of s . sigma_i inside Sigma, or None."""
-    table = []
-    for root in sigma:
-        row = []
-        for s in range(rs.rank):
-            row.append(sigma.index_of(rs.vec_key(rs.reflect(s, root.coords))))
-        table.append(tuple(row))
-    return table
+    """table[b][s] = bit of s . sigma_b inside Sigma, or None; s negates
+    sigma_b when it is alpha_s."""
+    reflect = rs.root_table.reflect
+    return [tuple(None if i == s else sigma.bit.get(reflect(i, s))
+                  for s in range(rs.rank))
+            for i in sigma.ids]
 
 
 def _close(rs, sigma, delta):
@@ -105,14 +103,13 @@ def build_shortlex_automaton(rs, sigma):
     inversions, which rejects any continuation that a lexicographically
     smaller reduced word could also reach."""
     reduced = _reduced_word_delta(rs, sigma)
-    poison = []
+    reflect = rs.root_table.reflect
+    poison = [0] * rs.rank
     for s in range(rs.rank):
-        bits = 0
         for j in range(s):
-            t = sigma.index_of(rs.vec_key(rs.reflect(s, rs.simple_roots[j])))
+            t = sigma.bit.get(reflect(j, s))
             if t is not None:
-                bits |= 1 << t
-        poison.append(bits)
+                poison[s] |= 1 << t
 
     def delta(mask, s):
         new = reduced(mask, s)

@@ -117,7 +117,11 @@ class RootTable:
     -1) of B(alpha_s, root i).  The simple root alpha_s has id s.
     ``reflect(i, s)`` is filled lazily and never peels: depth(s beta) is
     depth(beta) - sign, and an orthogonal s fixes the root.  A vector of
-    unknown depth enters through BasedRootSystem.root_depth.  The table
+    unknown depth enters through BasedRootSystem.root_depth.  ``cone``
+    memoises the cone tests of ``is_low``, keyed by (frozenset of lambda
+    ids, root id): ids mean something only within one table, and a second
+    low-element search on the same root system (enumerate_low_stable then
+    verify_bijection, say) skips every cone solve of the first.  The table
     holds no reference to its root system, so the two form no cycle."""
 
     def __init__(self, simple_roots, gram, eps, vec_key):
@@ -128,6 +132,7 @@ class RootTable:
         self.ids = {}
         self.signs = []
         self._succ = []     # _succ[i][s]: id of s . root i, None until asked
+        self.cone = {}
         for v in simple_roots:
             self.add(v, vec_key(v), 1)
 
@@ -169,14 +174,11 @@ class BasedRootSystem:
     """Simple roots plus the symmetric bilinear form of a Coxeter system.
 
     The form and the simple roots are fixed at construction.  What grows is
-    ``root_table`` (a RootTable): every positive root that an inversion set,
-    a peeling graph or ``root_depth`` has met, with its depth and its
-    reflections, so that each (root, s) pair is computed once per root
-    system.  The one memo besides it is ``_caches["cone"]``, the cone tests
-    of ``is_low`` keyed by (lambda keys, root key): it lets a second
-    low-element search on the same root system (enumerate_low_stable then
-    verify_bijection, say) skip every cone solve of the first.  Derived
-    data such as automata is passed explicitly."""
+    ``root_table`` (a RootTable): every positive root that the small roots,
+    an inversion set, a peeling graph or ``root_depth`` has met, with its
+    depth, its reflections and the cone tests of ``is_low``, so that each
+    (root, s) pair is computed once per root system.  Derived data such as
+    automata is passed explicitly."""
 
     def __init__(self, matrix, gram, backend, eps):
         self.matrix = matrix
@@ -192,7 +194,6 @@ class BasedRootSystem:
             for s in range(self.rank))
         self.root_table = RootTable(self.simple_roots, self.gram, self.eps,
                                     tuple if self.exact else _float_key)
-        self._caches = {}
 
     # -- scalar comparison helpers -------------------------------------
 

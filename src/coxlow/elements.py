@@ -2,16 +2,18 @@
 
 Elements are identified with their ShortLex normal form (the
 lexicographically least among the shortest words); equality and hashing go
-through the normal form exclusively.  ``elements_by_length`` walks those
+through the normal form exclusively.  A root is identified by its id in
+``rs.root_table`` throughout: inversion sets, the small roots, lambda
+masks and the cone cache all hold ids.  ``elements_by_length`` walks the
 normal forms with the ShortLex automaton, which accepts exactly one word
 per element, so the walk is exact, compares no two elements and keeps only
-two levels.  The inversion set convention is N(w) = Phi+ cap w(Phi-);
-an InversionSet holds the ids of its roots in ``rs.root_table``.
-``inversion_set`` builds it by left extension along the word,
-N(s x) = {alpha_s} u s N(x), which reads only the table's reflections;
-left descents are the generators whose simple root lies in N(w).
-``inversion_walk`` carries N(w) along the element walk instead, as
-N(ws) = N(w) u {w(alpha_s)}.
+two levels; each entry carries its matrix and its automaton state.  The
+inversion set convention is N(w) = Phi+ cap w(Phi-).  ``inversion_set``
+builds it by left extension along the word, N(s x) = {alpha_s} u s N(x),
+which reads only the table's reflections; left descents are the
+generators whose simple root lies in N(w), and ``normalize`` peels the
+least of them off N(w) until it is empty.  ``inversion_walk`` carries
+N(w) along the element walk instead, as N(ws) = N(w) u {w(alpha_s)}.
 
 Low elements are found exactly by extending low elements on the left (see
 ``_low_search``); the search stops on its own, and the length caps of
@@ -22,7 +24,6 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from operator import mul
 
 from .automaton import build_automaton, build_shortlex_automaton
 from .core import Root
@@ -86,13 +87,6 @@ def mat_mul_reflection(w, s, r, zero):
     return tuple(out)
 
 
-def reflection_mat_mul(r, s, w):
-    """R_s w, where r is row s of R_s: only row s changes, and the other
-    rows are shared with w.  Row s is summed as the plain product sums it."""
-    new = tuple([sum(map(mul, r, col)) for col in zip(*w)])
-    return w[:s] + (new,) + w[s + 1:]
-
-
 def mat_column(m, j):
     return tuple(row[j] for row in m)
 
@@ -102,36 +96,26 @@ def mat_column(m, j):
 def normalize(rs, word):
     """ShortLex normal form of an arbitrary generator word.
 
-    Greedy: the first letter of the ShortLex-least reduced word is the
-    smallest left descent; peel it off (w := s w) and repeat until the
-    identity is reached.  Descents are read off the columns of the matrix
-    of w^{-1} (alpha_s in N(w) iff w^{-1} alpha_s is negative)."""
+    N(w) is built on root-table ids, reading the word from the right: if
+    alpha_s is not in N(x), N(s x) = {alpha_s} u s N(x); if it is,
+    N(s x) = s (N(x) - {alpha_s}).  Then greedy: the first letter of the
+    ShortLex-least reduced word is the least left descent s, the least
+    simple root in N(w); peel it off (N(s w) = s (N(w) - {alpha_s})) and
+    repeat until N(w) is empty.  No coordinate's sign is tested."""
     for s in word:
         if not 0 <= s < rs.rank:
             raise ValueError("generator %r out of range" % (s,))
-    rows = reflection_rows(rs)
-    zero = _zero(rs)
-    w_inv = identity_matrix(rs)
-    for s in word:
-        w_inv = reflection_mat_mul(rows[s], s, w_inv)
+    reflect = rs.root_table.reflect
+    ids = set()
+    for s in reversed(word):
+        rest = {reflect(i, s) for i in ids if i != s}
+        ids = rest if s in ids else rest | {s}
     letters = []
-    while True:
-        for s in range(rs.rank):
-            if rs.is_negative_root_vec(mat_column(w_inv, s)):
-                letters.append(s)
-                w_inv = mat_mul_reflection(w_inv, s, rows[s], zero)
-                break
-        else:
-            return Element(tuple(letters))
-
-
-def multiply(rs, a, b):
-    """Product of two elements, as a normalized Element."""
-    return normalize(rs, a.word + b.word)
-
-
-def inverse(rs, a):
-    return normalize(rs, tuple(reversed(a.word)))
+    while ids:
+        s = min(ids)        # alpha_s has id s, below every non-simple root
+        letters.append(s)
+        ids = {reflect(i, s) for i in ids if i != s}
+    return Element(tuple(letters))
 
 
 # -- inversion sets -----------------------------------------------------
@@ -190,12 +174,9 @@ def left_descents(rs, w, inv=None):
 
 def small_inversion_mask(rs, sigma, w, inv=None):
     """lambda(w) = Sigma cap N(w), as a bitmask over Sigma's indexing."""
-    mask = 0
-    for root in inversion_set(rs, w) if inv is None else inv:
-        i = sigma.index_of(root.key)
-        if i is not None:
-            mask |= 1 << i
-    return mask
+    if inv is None:
+        inv = inversion_set(rs, w)
+    return sum(1 << sigma.bit[i] for i in inv.ids if i in sigma.bit)
 
 
 # -- cone membership ----------------------------------------------------
@@ -283,20 +264,20 @@ def is_low(rs, sigma, w, inv=None):
     """w is low iff N(w) lies in the cone spanned by Sigma cap N(w).
 
     ``inv`` is N(w) when the caller already has it.  Cone tests are cached
-    on rs by (lambda keys, root key); see BasedRootSystem."""
+    in rs.root_table.cone by (lambda ids, root id); see RootTable."""
     if inv is None:
         inv = inversion_set(rs, w)
-    lam = [root for root in inv if sigma.index_of(root.key) is not None]
-    lam_keys = frozenset(root.key for root in lam)
-    lam_coords = tuple(root.coords for root in lam)
-    cache = rs._caches.setdefault("cone", {})
-    for root in inv:
-        if root.key in lam_keys:
+    table = rs.root_table
+    lam = [i for i in inv.order if i in sigma.bit]
+    lam_ids = frozenset(lam)
+    lam_coords = tuple(table.roots[i].coords for i in lam)
+    for i in inv.order:
+        if i in lam_ids:
             continue
-        key = (lam_keys, root.key)
-        if key not in cache:
-            cache[key] = cone_membership(rs, lam_coords, root)
-        if not cache[key]:
+        key = (lam_ids, i)
+        if key not in table.cone:
+            table.cone[key] = cone_membership(rs, lam_coords, table.roots[i])
+        if not table.cone[key]:
             return False
     return True
 
@@ -306,35 +287,29 @@ def is_low(rs, sigma, w, inv=None):
 def elements_by_length(rs, max_len=None):
     """Yield (length, entries) level by level over the ShortLex normal forms.
 
-    Each entry is (Element, matrix, inverse matrix).  The walk runs the
-    ShortLex automaton built from the small roots, which accepts exactly one
-    word per element (Brink-Howlett, "A finiteness property and an automatic
-    structure for Coxeter groups", 1993): a level's entries are the
-    one-letter extensions of the previous level's words that the automaton
-    accepts, in ShortLex order.  So the walk is exact, never compares two
-    elements, and keeps only the previous level and the current one."""
+    Each entry is (Element, matrix, ShortLex state): the matrix of w on
+    root coordinates, and the index of the automaton state the word reaches.
+    The walk runs the ShortLex automaton built from the small roots, which
+    accepts exactly one word per element (Brink-Howlett, "A finiteness
+    property and an automatic structure for Coxeter groups", 1993): a
+    level's entries are the one-letter extensions of the previous level's
+    words that the automaton accepts, in ShortLex order.  So the walk is
+    exact, never compares two elements, and keeps only the previous level
+    and the current one."""
     aut = build_shortlex_automaton(rs, small_roots(rs))
     rows = reflection_rows(rs)
     zero = _zero(rs)
-    ident = identity_matrix(rs)
-    frontier = [(IDENTITY, ident, ident)]
-    states = [0]       # automaton state of each entry of frontier
+    frontier = [(IDENTITY, identity_matrix(rs), 0)]
     length = 0
     yield 0, frontier
     while max_len is None or length < max_len:
-        new_frontier = []
-        new_states = []
-        for (elem, w, w_inv), state in zip(frontier, states):
-            for s, target in enumerate(aut.transitions[state]):
-                if target is None:
-                    continue
-                new_frontier.append((Element(elem.word + (s,)),
-                                     mat_mul_reflection(w, s, rows[s], zero),
-                                     reflection_mat_mul(rows[s], s, w_inv)))
-                new_states.append(target)
-        if not new_frontier:
+        frontier = [(Element(elem.word + (s,)),
+                     mat_mul_reflection(w, s, rows[s], zero), target)
+                    for elem, w, state in frontier
+                    for s, target in enumerate(aut.transitions[state])
+                    if target is not None]
+        if not frontier:
             return
-        frontier, states = new_frontier, new_states
         length += 1
         yield length, frontier
 

@@ -18,24 +18,26 @@ DominanceVerdict = namedtuple("DominanceVerdict", ["value", "decisive"])
 class SmallRootSet:
     """The small roots with a frozen 0-based indexing.
 
-    Downstream code stores subsets of the small roots as integer bitmasks
-    over this indexing, so the ordering must never change once built."""
+    ``ids`` are the roots' ids in rs.root_table, in (depth, key) order;
+    ``bit`` maps an id to its index in that order, and ``roots`` are the
+    table's own Root objects.  Downstream code stores subsets of the small
+    roots as integer bitmasks over this indexing, so the ordering must never
+    change once built.  The given roots must be in the table already."""
 
     def __init__(self, rs, roots):
         self.rs = rs
-        self.roots = tuple(sorted(roots, key=Root.sort_key))
-        self.by_key = {root.key: i for i, root in enumerate(self.roots)}
-        self.simple_index = tuple(
-            self.by_key[rs.vec_key(rs.simple_roots[s])] for s in range(rs.rank))
+        table = rs.root_table
+        self.ids = tuple(sorted({table.ids[root.key] for root in roots},
+                                key=lambda i: table.roots[i].sort_key()))
+        self.bit = {i: b for b, i in enumerate(self.ids)}
+        self.roots = tuple(table.roots[i] for i in self.ids)
+        self.simple_index = tuple(self.bit[s] for s in range(rs.rank))
 
     def __len__(self):
         return len(self.roots)
 
     def __iter__(self):
         return iter(self.roots)
-
-    def index_of(self, key):
-        return self.by_key.get(key)
 
     def mask_to_roots(self, mask):
         return [self.roots[i] for i in range(len(self.roots)) if mask >> i & 1]
@@ -45,35 +47,30 @@ class SmallRootSet:
 
 
 def small_roots(rs, cap=10000):
-    """Compute the set of small roots by short-edge closure.
+    """Compute the set of small roots by short-edge closure on rs.root_table.
 
     The closure is guaranteed to terminate; ``cap`` bounds the number of
     roots so that a tolerance bug (roots failing to be identified) raises
     ClosureCapExceeded instead of looping."""
     if cap < rs.rank:
         raise ValueError("cap must be at least the rank")
-    seen = {}
-    queue = deque()
-    for s in range(rs.rank):
-        root = rs.simple_root(s)
-        seen[root.key] = root
-        queue.append(root)
+    table = rs.root_table
+    seen = set(range(rs.rank))      # the simple root alpha_s has id s
+    queue = deque(range(rs.rank))
     while queue:
-        beta = queue.popleft()
+        i = queue.popleft()
         for s in range(rs.rank):
-            b = rs.form_simple(s, beta.coords)
+            b = rs.form_simple(s, table.roots[i].coords)
             # short edge: -1 < B(alpha_s, beta) < 0
             if rs.is_neg(b) and rs.is_pos(b + 1):
-                v = rs.reflect(s, beta.coords)
-                key = rs.vec_key(v)
-                if key not in seen:
+                j = table.reflect(i, s)
+                if j not in seen:
                     if len(seen) >= cap:
                         raise ClosureCapExceeded(
                             "small-root closure exceeded cap %d" % cap)
-                    root = rs.make_root(v, beta.depth + 1)
-                    seen[key] = root
-                    queue.append(root)
-    return SmallRootSet(rs, seen.values())
+                    seen.add(j)
+                    queue.append(j)
+    return SmallRootSet(rs, [table.roots[i] for i in seen])
 
 
 def default_lcap(rs, beta, alpha):
@@ -113,12 +110,6 @@ def dominates(rs, beta, alpha, lcap=None):
             break
         frontier = new_frontier
     return DominanceVerdict(True, False)
-
-
-def is_small(rs, beta, sigma):
-    """Membership of a positive root in the small-root set."""
-    return sigma.index_of(beta.key if isinstance(beta, Root)
-                          else rs.vec_key(beta)) is not None
 
 
 def small_roots_by_dominance(rs, depth_bound, lcap=10):

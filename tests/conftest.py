@@ -1,3 +1,5 @@
+import weakref
+
 import pytest
 
 from coxlow import Root, battery_root_system, build_automaton, small_roots
@@ -61,18 +63,32 @@ def peel_depth(rs, v):
     return depth
 
 
+# per root system: (peel_depth by root key, prefix matrix by word prefix);
+# weak keys, so that the memo keeps no root system alive
+_PREFIX_MEMO = weakref.WeakKeyDictionary()
+
+
 def prefix_inversion_roots(rs, word):
     """Test oracle: N(w) for a reduced word by the prefix formula
     N(s1...sk) = {alpha_s1, s1(alpha_s2), ..., s1...s_{k-1}(alpha_sk)},
     with plain matrix products and depths from peel_depth, so it reads no
-    root table.  The roots are sorted as InversionSet.roots are."""
-    prefix = identity_matrix(rs)
+    root table.  The roots are sorted as InversionSet.roots are.  Depths
+    and prefix matrices are memoised per root system: each is computed as
+    it would be from scratch, once."""
+    if rs not in _PREFIX_MEMO:
+        _PREFIX_MEMO[rs] = ({}, {(): identity_matrix(rs)})
+    depths, prefixes = _PREFIX_MEMO[rs]
     roots = []
-    for s in word:
+    for k, s in enumerate(word):
+        prefix = prefixes[word[:k]]
         v = mat_column(prefix, s)      # prefix(alpha_s)
         assert not rs.is_negative_root_vec(v), ("not reduced", word)
-        roots.append(rs.make_root(v, peel_depth(rs, v)))
-        prefix = mat_mul(prefix, reflection_matrix(rs, s))
+        key = rs.vec_key(v)
+        if key not in depths:
+            depths[key] = peel_depth(rs, v)
+        roots.append(rs.make_root(v, depths[key]))
+        if word[:k + 1] not in prefixes:
+            prefixes[word[:k + 1]] = mat_mul(prefix, reflection_matrix(rs, s))
     return sorted(roots, key=Root.sort_key)
 
 

@@ -1,3 +1,4 @@
+import random
 import re
 
 import pytest
@@ -17,12 +18,10 @@ from coxlow import (
     elements_up_to_length,
     enumerate_low,
     enumerate_low_stable,
-    inverse,
     inversion_set,
     inversion_walk,
     is_low,
     left_descents,
-    multiply,
     normalize,
     small_inversion_mask,
     small_roots,
@@ -56,11 +55,25 @@ def test_normalize_idempotent():
 
 def test_group_operations():
     rs = dihedral(3)
-    s, t = Element((0,)), Element((1,))
-    st = multiply(rs, s, t)
+    st = normalize(rs, (0, 1))
     assert st == Element((0, 1))
-    assert multiply(rs, st, inverse(rs, st)) == IDENTITY
-    assert inverse(rs, Element((0, 1, 0))) == Element((0, 1, 0))
+    assert normalize(rs, st.word + tuple(reversed(st.word))) == IDENTITY
+    assert normalize(rs, tuple(reversed((0, 1, 0)))) == Element((0, 1, 0))
+
+
+def test_float_normalize_matches_rational():
+    # seeded random words, non-reduced ones included: the float backend
+    # must give the exact backend's normal forms (a float sign test on
+    # matrix columns once gave five of these words 1-3 letters too short)
+    rng = random.Random(7)
+    words = [tuple(rng.randrange(3) for _ in range(rng.randrange(40)))
+             for _ in range(200)]
+    for name in RATIONAL_NAMES:
+        rs_float = battery_root_system(name)
+        rs_exact = battery_root_system(name, "rational")
+        for word in words:
+            assert (normalize(rs_float, word)
+                    == normalize(rs_exact, word)), (name, word)
 
 
 # -- inversion sets -----------------------------------------------------
@@ -153,7 +166,7 @@ def test_inversion_walk_adds_no_cache():
     for _, entries in inversion_walk(rs):
         for _ in entries:
             pass
-    assert rs._caches == {}
+    assert rs.root_table.cone == {}
 
 
 def test_left_descents():
@@ -220,10 +233,11 @@ def test_cone_cache_solves_each_cone_test_once(monkeypatch):
     w = Element((0, 1))        # not low: one cone test on its deep root
     for _ in range(3):
         assert not is_low(rs, sigma, w)
-    # solved once, then served from the cache on rs
+    # solved once, then served from the cache on rs.root_table, keyed by
+    # (lambda ids, root id); lambda = {alpha_0}, whose id is 0
     assert len(solves) == 1
-    assert list(rs._caches["cone"]) == [(frozenset({rs.vec_key((1.0, 0.0))}),
-                                         solves[0].key)]
+    table = rs.root_table
+    assert list(table.cone) == [(frozenset({0}), table.ids[solves[0].key])]
 
 
 def test_cone_gray_zone():
@@ -282,9 +296,9 @@ def test_enumerate_low_stable_wrapper(battery):
 
 
 def _walk_data(levels):
-    # repr round-trips a float exactly and tells -0.0 from 0.0
-    return [(length, [(elem.word, repr(w), repr(w_inv))
-                      for elem, w, w_inv in entries])
+    # words and matrices; repr round-trips a float exactly and tells -0.0
+    # from 0.0
+    return [(length, [(entry[0].word, repr(entry[1])) for entry in entries])
             for length, entries in levels]
 
 
@@ -302,7 +316,7 @@ def test_walk_matches_matrix_bfs_oracle(battery, backend):
         rs, _, _ = battery.get("hyperbolic-2-3-7")
         assert (_walk_data(elements_by_length(rs, 25))
                 == _walk_data(matrix_bfs_levels(rs, 25)))
-        # normalize reads descents off matrices and knows no automaton
+        # normalize peels descents off N(w) and knows no automaton
         for _, entries in elements_by_length(rs, 12):
             for elem, _, _ in entries:
                 assert normalize(rs, elem.word) == elem, elem

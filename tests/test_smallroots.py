@@ -6,7 +6,6 @@ from coxlow import (
     dihedral_matrix,
     dominates,
     is_bipodal,
-    is_small,
     small_roots,
     small_roots_by_dominance,
 )
@@ -38,7 +37,8 @@ def test_sigma_contains_simples(battery):
     for name in ("universal-override", "hyperbolic-2-3-7"):
         rs, sigma, _ = battery.get(name)
         for s in range(rs.rank):
-            assert rs.vec_key(rs.simple_roots[s]) in sigma.by_key
+            assert rs.vec_key(rs.simple_roots[s]) in {r.key for r in sigma}
+            assert s in sigma.bit        # alpha_s has id s in the table
 
 
 def test_closure_cap():
@@ -81,14 +81,26 @@ def test_dominance_fast_path():
     assert v == (False, True)
 
 
-def test_is_small(battery):
+def test_is_small():
     rs = build_root_system(dihedral_matrix(INF))
     sigma = small_roots(rs)
-    assert is_small(rs, rs.simple_root(0), sigma)
-    assert not is_small(rs, rs.make_root((2, 1), 2), sigma)
+    keys = {r.key for r in sigma}
+    assert rs.simple_root(0).key in keys
+    assert rs.make_root((2, 1), 2).key not in keys
     rs3 = build_root_system(dihedral_matrix(3))
     sigma3 = small_roots(rs3)
-    assert is_small(rs3, rs3.make_root((1, 1), 2), sigma3)
+    assert rs3.make_root((1, 1), 2).key in {r.key for r in sigma3}
+
+
+def test_sigma_holds_the_root_table_roots(battery):
+    # Sigma's roots are the table's own objects, under the table's ids
+    for name in ("B3", "hyperbolic-2-3-7", "universal-override"):
+        rs, sigma, _ = battery.get(name)
+        table = rs.root_table
+        assert list(sigma.ids) == [table.ids[r.key] for r in sigma], name
+        for b, root in enumerate(sigma.roots):
+            assert root is table.roots[sigma.ids[b]], name
+            assert sigma.bit[sigma.ids[b]] == b, name
 
 
 def test_oracle_agreement_sample(battery):
@@ -123,10 +135,11 @@ def test_removing_root_breaks_bipodality(battery):
 
 
 def test_small_root_set_masks(battery):
-    _, sigma, _ = battery.get("A3")
+    rs, sigma, _ = battery.get("A3")
     mask = (1 << 0) | (1 << 3)
     roots = sigma.mask_to_roots(mask)
-    assert [sigma.by_key[r.key] for r in roots] == [0, 3]
+    table = rs.root_table
+    assert [sigma.bit[table.ids[r.key]] for r in roots] == [0, 3]
 
 
 def test_short_edge_closure_property(battery):
@@ -137,4 +150,5 @@ def test_short_edge_closure_property(battery):
             for s in range(rs.rank):
                 b = rs.form_simple(s, beta.coords)
                 if rs.is_neg(b) and rs.is_pos(b + 1):
-                    assert rs.vec_key(rs.reflect(s, beta.coords)) in sigma.by_key
+                    assert (rs.vec_key(rs.reflect(s, beta.coords))
+                            in {r.key for r in sigma})
