@@ -69,7 +69,7 @@ def _close(rs, sigma, delta):
 def _reduced_word_delta(rs, sigma):
     """The transition of build_automaton; None when alpha_s is in A."""
     table = _reflection_table(rs, sigma)
-    simple_bit = [1 << sigma.simple_index[s] for s in range(rs.rank)]
+    simple_bit = [1 << sigma.bit[s] for s in range(rs.rank)]  # alpha_s: id s
 
     def delta(mask, s):
         if mask & simple_bit[s]:

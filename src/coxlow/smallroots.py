@@ -31,7 +31,6 @@ class SmallRootSet:
                                 key=lambda i: table.roots[i].sort_key()))
         self.bit = {i: b for b, i in enumerate(self.ids)}
         self.roots = tuple(table.roots[i] for i in self.ids)
-        self.simple_index = tuple(self.bit[s] for s in range(rs.rank))
 
     def __len__(self):
         return len(self.roots)

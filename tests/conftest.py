@@ -134,7 +134,7 @@ def gbip_oracle(rs, word):
 def matrix_bfs_levels(rs, max_len=None):
     """Test oracle: the elements of each length by a breadth-first search
     over the right Cayley graph that knows nothing of small roots or
-    automata, in the same (length, entries) form as elements_by_length.
+    automata, as (length, entries) with each entry (Element, matrix).
 
     Elements are told apart by their matrices, rounded to the vec_key grid
     (1e-6 in float), in a set of every element met so far.  Since parents
@@ -148,13 +148,13 @@ def matrix_bfs_levels(rs, max_len=None):
 
     ident = identity_matrix(rs)
     seen = {mat_key(ident)}
-    frontier = [(IDENTITY, ident, ident)]
+    frontier = [(IDENTITY, ident)]
     refl = [reflection_matrix(rs, s) for s in range(rs.rank)]
     length = 0
     yield 0, frontier
     while frontier and (max_len is None or length < max_len):
         new_frontier = []
-        for elem, w, w_inv in frontier:
+        for elem, w in frontier:
             for s in range(rs.rank):
                 # length increases iff w(alpha_s) is positive
                 if rs.is_negative_root_vec(mat_column(w, s)):
@@ -164,8 +164,7 @@ def matrix_bfs_levels(rs, max_len=None):
                 if key in seen:
                     continue
                 seen.add(key)
-                new_frontier.append(
-                    (Element(elem.word + (s,)), nw, mat_mul(refl[s], w_inv)))
+                new_frontier.append((Element(elem.word + (s,)), nw))
         if not new_frontier:
             return
         frontier = new_frontier

@@ -34,13 +34,13 @@ def test_infinite_dihedral_states():
     assert len(aut) == 3
     masks = {frozenset(i for i in range(len(sigma)) if m >> i & 1)
              for m in aut.states}
-    s_bit, t_bit = sigma.simple_index
+    s_bit, t_bit = sigma.bit[0], sigma.bit[1]     # alpha_s has id s
     assert masks == {frozenset(), frozenset({s_bit}), frozenset({t_bit})}
     # from {alpha_s}, reading t lands in {alpha_t} and cycles there
     state = aut.run((0, 1))
-    assert aut.states[state] == 1 << sigma.simple_index[1]
+    assert aut.states[state] == 1 << t_bit
     assert (aut.transitions[state][0]
-            == aut.state_index[1 << sigma.simple_index[0]])
+            == aut.state_index[1 << s_bit])
 
 
 def test_m3_dihedral_states():
@@ -82,7 +82,7 @@ def test_reduced_agrees_with_matrix_oracle(battery):
 def test_normal_forms_never_rejected(battery):
     rs, _, aut = battery.get("hyperbolic-2-3-7")
     for _, entries in matrix_bfs_levels(rs, 7):
-        for elem, _, _ in entries:
+        for elem, _ in entries:
             assert aut.run(elem.word) is not None
 
 
@@ -149,7 +149,7 @@ def test_shortlex_automaton_accepts_exactly_normal_forms():
                 for w in itertools.product(range(2), repeat=k)
                 if aut.run(w) is not None]
     normal_forms = {e.word for _, entries in matrix_bfs_levels(rs, 3)
-                    for e, _, _ in entries}
+                    for e, _ in entries}
     assert set(accepted) == normal_forms
 
 

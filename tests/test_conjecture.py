@@ -192,7 +192,7 @@ def test_construct_identity(battery):
 def test_construct_rank2():
     rs = build_root_system(dihedral_matrix(INF))
     sigma = small_roots(rs)
-    lam = 1 << sigma.simple_index[0]
+    lam = 1 << sigma.bit[0]          # alpha_0 has id 0
     got = construct_low_from_lambda(rs, sigma, lam)
     assert got.word == (0,)
 

@@ -53,7 +53,7 @@ def test_frozen_indexing(battery):
     rs, sigma, _ = battery.get("B3")
     again = small_roots(rs)
     assert [r.key for r in sigma] == [r.key for r in again]
-    assert sigma.simple_index == again.simple_index
+    assert sigma.ids == again.ids
 
 
 # -- dominance ----------------------------------------------------------
