@@ -83,7 +83,7 @@ def dihedral_matrix(m):
     return CoxeterMatrix([[1, m], [m, 1]])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Root:
     """A root stored by its coordinates in the simple-root basis."""
 

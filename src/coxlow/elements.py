@@ -6,14 +6,16 @@ through the normal form exclusively.  A root is identified by its id in
 ``rs.root_table`` throughout: inversion sets, the small roots, lambda
 masks and the cone cache all hold ids.  ``elements_by_length`` walks the
 normal forms with the ShortLex automaton, which accepts exactly one word
-per element, so the walk is exact, compares no two elements and keeps only
-two levels; each entry carries its matrix and its automaton state.  The
+per element, so the walk is exact, compares no two elements, computes no
+matrix and keeps only two levels; each entry carries the index of its
+parent in the previous level and its automaton state.  The
 inversion set convention is N(w) = Phi+ cap w(Phi-).  ``inversion_set``
 builds it by left extension along the word, N(s x) = {alpha_s} u s N(x),
 which reads only the table's reflections; left descents are the
 generators whose simple root lies in N(w), and ``normalize`` peels the
 least of them off N(w) until it is empty.  ``inversion_walk`` carries
-N(w) along the element walk instead, as N(ws) = N(w) u {w(alpha_s)}.
+N(w) along the element walk instead, as N(ws) = N(w) u {w(alpha_s)}; it
+is the one routine that keeps a matrix per element.
 
 Low elements are found exactly by extending low elements on the left (see
 ``_low_search``); the search stops on its own, and the length caps of
@@ -33,7 +35,7 @@ from .smallroots import small_roots
 EPS_CONE = 1e-7
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Element:
     """A group element as its ShortLex-minimal reduced word."""
 
@@ -287,25 +289,24 @@ def is_low(rs, sigma, w, inv=None):
 def elements_by_length(rs, max_len=None):
     """Yield (length, entries) level by level over the ShortLex normal forms.
 
-    Each entry is (Element, matrix, ShortLex state): the matrix of w on
-    root coordinates, and the index of the automaton state the word reaches.
-    The walk runs the ShortLex automaton built from the small roots, which
-    accepts exactly one word per element (Brink-Howlett, "A finiteness
-    property and an automatic structure for Coxeter groups", 1993): a
-    level's entries are the one-letter extensions of the previous level's
-    words that the automaton accepts, in ShortLex order.  So the walk is
-    exact, never compares two elements, and keeps only the previous level
-    and the current one."""
+    Each entry is (Element, parent, ShortLex state): parent is the index,
+    in the previous level's entries, of the entry whose word this one
+    extends by one letter (None for the identity), and state is the index
+    of the automaton state the word reaches.  The walk runs the ShortLex
+    automaton built from the small roots, which accepts exactly one word per
+    element (Brink-Howlett, "A finiteness property and an automatic
+    structure for Coxeter groups", 1993): a level's entries are the
+    one-letter extensions of the previous level's words that the automaton
+    accepts, in ShortLex order.  So the walk is exact, never compares two
+    elements, computes no matrix, and keeps only the previous level and the
+    current one."""
     aut = build_shortlex_automaton(rs, small_roots(rs))
-    rows = reflection_rows(rs)
-    zero = _zero(rs)
-    frontier = [(IDENTITY, identity_matrix(rs), 0)]
+    frontier = [(IDENTITY, None, 0)]
     length = 0
     yield 0, frontier
     while max_len is None or length < max_len:
-        frontier = [(Element(elem.word + (s,)),
-                     mat_mul_reflection(w, s, rows[s], zero), target)
-                    for elem, w, state in frontier
+        frontier = [(Element(elem.word + (s,)), p, target)
+                    for p, (elem, _, state) in enumerate(frontier)
                     for s, target in enumerate(aut.transitions[state])
                     if target is not None]
         if not frontier:
@@ -327,27 +328,34 @@ def inversion_walk(rs, max_len=None):
     each entry is (Element, InversionSet).
 
     N(ws) = N(w) u {w(alpha_s)} when ws is longer than w, and w(alpha_s) is
-    column s of w's walk matrix, looked up in rs.root_table by key (a root
-    the table lacks enters it through rs.root_depth).  Between levels only
-    each element's ids and matrix are kept; entries is a generator, so each
-    InversionSet is built when drawn and freed after."""
+    column s of the matrix of w on root coordinates, looked up in
+    rs.root_table by key (a root the table lacks enters it through
+    rs.root_depth).  The walk carries no matrices, so each entry's ids and
+    matrix are kept here, in a list indexed like the level, where a child
+    finds its parent's by the walk's parent index.  Only two levels are
+    kept; entries is a generator, so each InversionSet is built when drawn
+    and freed after."""
     ids = rs.root_table.ids
-    prev = {}
+    rows = reflection_rows(rs)
+    zero = _zero(rs)
+    prev = []
     for length, entries in elements_by_length(rs, max_len):
-        level = {}
-        for elem, w, _ in entries:
-            inv = ()
-            if elem.word:
-                _, parent_inv, parent_w = prev[elem.word[:-1]]
-                v = mat_column(parent_w, elem.word[-1])
-                key = rs.vec_key(v)
-                if key not in ids:
-                    rs.root_depth(v)
-                inv = parent_inv + (ids[key],)
-            level[elem.word] = (elem, inv, w)
+        level = []
+        for elem, p, _ in entries:
+            if p is None:
+                level.append(((), identity_matrix(rs)))
+                continue
+            parent_inv, parent_w = prev[p]
+            s = elem.word[-1]
+            v = mat_column(parent_w, s)
+            key = rs.vec_key(v)
+            if key not in ids:
+                rs.root_depth(v)
+            level.append((parent_inv + (ids[key],),
+                          mat_mul_reflection(parent_w, s, rows[s], zero)))
         prev = level
         yield length, ((elem, InversionSet(rs, inv))
-                       for elem, inv, _ in level.values())
+                       for (elem, _, _), (inv, _) in zip(entries, level))
 
 
 @dataclass

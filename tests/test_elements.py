@@ -1,5 +1,6 @@
 import random
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -12,6 +13,7 @@ from coxlow import (
     battery_root_system,
     build_automaton,
     build_root_system,
+    build_shortlex_automaton,
     cone_membership,
     dihedral_matrix,
     elements_by_length,
@@ -26,6 +28,7 @@ from coxlow import (
     small_inversion_mask,
     small_roots,
 )
+from coxlow.elements import mat_mul_reflection, reflection_rows
 from coxlow.errors import NonReducedInput, NumericallyAmbiguous
 
 from conftest import RATIONAL_NAMES, matrix_bfs_levels, prefix_inversion_roots
@@ -295,27 +298,49 @@ def test_enumerate_low_stable_wrapper(battery):
     assert reached <= 25
 
 
-def _walk_data(levels):
-    # words and matrices; repr round-trips a float exactly and tells -0.0
-    # from 0.0
-    return [(length, [(entry[0].word, repr(entry[1])) for entry in entries])
-            for length, entries in levels]
+def _assert_walk_matches_oracle(rs, max_len, where):
+    """The automaton walk against the matrix BFS of conftest: the same words
+    in the same order; each parent index points at the entry whose word is
+    the prefix, and each state is the ShortLex automaton's transition from
+    the parent's state on the last letter.  The walk keeps no matrices, so
+    the matrix claim is on mat_mul_reflection, which inversion_walk uses:
+    the parent's oracle matrix times R_s equals the oracle's mat_mul
+    product to the last bit (repr round-trips a float exactly and tells
+    -0.0 from 0.0)."""
+    aut = build_shortlex_automaton(rs, small_roots(rs))
+    rows = reflection_rows(rs)
+    zero = Fraction(0) if rs.exact else 0.0
+    walk = list(elements_by_length(rs, max_len))
+    oracle = list(matrix_bfs_levels(rs, max_len))
+    assert ([(k, [e.word for e, _, _ in entries]) for k, entries in walk]
+            == [(k, [e.word for e, _ in entries]) for k, entries in oracle]
+            ), where
+    assert walk[0][1] == [(IDENTITY, None, 0)], where
+    for (_, prev), (_, entries) in zip(walk, walk[1:]):
+        for elem, p, state in entries:
+            parent, _, parent_state = prev[p]
+            assert parent.word == elem.word[:-1], (where, elem)
+            assert state == aut.transitions[parent_state][elem.word[-1]], \
+                (where, elem)
+    for (_, prev), (_, entries) in zip(oracle, oracle[1:]):
+        parent_matrix = {elem.word: w for elem, w in prev}
+        for elem, w in entries:
+            s = elem.word[-1]
+            product = mat_mul_reflection(
+                parent_matrix[elem.word[:-1]], s, rows[s], zero)
+            assert repr(product) == repr(w), (where, elem)
 
 
 @pytest.mark.parametrize("backend", ["float", "rational"])
 def test_walk_matches_matrix_bfs_oracle(battery, backend):
-    # the automaton walk and the matrix BFS of conftest: the same words in
-    # the same order, and the same matrices to the last bit
     names = ([name for name, _, _ in BATTERY] if backend == "float"
              else RATIONAL_NAMES)
     for name in names:
         rs, _, _ = battery.get(name, backend)
-        assert (_walk_data(elements_by_length(rs, 8))
-                == _walk_data(matrix_bfs_levels(rs, 8))), name
+        _assert_walk_matches_oracle(rs, 8, name)
     if backend == "float":
         rs, _, _ = battery.get("hyperbolic-2-3-7")
-        assert (_walk_data(elements_by_length(rs, 25))
-                == _walk_data(matrix_bfs_levels(rs, 25)))
+        _assert_walk_matches_oracle(rs, 25, "hyperbolic-2-3-7")
         # normalize peels descents off N(w) and knows no automaton
         for _, entries in elements_by_length(rs, 12):
             for elem, _, _ in entries:
