@@ -22,7 +22,7 @@ from .conjecture import (
 )
 from .core import DEFAULT_EPS
 from .elements import _completeness, _low_search, inversion_walk, left_descents
-from .errors import CoxlowError, ParseError
+from .errors import CoxlowError, ParseError, ValidationError
 from .groupfile import load_root_system
 from .render import RenderOptions, render_svg
 from .smallroots import small_roots
@@ -36,7 +36,10 @@ def _tolerance(args):
     if args.tolerance is not None:
         return args.tolerance
     env = os.environ.get("COXLOW_TOLERANCE")
-    return float(env) if env else DEFAULT_EPS
+    try:
+        return float(env) if env else DEFAULT_EPS
+    except ValueError:
+        raise ValidationError("COXLOW_TOLERANCE=%r is not a number" % (env,))
 
 
 def _load(args):

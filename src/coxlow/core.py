@@ -24,6 +24,7 @@ from .errors import (
     NonSymmetricMatrix,
     OverrideAboveMinusOne,
     OverrideOnFiniteBond,
+    ValidationError,
 )
 
 INF = math.inf
@@ -117,11 +118,7 @@ class RootTable:
     -1) of B(alpha_s, root i).  The simple root alpha_s has id s.
     ``reflect(i, s)`` is filled lazily and never peels: depth(s beta) is
     depth(beta) - sign, and an orthogonal s fixes the root.  A vector of
-    unknown depth enters through BasedRootSystem.root_depth.  ``cone``
-    memoises the cone tests of ``is_low``, keyed by (frozenset of lambda
-    ids, root id): ids mean something only within one table, and a second
-    low-element search on the same root system (enumerate_low_stable then
-    verify_bijection, say) skips every cone solve of the first.  The table
+    unknown depth enters through BasedRootSystem.root_depth.  The table
     holds no reference to its root system, so the two form no cycle."""
 
     def __init__(self, simple_roots, gram, eps, vec_key):
@@ -132,7 +129,6 @@ class RootTable:
         self.ids = {}
         self.signs = []
         self._succ = []     # _succ[i][s]: id of s . root i, None until asked
-        self.cone = {}
         for v in simple_roots:
             self.add(v, vec_key(v), 1)
 
@@ -176,9 +172,8 @@ class BasedRootSystem:
     The form and the simple roots are fixed at construction.  What grows is
     ``root_table`` (a RootTable): every positive root that the small roots,
     an inversion set, a peeling graph or ``root_depth`` has met, with its
-    depth, its reflections and the cone tests of ``is_low``, so that each
-    (root, s) pair is computed once per root system.  Derived data such as
-    automata is passed explicitly."""
+    depth and its reflections, so that each (root, s) pair is computed once
+    per root system.  Derived data such as automata is passed explicitly."""
 
     def __init__(self, matrix, gram, backend, eps):
         self.matrix = matrix
@@ -304,8 +299,11 @@ def build_root_system(matrix, gram_overrides=None, backend="float",
 
     ``gram_overrides`` maps unordered generator pairs (i, j) to a value
     <= -1, and is only legal on infinite bonds.  ``backend`` selects
-    double-precision ("float") or exact rational ("rational") arithmetic.
+    double-precision ("float") or exact rational ("rational") arithmetic,
+    and ``eps`` (a finite number >= 0) is the float comparison tolerance.
     """
+    if not (isinstance(eps, (int, float, Fraction)) and 0 <= eps < INF):
+        raise ValidationError("tolerance %r must be finite and >= 0" % (eps,))
     if not isinstance(matrix, CoxeterMatrix):
         matrix = CoxeterMatrix(matrix)
     n = matrix.rank

@@ -4,18 +4,19 @@ Elements are identified with their ShortLex normal form (the
 lexicographically least among the shortest words); equality and hashing go
 through the normal form exclusively.  A root is identified by its id in
 ``rs.root_table`` throughout: inversion sets, the small roots, lambda
-masks and the cone cache all hold ids.  ``elements_by_length`` walks the
-normal forms with the ShortLex automaton, which accepts exactly one word
-per element, so the walk is exact, compares no two elements, computes no
-matrix and keeps only two levels; each entry carries the index of its
-parent in the previous level and its automaton state.  The
-inversion set convention is N(w) = Phi+ cap w(Phi-).  ``inversion_set``
-builds it by left extension along the word, N(s x) = {alpha_s} u s N(x),
-which reads only the table's reflections; left descents are the
-generators whose simple root lies in N(w), and ``normalize`` peels the
-least of them off N(w) until it is empty.  ``inversion_walk`` carries
-N(w) along the element walk instead, as N(ws) = N(w) u {w(alpha_s)}; it
-is the one routine that keeps a matrix per element.
+masks and the right-descent roots by which ``is_low`` decides (it solves
+no cone) all hold ids.  ``elements_by_length`` walks the normal forms with
+the ShortLex automaton, which accepts exactly one word per element, so the
+walk is exact, compares no two elements, computes no matrix and keeps only
+two levels; each entry carries the index of its parent in the previous
+level and its automaton state.  The inversion set convention is N(w) =
+Phi+ cap w(Phi-).  ``inversion_set`` builds it by left extension along the
+word, N(s x) = {alpha_s} u s N(x), which reads only the table's
+reflections; left descents are the generators whose simple root lies in
+N(w), and ``normalize`` peels the least of them off N(w) until it is
+empty.  ``inversion_walk`` carries N(w) along the element walk instead, as
+N(ws) = N(w) u {w(alpha_s)}; it is the one routine that keeps a matrix per
+element.
 
 Low elements are found exactly by extending low elements on the left (see
 ``_low_search``); the search stops on its own, and the length caps of
@@ -262,24 +263,21 @@ def cone_membership(rs, generators, gamma):
 
 # -- low elements -------------------------------------------------------
 
-def is_low(rs, sigma, w, inv=None):
-    """w is low iff N(w) lies in the cone spanned by Sigma cap N(w).
-
-    ``inv`` is N(w) when the caller already has it.  Cone tests are cached
-    in rs.root_table.cone by (lambda ids, root id); see RootTable."""
-    if inv is None:
-        inv = inversion_set(rs, w)
-    table = rs.root_table
-    lam = [i for i in inv.order if i in sigma.bit]
-    lam_ids = frozenset(lam)
-    lam_coords = tuple(table.roots[i].coords for i in lam)
-    for i in inv.order:
-        if i in lam_ids:
-            continue
-        key = (lam_ids, i)
-        if key not in table.cone:
-            table.cone[key] = cone_membership(rs, lam_coords, table.roots[i])
-        if not table.cone[key]:
+def is_low(rs, sigma, w):
+    """Does N(w) lie in the cone of Sigma cap N(w)?  It is the cone closure
+    of the roots -w(alpha_t), t a right descent (Hohlweg-Labbe 2016), so w
+    is low iff they are all small (Dyer-Hohlweg 2016).  Each w(alpha_t) is
+    a signed root-table id: s alpha_s = -alpha_s, s(-beta) = -(s beta).
+    Any word will do, reduced or not: the answer is for its element."""
+    reflect = rs.root_table.reflect
+    for t in range(rs.rank):
+        i, negative = t, False
+        for s in reversed(w.word):
+            if i == s:
+                negative = not negative
+            else:
+                i = reflect(i, s)
+        if negative and i not in sigma.bit:
             return False
     return True
 
@@ -332,9 +330,9 @@ def inversion_walk(rs, max_len=None):
     rs.root_table by key (a root the table lacks enters it through
     rs.root_depth).  The walk carries no matrices, so each entry's ids and
     matrix are kept here, in a list indexed like the level, where a child
-    finds its parent's by the walk's parent index.  Only two levels are
-    kept; entries is a generator, so each InversionSet is built when drawn
-    and freed after."""
+    finds its parent's by the walk's parent index; the level of length
+    max_len gets no matrices.  Only two levels are kept; entries is a
+    generator, so each InversionSet is built when drawn and freed after."""
     ids = rs.root_table.ids
     rows = reflection_rows(rs)
     zero = _zero(rs)
@@ -351,8 +349,8 @@ def inversion_walk(rs, max_len=None):
             key = rs.vec_key(v)
             if key not in ids:
                 rs.root_depth(v)
-            level.append((parent_inv + (ids[key],),
-                          mat_mul_reflection(parent_w, s, rows[s], zero)))
+            level.append((parent_inv + (ids[key],), None if length == max_len
+                          else mat_mul_reflection(parent_w, s, rows[s], zero)))
         prev = level
         yield length, ((elem, InversionSet(rs, inv))
                        for (elem, _, _), (inv, _) in zip(entries, level))
@@ -401,7 +399,7 @@ def _low_search(rs, sigma, cap):
                     continue
                 seen.add(inv_y.ids)
                 y = Element((s,) + x.word)
-                if is_low(rs, sigma, y, inv=inv_y):
+                if is_low(rs, sigma, y):
                     masks[y] = small_inversion_mask(rs, sigma, y, inv=inv_y)
                     new_level.append((y, inv_y))
         level = new_level

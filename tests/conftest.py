@@ -2,7 +2,9 @@ import weakref
 
 import pytest
 
-from coxlow import Root, battery_root_system, build_automaton, small_roots
+from coxlow import (
+    Root, battery_root_system, build_automaton, cone_membership,
+    inversion_set, small_roots)
 from coxlow.elements import IDENTITY, Element, identity_matrix, mat_column
 
 # rational-form battery groups (all bond labels in {1, 2, 3, inf})
@@ -90,6 +92,29 @@ def prefix_inversion_roots(rs, word):
         if word[:k + 1] not in prefixes:
             prefixes[word[:k + 1]] = mat_mul(prefix, reflection_matrix(rs, s))
     return sorted(roots, key=Root.sort_key)
+
+
+def cone_is_low(rs, sigma, w, memo):
+    """Test oracle: w is low iff every root of N(w) lies in the cone of
+    lambda(w) = Sigma cap N(w), tested with cone_membership (Gaussian
+    elimination over subsets of lambda(w); exact in the rational backend,
+    with a gray zone in float).  ``memo`` is a dict the caller keeps for one
+    root system: it holds the verdicts by (lambda ids, root id), and ids
+    mean something only within one root table."""
+    inv = inversion_set(rs, w)
+    roots = rs.root_table.roots
+    lam = [i for i in inv.order if i in sigma.bit]
+    lam_ids = frozenset(lam)
+    lam_coords = tuple(roots[i].coords for i in lam)
+    for i in inv.order:
+        if i in lam_ids:
+            continue
+        key = (lam_ids, i)
+        if key not in memo:
+            memo[key] = cone_membership(rs, lam_coords, roots[i])
+        if not memo[key]:
+            return False
+    return True
 
 
 def gbip_oracle(rs, word):

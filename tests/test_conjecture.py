@@ -4,6 +4,7 @@ import weakref
 import pytest
 
 import coxlow.conjecture
+import coxlow.elements
 from coxlow import (
     BATTERY,
     BipGraph,
@@ -11,6 +12,7 @@ from coxlow import (
     INF,
     SmallRootSet,
     battery_root_system,
+    build_automaton,
     build_gbip,
     build_root_system,
     check_acyclic,
@@ -19,6 +21,7 @@ from coxlow import (
     dihedral_matrix,
     elements_up_to_length,
     enumerate_low,
+    enumerate_low_stable,
     inversion_set,
     is_low,
     left_descents,
@@ -231,6 +234,26 @@ def test_construct_all_lambdas(battery):
             x = construct_low_from_lambda(rs, sigma, mask, _memo=memo)
             assert is_low(rs, sigma, x)
             assert small_inversion_mask(rs, sigma, x) == mask
+
+
+def test_low_search_and_builder_solve_no_cone(monkeypatch):
+    # lowness is read off root-table ids; no cone is solved on the way
+    def refuse(*args):
+        raise AssertionError("cone_membership called")
+
+    monkeypatch.setattr(coxlow.elements, "cone_membership", refuse)
+    for name, _, _ in BATTERY:
+        rs = battery_root_system(name)
+        sigma = small_roots(rs)
+        aut = build_automaton(rs, sigma)
+        lows, report, reached = enumerate_low_stable(rs, sigma)
+        rep = verify_bijection(rs, sigma, aut, reached)
+        assert report.complete and rep.bijective, name
+        assert list(rep.mapping) == lows, name
+        memo = {}
+        for mask in aut.states:
+            x = construct_low_from_lambda(rs, sigma, mask, _memo=memo)
+            assert rep.mapping[x] == mask, (name, mask)
 
 
 # -- polytopes ----------------------------------------------------------

@@ -3,6 +3,8 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import coxlow.elements
 from coxlow import (
@@ -27,11 +29,13 @@ from coxlow import (
     normalize,
     small_inversion_mask,
     small_roots,
+    triangle_matrix,
 )
-from coxlow.elements import mat_mul_reflection, reflection_rows
+from coxlow.elements import InversionSet, mat_mul_reflection, reflection_rows
 from coxlow.errors import NonReducedInput, NumericallyAmbiguous
 
-from conftest import RATIONAL_NAMES, matrix_bfs_levels, prefix_inversion_roots
+from conftest import (
+    RATIONAL_NAMES, cone_is_low, matrix_bfs_levels, prefix_inversion_roots)
 
 
 def dihedral(m, **kw):
@@ -164,14 +168,6 @@ def test_inversion_walk_matches_inversion_set(battery, backend):
         assert walked == [e for e, _, _ in elements_up_to_length(rs, 8)], name
 
 
-def test_inversion_walk_adds_no_cache():
-    rs = build_root_system(dihedral_matrix(5))
-    for _, entries in inversion_walk(rs):
-        for _ in entries:
-            pass
-    assert rs.root_table.cone == {}
-
-
 def test_left_descents():
     rs = dihedral(INF)
     assert left_descents(rs, IDENTITY) == set()
@@ -223,26 +219,6 @@ def test_cone_membership_exact_backend():
     assert cone_membership(rs, [rs.simple_root(0), rs.simple_root(1)], gamma)
 
 
-def test_cone_cache_solves_each_cone_test_once(monkeypatch):
-    rs = dihedral(INF)
-    sigma = small_roots(rs)
-    solves = []
-
-    def counting(*args):
-        solves.append(args[2])
-        return cone_membership(*args)
-
-    monkeypatch.setattr(coxlow.elements, "cone_membership", counting)
-    w = Element((0, 1))        # not low: one cone test on its deep root
-    for _ in range(3):
-        assert not is_low(rs, sigma, w)
-    # solved once, then served from the cache on rs.root_table, keyed by
-    # (lambda ids, root id); lambda = {alpha_0}, whose id is 0
-    assert len(solves) == 1
-    table = rs.root_table
-    assert list(table.cone) == [(frozenset({0}), table.ids[solves[0].key])]
-
-
 def test_cone_gray_zone():
     rs = dihedral(INF)
     # target off the ray by 8e-7: residual inside the gray zone
@@ -262,6 +238,48 @@ def test_is_low_examples():
     sigma3 = small_roots(rs3)
     for elem, _, _ in elements_up_to_length(rs3, 3):
         assert is_low(rs3, sigma3, elem)
+
+
+@pytest.mark.parametrize("backend", ["float", "rational"])
+def test_is_low_matches_cone_oracle(battery, backend):
+    names, max_len = (([name for name, _, _ in BATTERY], 10)
+                      if backend == "float" else (RATIONAL_NAMES, 8))
+    for name in names:
+        rs, sigma, _ = battery.get(name, backend)
+        memo = {}
+        for elem, _, _ in elements_up_to_length(rs, max_len):
+            assert (is_low(rs, sigma, elem)
+                    == cone_is_low(rs, sigma, elem, memo)), (name, elem)
+
+
+# about 10 ms per triple, 30 ms at most
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.tuples(*[st.sampled_from([2, 3, 4, 5, 6, 7, 8, INF])] * 3))
+def test_is_low_matches_cone_oracle_on_random_triangles(bonds):
+    rs = build_root_system(triangle_matrix(*bonds))
+    sigma = small_roots(rs)
+    memo = {}
+    for elem, _, _ in elements_up_to_length(rs, 6):
+        assert (is_low(rs, sigma, elem)
+                == cone_is_low(rs, sigma, elem, memo)), (bonds, elem)
+
+
+def test_is_low_answers_for_any_word(battery):
+    # is_low reads the element a word denotes, reduced or not
+    rng = random.Random(9)
+    shorter = low = 0
+    for name in ("H3", "affine-4-4-2", "hyperbolic-3-3-4", "universal"):
+        rs, sigma, _ = battery.get(name)
+        memo = {}
+        for _ in range(150):
+            word = tuple(rng.randrange(3) for _ in range(rng.randrange(13)))
+            elem = normalize(rs, word)
+            answer = is_low(rs, sigma, Element(word))
+            assert answer == is_low(rs, sigma, elem), (name, word)
+            assert answer == cone_is_low(rs, sigma, elem, memo), (name, word)
+            shorter += elem.length < len(word)
+            low += answer
+    assert shorter > 100 and low > 100
 
 
 def test_enumerate_low_infinite_dihedral():
@@ -356,14 +374,15 @@ def test_element_enumeration_counts():
 
 def _reference_lows(rs, sigma, cap, settle=None):
     """enumerate_low (settle=None) or enumerate_low_stable, computed over
-    elements_by_length with N(w) from the prefix formula."""
+    elements_by_length with lowness from the cone oracle."""
     all_masks = set(build_automaton(rs, sigma).states)
     lows, realized, quiet, reached = [], set(), 0, 0
+    memo = {}
     for length, entries in elements_by_length(rs, cap):
         reached = length
         new = 0
         for elem, _, _ in entries:
-            if is_low(rs, sigma, elem):
+            if cone_is_low(rs, sigma, elem, memo):
                 lows.append(elem)
                 realized.add(small_inversion_mask(rs, sigma, elem))
                 new += 1
@@ -379,7 +398,7 @@ def _reference_lows(rs, sigma, cap, settle=None):
     ("A3", "float"), ("affine-6-3-2", "float"), ("hyperbolic-3-3-4", "float"),
     ("universal-override", "float"), ("affine-3-3-3", "rational")])
 def test_enumerate_low_matches_reference(name, backend):
-    # separate root systems, so that neither run sees the other's cone cache
+    # separate root systems, so that neither run sees the other's roots
     rs = battery_root_system(name, backend)
     sigma = small_roots(rs)
     ref_rs = battery_root_system(name, backend)
@@ -402,23 +421,36 @@ def test_enumerate_low_matches_reference(name, backend):
 
 @pytest.mark.parametrize("backend", ["float", "rational"])
 def test_low_search_inversion_sets_match_inversion_set(monkeypatch, backend):
-    # every candidate of the search reaches is_low with its N(y), built
-    # from the parent as {alpha_s} u s N(x); record them all
-    seen = []
+    # every candidate y = s x of the search gets its N(y), built from the
+    # parent as {alpha_s} u s N(x), and a new one then goes to is_low; so
+    # each is_low call is paired with the InversionSet built last
+    built, seen = [], []
 
-    def recording(rs, sigma, w, inv=None):
-        seen.append((w, inv))
-        return is_low(rs, sigma, w, inv=inv)
+    class Recording(InversionSet):
+        def __init__(self, rs, ids):
+            super().__init__(rs, ids)
+            built.append(self)
 
+    def recording(rs, sigma, w):
+        seen.append((w, built[-1]))
+        return is_low(rs, sigma, w)
+
+    monkeypatch.setattr(coxlow.elements, "InversionSet", Recording)
     monkeypatch.setattr(coxlow.elements, "is_low", recording)
     names = ([name for name, _, _ in BATTERY] if backend == "float"
              else RATIONAL_NAMES)
     for name in names:
         rs = battery_root_system(name, backend)
         sigma = small_roots(rs)
+        built.clear()
         seen.clear()
         lows, _, _ = enumerate_low_stable(rs, sigma)
         assert set(lows) <= {IDENTITY} | {w for w, _ in seen}, name
+        # the identity's N(e) first, then each candidate's; each distinct
+        # N(y) reaches is_low once
+        assert built[0].ids == frozenset(), name
+        assert ([inv.ids for _, inv in seen]
+                == list(dict.fromkeys(inv.ids for inv in built[1:]))), name
         for w, inv in seen:
             assert_matches_oracle(rs, inv, w.word, (name, w))
             assert inversion_set(rs, w).ids == inv.ids, (name, w)

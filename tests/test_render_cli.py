@@ -261,6 +261,23 @@ def test_cli_tolerance_env(universal_file, monkeypatch):
     assert main(["small-roots", universal_file]) == 0
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_cli_tolerance_must_be_finite_and_nonnegative(universal_file, capsys,
+                                                      value):
+    assert main(["small-roots", universal_file, "--tolerance", value]) == 2
+    assert ("tolerance %r must be finite" % float(value)
+            in capsys.readouterr().err)
+    with pytest.raises(ValidationError, match="tolerance"):
+        build_root_system(dihedral_matrix(INF), eps=float(value))
+
+
+def test_cli_tolerance_env_must_be_a_number(universal_file, monkeypatch,
+                                            capsys):
+    monkeypatch.setenv("COXLOW_TOLERANCE", "abc")
+    assert main(["small-roots", universal_file]) == 2
+    assert "COXLOW_TOLERANCE='abc' is not a number" in capsys.readouterr().err
+
+
 def test_golden_dot_infinite_dihedral():
     rs = build_root_system(dihedral_matrix(INF))
     sigma = small_roots(rs)
