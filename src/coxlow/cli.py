@@ -269,6 +269,10 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        for opt in ("max_length", "gbip_length", "terms"):
+            if getattr(args, opt, 0) < 0:
+                raise ValidationError("--%s %d must be >= 0" % (
+                    opt.replace("_", "-"), getattr(args, opt)))
         return args.func(args)
     except CoxlowError as exc:
         print("error: %s" % exc, file=sys.stderr)

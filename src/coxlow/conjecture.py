@@ -305,9 +305,9 @@ def construct_low_from_lambda(rs, sigma, mask, _memo=None):
         _memo[mask] = _memo["low search"][mask]
         return _memo[mask]
     raise ConstructionFailed(
-        "no low element realizing mask %d found (descent peeling and the "
-        "low-element search up to length %d both failed)"
-        % (mask, FALLBACK_MAX_LEN))
+        "no low element realizing mask %d found (descent peeling from its "
+        "shortest element %r and the low-element search up to length %d "
+        "both failed)" % (mask, w_min, FALLBACK_MAX_LEN))
 
 
 def check_simplex_edge_condition(rs, sigma):

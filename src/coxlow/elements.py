@@ -7,16 +7,16 @@ through the normal form exclusively.  A root is identified by its id in
 masks and the right-descent roots by which ``is_low`` decides (it solves
 no cone) all hold ids.  ``elements_by_length`` walks the normal forms with
 the ShortLex automaton, which accepts exactly one word per element, so the
-walk is exact, compares no two elements, computes no matrix and keeps only
-two levels; each entry carries the index of its parent in the previous
-level and its automaton state.  The inversion set convention is N(w) =
-Phi+ cap w(Phi-).  ``inversion_set`` builds it by left extension along the
-word, N(s x) = {alpha_s} u s N(x), which reads only the table's
-reflections; left descents are the generators whose simple root lies in
-N(w), and ``normalize`` peels the least of them off N(w) until it is
-empty.  ``inversion_walk`` carries N(w) along the element walk instead, as
-N(ws) = N(w) u {w(alpha_s)}; it is the one routine that keeps a matrix per
-element.
+walk is exact, compares no two elements and computes no matrix; it keeps
+each level as letters, parent indices and automaton states, and reads a
+word back and builds its Element only when an entry is drawn.  The
+inversion set convention is N(w) = Phi+ cap w(Phi-).  ``inversion_set``
+builds it by left extension along the word, N(s x) = {alpha_s} u s N(x),
+which reads only the table's reflections; left descents are the generators
+whose simple root lies in N(w), and ``normalize`` peels the least of them
+off N(w) until it is empty.  ``inversion_walk`` carries N(w) along the
+element walk instead, as N(ws) = N(w) u {w(alpha_s)}; it is the one routine
+that keeps a matrix per element.
 
 Low elements are found exactly by extending low elements on the left (see
 ``_low_search``); the search stops on its own, and the length caps of
@@ -24,6 +24,8 @@ Low elements are found exactly by extending low elements on the left (see
 """
 
 import itertools
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -284,41 +286,73 @@ def is_low(rs, sigma, w):
 
 # -- element enumeration ------------------------------------------------
 
-def elements_by_length(rs, max_len=None):
-    """Yield (length, entries) level by level over the ShortLex normal forms.
+class Level(Sequence):
+    """One level of the element walk, as integers: entry k extends the word
+    of entry ``parents[k]`` of ``prev`` by ``letters[k]`` and reaches the
+    ShortLex state ``states[k]``.  Drawing entry k, by index or iteration,
+    reads its word back through the parents and only then builds its
+    Element; level 0 holds the identity, with no prev, letter or parent."""
 
-    Each entry is (Element, parent, ShortLex state): parent is the index,
-    in the previous level's entries, of the entry whose word this one
-    extends by one letter (None for the identity), and state is the index
-    of the automaton state the word reaches.  The walk runs the ShortLex
-    automaton built from the small roots, which accepts exactly one word per
-    element (Brink-Howlett, "A finiteness property and an automatic
-    structure for Coxeter groups", 1993): a level's entries are the
-    one-letter extensions of the previous level's words that the automaton
-    accepts, in ShortLex order.  So the walk is exact, never compares two
-    elements, computes no matrix, and keeps only the previous level and the
-    current one."""
-    aut = build_shortlex_automaton(rs, small_roots(rs))
-    frontier = [(IDENTITY, None, 0)]
+    def __init__(self, prev, letters, parents, states):
+        self.prev, self.letters, self.parents, self.states = \
+            prev, letters, parents, states
+
+    def __len__(self):
+        return len(self.states)
+
+    def __getitem__(self, k):
+        k = range(len(self))[k]
+        w, level, i = (), self, k
+        while level.prev is not None:
+            w, level, i = (level.letters[i],) + w, level.prev, level.parents[i]
+        return Element(w), self.parents[k], self.states[k]
+
+    def __iter__(self):
+        chain = [self]
+        while chain[-1].prev is not None:
+            chain.append(chain[-1].prev)
+        words = [()]
+        for level in reversed(chain[:-1]):
+            words = [words[p] + (s,) for s, p in zip(level.letters, level.parents)]
+        return ((Element(w), p, state)
+                for w, p, state in zip(words, self.parents, self.states))
+
+
+def elements_by_length(rs, max_len=None):
+    """Yield (length, Level) level by level over the ShortLex normal forms.
+
+    Each entry is (Element, parent, state): parent is the index, in the
+    previous level, of the entry whose word this one extends by one letter
+    (None for the identity), and state is the ShortLex automaton state the
+    word reaches.  That automaton, built from the small roots, accepts
+    exactly one word per element (Brink-Howlett, "A finiteness property and
+    an automatic structure for Coxeter groups", 1993); a level lists the
+    accepted one-letter extensions of the previous level's words in
+    ShortLex order.  So the walk is exact, compares no two elements and
+    computes no matrix; it stores each level's letters, parents and states
+    (see Level) and builds no word or Element."""
+    moves = [[(s, t) for s, t in enumerate(row) if t is not None]
+             for row in build_shortlex_automaton(rs, small_roots(rs)).transitions]
+    level = Level(None, [None], [None], array("I", [0]))
     length = 0
-    yield 0, frontier
+    yield 0, level
     while max_len is None or length < max_len:
-        frontier = [(Element(elem.word + (s,)), p, target)
-                    for p, (elem, _, state) in enumerate(frontier)
-                    for s, target in enumerate(aut.transitions[state])
-                    if target is not None]
-        if not frontier:
+        letters, parents, states = array("H"), array("I"), array("I")
+        for p, state in enumerate(level.states):
+            for s, target in moves[state]:
+                letters.append(s)
+                parents.append(p)
+                states.append(target)
+        if not states:
             return
+        level = Level(level, letters, parents, states)
         length += 1
-        yield length, frontier
+        yield length, level
 
 
 def elements_up_to_length(rs, max_len):
     """All elements of length <= max_len (see elements_by_length)."""
-    out = []
-    for _, entries in elements_by_length(rs, max_len):
-        out.extend(entries)
-    return out
+    return [e for _, entries in elements_by_length(rs, max_len) for e in entries]
 
 
 def inversion_walk(rs, max_len=None):
@@ -328,32 +362,31 @@ def inversion_walk(rs, max_len=None):
     N(ws) = N(w) u {w(alpha_s)} when ws is longer than w, and w(alpha_s) is
     column s of the matrix of w on root coordinates, looked up in
     rs.root_table by key (a root the table lacks enters it through
-    rs.root_depth).  The walk carries no matrices, so each entry's ids and
-    matrix are kept here, in a list indexed like the level, where a child
-    finds its parent's by the walk's parent index; the level of length
-    max_len gets no matrices.  Only two levels are kept; entries is a
-    generator, so each InversionSet is built when drawn and freed after."""
+    rs.root_depth).  Each entry's word, ids and matrix are kept here, in
+    lists indexed like the level's letters and parents, which this reads
+    directly; the level of length max_len gets no matrices.  Only two levels
+    of lists are kept, and entries is a generator, so each Element and
+    InversionSet is built when drawn and freed after."""
     ids = rs.root_table.ids
     rows = reflection_rows(rs)
     zero = _zero(rs)
-    prev = []
-    for length, entries in elements_by_length(rs, max_len):
-        level = []
-        for elem, p, _ in entries:
-            if p is None:
-                level.append(((), identity_matrix(rs)))
-                continue
-            parent_inv, parent_w = prev[p]
-            s = elem.word[-1]
-            v = mat_column(parent_w, s)
-            key = rs.vec_key(v)
-            if key not in ids:
-                rs.root_depth(v)
-            level.append((parent_inv + (ids[key],), None if length == max_len
-                          else mat_mul_reflection(parent_w, s, rows[s], zero)))
-        prev = level
-        yield length, ((elem, InversionSet(rs, inv))
-                       for (elem, _, _), (inv, _) in zip(entries, level))
+    words, invs, mats = [()], [()], [identity_matrix(rs)]
+    for length, level in elements_by_length(rs, max_len):
+        if length:
+            prev_words, prev_invs, prev_mats = words, invs, mats
+            words, invs, mats = [], [], []
+            for s, p in zip(level.letters, level.parents):
+                w = prev_mats[p]
+                v = mat_column(w, s)
+                key = rs.vec_key(v)
+                if key not in ids:
+                    rs.root_depth(v)
+                words.append(prev_words[p] + (s,))
+                invs.append(prev_invs[p] + (ids[key],))
+                mats.append(None if length == max_len
+                            else mat_mul_reflection(w, s, rows[s], zero))
+        yield length, ((Element(word), InversionSet(rs, inv))
+                       for word, inv in zip(words, invs))
 
 
 @dataclass

@@ -1,4 +1,5 @@
 import gc
+import re
 import weakref
 
 import pytest
@@ -8,6 +9,7 @@ import coxlow.elements
 from coxlow import (
     BATTERY,
     BipGraph,
+    Element,
     IDENTITY,
     INF,
     SmallRootSet,
@@ -224,6 +226,31 @@ def test_construct_falls_back_on_the_low_search(battery, monkeypatch):
         assert construct_low_from_lambda(rs, sigma, mask, _memo=memo) \
             == built[mask]
     assert len(searches) == 1
+
+
+def test_construct_failure_names_the_shortest_element(battery, monkeypatch):
+    # no graph source to peel and no low element to fall back on: the error
+    # names the mask and its shortest element, in ShortLex normal form
+    monkeypatch.setattr(coxlow.conjecture, "source_generators",
+                        lambda graph: ())
+    monkeypatch.setattr(coxlow.conjecture, "FALLBACK_MAX_LEN", 0)
+    rs, sigma, aut = battery.get("B3")
+    shortest = {}
+    for elem, _, _ in elements_up_to_length(rs, 9):     # B3 has length 9
+        shortest.setdefault(small_inversion_mask(rs, sigma, elem), elem.length)
+    for mask in aut.states:
+        if not mask:
+            continue
+        with pytest.raises(ConstructionFailed) as info:
+            construct_low_from_lambda(rs, sigma, mask)
+        message = str(info.value)
+        assert "realizing mask %d " % mask in message
+        named = re.findall(r"Element\((\d+)\)", message)
+        assert len(named) == 1, message
+        w_min = Element(tuple(int(c) for c in named[0]))
+        assert normalize(rs, w_min.word) == w_min
+        assert small_inversion_mask(rs, sigma, w_min) == mask
+        assert w_min.length == shortest[mask]
 
 
 def test_construct_all_lambdas(battery):

@@ -17,6 +17,7 @@ from coxlow import (
     build_root_system,
     build_shortlex_automaton,
     cone_membership,
+    count_elements,
     dihedral_matrix,
     elements_by_length,
     elements_up_to_length,
@@ -334,7 +335,7 @@ def _assert_walk_matches_oracle(rs, max_len, where):
     assert ([(k, [e.word for e, _, _ in entries]) for k, entries in walk]
             == [(k, [e.word for e, _ in entries]) for k, entries in oracle]
             ), where
-    assert walk[0][1] == [(IDENTITY, None, 0)], where
+    assert list(walk[0][1]) == [(IDENTITY, None, 0)], where
     for (_, prev), (_, entries) in zip(walk, walk[1:]):
         for elem, p, state in entries:
             parent, _, parent_state = prev[p]
@@ -364,6 +365,36 @@ def test_walk_matches_matrix_bfs_oracle(battery, backend):
         for _, entries in elements_by_length(rs, 12):
             for elem, _, _ in entries:
                 assert normalize(rs, elem.word) == elem, elem
+
+
+def test_walk_builds_no_element_until_drawn(monkeypatch):
+    built = []
+
+    class CountingElement(Element):
+        def __init__(self, word):
+            built.append(word)
+            super().__init__(word)
+
+    monkeypatch.setattr(coxlow.elements, "Element", CountingElement)
+    rs = battery_root_system("hyperbolic-2-3-7")
+    levels = [entries for _, entries in elements_by_length(rs, 30)]
+    assert [len(entries) for entries in levels] == count_elements(
+        rs, small_roots(rs), 30)
+    assert built == []
+    elem, _, _ = levels[30][-1]        # drawing one entry builds one Element
+    assert built == [elem.word] and elem.length == 30
+
+
+def test_level_index_matches_iteration(battery):
+    rs, _, _ = battery.get("hyperbolic-3-3-4")
+    for _, level in elements_by_length(rs, 8):
+        entries = list(level)
+        assert [level[k] for k in range(len(level))] == entries
+        assert level[-1] == entries[-1]
+        assert level[-len(level)] == entries[0]
+        for k in (len(level), -len(level) - 1):
+            with pytest.raises(IndexError):
+                level[k]
 
 
 def test_element_enumeration_counts():

@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+import coxlow.cli
 from coxlow import (
     INF,
     RenderOptions,
@@ -276,6 +277,26 @@ def test_cli_tolerance_env_must_be_a_number(universal_file, monkeypatch,
     monkeypatch.setenv("COXLOW_TOLERANCE", "abc")
     assert main(["small-roots", universal_file]) == 2
     assert "COXLOW_TOLERANCE='abc' is not a number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,option", [
+    ("low-elements", ["--max-length", "-2"]),
+    ("verify", ["--max-length", "-1"]),
+    ("verify", ["--max-length", "3", "--gbip-length", "-1"]),
+    ("growth", ["--terms", "-3"]),
+])
+def test_cli_lengths_must_be_nonnegative(universal_file, capsys, monkeypatch,
+                                         command, option):
+    argv = [command, universal_file] + option
+    named = " ".join(option[-2:])
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: %s must be >= 0\n" % named
+    # the one line comes from a ValidationError: uncaught, it escapes main
+    monkeypatch.setattr(coxlow.cli, "CoxlowError", ZeroDivisionError)
+    with pytest.raises(ValidationError, match="^%s must be >= 0$" % named):
+        main(argv)
 
 
 def test_golden_dot_infinite_dihedral():
