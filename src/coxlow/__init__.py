@@ -15,7 +15,6 @@ from .automaton import (
 )
 from .conjecture import (
     BATTERY,
-    BijectionReport,
     BipGraph,
     PolytopeReport,
     battery_root_system,
@@ -40,6 +39,7 @@ from .core import (
     triangle_matrix,
 )
 from .elements import (
+    BijectionReport,
     Element,
     IDENTITY,
     InversionSet,

@@ -66,6 +66,22 @@ def _close(rs, sigma, delta):
     return states, transitions
 
 
+def _shortest_state_word(aut, mask):
+    """Letters of a shortest path from the start to the state ``mask``, or
+    None when it is no state.  _close numbers the states breadth first,
+    trying letters in increasing order, so the first transition into a
+    state, in (state index, letter) order, is the last step of such a path."""
+    target = aut.state_index.get(mask)
+    if target is None:
+        return None
+    letters = []
+    while target:
+        target, s = next((i, s) for i, row in enumerate(aut.transitions)
+                         for s, t in enumerate(row) if t == target)
+        letters.append(s)
+    return tuple(reversed(letters))
+
+
 def _reduced_word_delta(rs, sigma):
     """The transition of build_automaton; None when alpha_s is in A."""
     table = _reflection_table(rs, sigma)

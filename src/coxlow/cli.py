@@ -21,7 +21,7 @@ from .conjecture import (
     verify_inversion_polytopes,
 )
 from .core import DEFAULT_EPS
-from .elements import _completeness, _low_search, inversion_walk, left_descents
+from .elements import enumerate_low, inversion_walk, left_descents
 from .errors import CoxlowError, ParseError, ValidationError
 from .groupfile import load_root_system
 from .render import RenderOptions, render_svg
@@ -83,25 +83,24 @@ def cmd_small_roots(args):
 def cmd_low_elements(args):
     rs = _load(args)
     sigma = small_roots(rs)
-    lows, _ = _low_search(rs, sigma, args.max_length)
-    report = _completeness(rs, sigma, args.max_length, lows)
+    lows, report = enumerate_low(rs, sigma, args.max_length)
     print("low elements up to length %d: %d found" % (args.max_length, len(lows)))
     payload = []
-    for low, mask in lows.items():
+    for low, mask in report.mapping.items():
         print("  %-20s length=%2d lambda=%s"
               % (_word_str(low.word), low.length, bin(mask)))
         payload.append({"word": list(low.word), "length": low.length,
                         "lambda_mask": mask})
     status = "complete" if report.complete else \
         "INCOMPLETE: %d of %d small inversion sets unrealized" \
-        % (len(report.unrealized_masks), report.n_lambda)
+        % (len(report.unresolved_masks), report.n_lambda)
     print("completeness: %s (|Lambda| = %d)" % (status, report.n_lambda))
     _emit(args, json.dumps({"schema": "coxlow/low-elements/1",
                             "max_length": args.max_length,
                             "low_elements": payload,
                             "n_lambda": report.n_lambda,
                             "complete": report.complete,
-                            "unrealized_masks": list(report.unrealized_masks)},
+                            "unrealized_masks": list(report.unresolved_masks)},
                            indent=2) + "\n")
     return EXIT_OK
 
@@ -144,7 +143,7 @@ def cmd_verify(args):
     print("group: %s" % args.group)
     print("|Sigma| = %d, |Lambda| = %d, low elements found = %d"
           % (len(sigma), bij.n_lambda, bij.n_low))
-    print("injective: %s, surjective: %s" % (bij.injective, bij.surjective))
+    print("injective: %s, surjective: %s" % (bij.injective, bij.complete))
     if bij.unresolved_masks:
         print("unresolved at max length %d: %d small inversion sets"
               % (args.max_length, len(bij.unresolved_masks)))
@@ -186,10 +185,10 @@ def cmd_verify(args):
         "n_low": bij.n_low,
         "max_length": args.max_length,
         "injective": bij.injective,
-        "surjective": bij.surjective,
+        "surjective": bij.complete,
         "bijective": bij.bijective,
         "witnesses": {str(mask): list(low.word)
-                      for low, mask in ((l, m) for l, m in bij.mapping.items())},
+                      for low, mask in bij.mapping.items()},
         "unresolved_masks": list(bij.unresolved_masks),
         "gbip": gbip_summary,
         "polytopes": poly_summary,

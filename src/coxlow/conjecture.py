@@ -17,11 +17,12 @@ they drive the constructive descent-peeling recursion of
 
 from dataclasses import dataclass, field
 
-from .automaton import build_automaton
+from .automaton import _shortest_state_word, build_automaton
 from .core import INF, triangle_matrix, build_root_system
 from .elements import (
     IDENTITY,
     _low_search,
+    bijection_report,
     inversion_set,
     is_low,
     left_descents,
@@ -183,84 +184,25 @@ def source_generators(graph):
     return tuple(label for kind, label in sources(graph) if kind == "g")
 
 
-@dataclass
-class BijectionReport:
-    """Outcome of the bounded bijection check between low elements and the
-    automaton states.  An unrealized state at bounded length is reported as
-    unresolved, never as a disproof."""
-
-    max_len: int
-    n_lambda: int
-    n_low: int
-    mapping: dict
-    unresolved_masks: tuple
-    injective: bool
-    surjective: bool
-
-    @property
-    def bijective(self):
-        return self.injective and self.surjective
-
-
 def verify_bijection(rs, sigma, aut, max_len):
     """Map each low element of length <= max_len to its small inversion set
     (``mapping``, in (length, word) order) and compare the image with the
     states of ``aut``, the automaton built from sigma."""
     mapping, _ = _low_search(rs, sigma, max_len)
-    realized = set(mapping.values())
-    unresolved = tuple(sorted(set(aut.states) - realized))
-    return BijectionReport(
-        max_len=max_len,
-        n_lambda=len(aut.states),
-        n_low=len(mapping),
-        mapping=mapping,
-        unresolved_masks=unresolved,
-        injective=len(realized) == len(mapping),
-        surjective=not unresolved,
-    )
-
-
-def _shortest_state_word(aut, mask):
-    """Letters of a shortest automaton path from the start to the state."""
-    target = aut.state_index.get(mask)
-    if target is None:
-        return None
-    if target == 0:
-        return ()
-    parent = {0: None}
-    queue = [0]
-    while queue:
-        new_queue = []
-        for state in queue:
-            for s in range(aut.rank):
-                t = aut.transitions[state][s]
-                if t is not None and t not in parent:
-                    parent[t] = (state, s)
-                    if t == target:
-                        letters = []
-                        cur = t
-                        while parent[cur] is not None:
-                            cur, letter = parent[cur]
-                            letters.append(letter)
-                        return tuple(reversed(letters))
-                    new_queue.append(t)
-        queue = new_queue
-    return None
-
-
-FALLBACK_MAX_LEN = 25
+    return bijection_report(aut, mapping, max_len)
 
 
 def construct_low_from_lambda(rs, sigma, mask, _memo=None):
     """Build a low element whose small inversion set is ``mask``.
 
-    Primary path: take the shortest element realizing the mask, pick a
-    source of its bipartite graph (a descent), peel it off and recurse; the
-    candidate is verified before being returned.  Falls back on the least
-    low element of length <= FALLBACK_MAX_LEN realizing the mask, looked up
-    in one low-element search per ``_memo``; failure at this bounded scale
-    signals a bug in the construction, not a counterexample.  ``_memo``
-    also holds the automaton, so one memo serves one (rs, sigma) only."""
+    Take the shortest element realizing the mask, pick a source of its
+    bipartite graph (a descent; outside rank 3, any left descent), peel it
+    off and recurse; the candidate is verified before being returned.
+    There is no other path: a mask that descent peeling cannot build raises
+    ConstructionFailed, naming the mask and its shortest element, since
+    that signals a bug in the construction, not a counterexample.
+    ``_memo`` also holds the automaton, so one memo serves one (rs, sigma)
+    only."""
     if _memo is None:
         _memo = {}
     if mask in _memo:
@@ -294,20 +236,9 @@ def construct_low_from_lambda(rs, sigma, mask, _memo=None):
                 and is_low(rs, sigma, candidate)):
             _memo[mask] = candidate
             return candidate
-    # fallback: look the mask up among all low elements, searched once
-    if "low search" not in _memo:
-        least = {}
-        lows, _ = _low_search(rs, sigma, FALLBACK_MAX_LEN)
-        for elem, elem_mask in lows.items():     # in (length, word) order
-            least.setdefault(elem_mask, elem)
-        _memo["low search"] = least
-    if mask in _memo["low search"]:
-        _memo[mask] = _memo["low search"][mask]
-        return _memo[mask]
     raise ConstructionFailed(
         "no low element realizing mask %d found (descent peeling from its "
-        "shortest element %r and the low-element search up to length %d "
-        "both failed)" % (mask, w_min, FALLBACK_MAX_LEN))
+        "shortest element %r failed)" % (mask, w_min))
 
 
 def check_simplex_edge_condition(rs, sigma):

@@ -315,6 +315,9 @@ def build_root_system(matrix, gram_overrides=None, backend="float",
         if matrix[i, j] != INF:
             raise OverrideOnFiniteBond(
                 "override on finite bond (%d,%d) with m=%r" % (i, j, matrix[i, j]))
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValidationError(
+                "override value %r on bond (%d,%d) must be finite" % (value, i, j))
         if backend == "rational":
             try:
                 value = Fraction(value)

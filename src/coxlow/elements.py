@@ -18,9 +18,10 @@ off N(w) until it is empty.  ``inversion_walk`` carries N(w) along the
 element walk instead, as N(ws) = N(w) u {w(alpha_s)}; it is the one routine
 that keeps a matrix per element.
 
-Low elements are found exactly by extending low elements on the left (see
-``_low_search``); the search stops on its own, and the length caps of
-``enumerate_low`` and ``enumerate_low_stable`` are only safety bounds.
+Low elements are found exactly by extending low elements on the left by
+their least left descent (see ``_low_search``); the search stops on its
+own, and the length caps of ``enumerate_low`` and ``enumerate_low_stable``
+are only safety bounds.
 """
 
 import itertools
@@ -227,15 +228,15 @@ def cone_membership(rs, generators, gamma):
     whose best residual lands in the gray zone [EPS_CONE, 10 EPS_CONE]
     raise NumericallyAmbiguous, naming gamma, instead of silently flipping."""
     vecs = []
-    seen = set()
+    keys = set()
     for g in generators:
         coords = g.coords if isinstance(g, Root) else tuple(g)
         key = rs.vec_key(coords)
-        if key not in seen:
-            seen.add(key)
+        if key not in keys:
+            keys.add(key)
             vecs.append(coords)
     target = gamma.coords if isinstance(gamma, Root) else tuple(gamma)
-    if rs.vec_key(target) in seen:
+    if rs.vec_key(target) in keys:
         return True
     if not vecs:
         return False
@@ -390,17 +391,39 @@ def inversion_walk(rs, max_len=None):
 
 
 @dataclass
-class CompletenessReport:
-    """Did the bounded search realize every small inversion set?"""
+class BijectionReport:
+    """Low elements found at bounded length against the small inversion
+    sets.  ``mapping`` sends each low element to its lambda mask, in
+    (length, word) order; a state of the automaton that no low element
+    realizes is reported unresolved, never as a disproof."""
 
     max_len: int
     n_lambda: int
-    realized: int
-    unrealized_masks: tuple
+    mapping: dict
+    unresolved_masks: tuple
+
+    @property
+    def n_low(self):
+        return len(self.mapping)
+
+    @property
+    def injective(self):
+        return len(set(self.mapping.values())) == len(self.mapping)
 
     @property
     def complete(self):
-        return not self.unrealized_masks
+        return not self.unresolved_masks
+
+    @property
+    def bijective(self):
+        return self.injective and self.complete
+
+
+def bijection_report(aut, mapping, max_len):
+    """``mapping`` (see _low_search) against the states of ``aut``."""
+    unresolved = set(aut.states) - set(mapping.values())
+    return BijectionReport(max_len, len(aut.states), mapping,
+                           tuple(sorted(unresolved)))
 
 
 def _low_search(rs, sigma, cap):
@@ -408,11 +431,11 @@ def _low_search(rs, sigma, cap):
 
     Low elements are closed under suffixes (Dyer-Hohlweg, "Small roots, low
     elements, and the weak order in Coxeter groups", 2016), so level k + 1
-    holds exactly the low candidates y = s x, x low on level k and alpha_s
-    not in N(x), with N(y) = {alpha_s} u s N(x); the search stops at the
-    first level that adds nothing.  N(y) determines y.  The first word
-    (s,) + x.word in lexicographic order wins: since (least left descent)
-    y is low, that is y's ShortLex normal form.  Returns ({Element: lambda
+    holds exactly the low y = s x, x low on level k and alpha_s not in
+    N(x), with N(y) = {alpha_s} u s N(x); the search stops at the first
+    level that adds nothing.  y is kept only when s is its least left
+    descent (no t < s has s alpha_t in N(x)), so each y is met once, as
+    its ShortLex normal form (s,) + x.word.  Returns ({Element: lambda
     mask} in (length, word) order, the last length examined)."""
     reflect = rs.root_table.reflect
     masks = {IDENTITY: 0}
@@ -420,17 +443,14 @@ def _low_search(rs, sigma, cap):
     length = 0
     while level and length < cap:
         length += 1
-        seen = set()
         new_level = []
         for s in range(rs.rank):
             for x, inv in level:
-                if s in inv.ids:
+                if s in inv.ids or any(reflect(t, s) in inv.ids
+                                       for t in range(s)):
                     continue
                 inv_y = InversionSet(
                     rs, [s] + [reflect(i, s) for i in inv.ids])
-                if inv_y.ids in seen:
-                    continue
-                seen.add(inv_y.ids)
                 y = Element((s,) + x.word)
                 if is_low(rs, sigma, y):
                     masks[y] = small_inversion_mask(rs, sigma, y, inv=inv_y)
@@ -439,20 +459,14 @@ def _low_search(rs, sigma, cap):
     return masks, length
 
 
-def _completeness(rs, sigma, max_len, masks):
-    states = set(build_automaton(rs, sigma).states)
-    realized = set(masks.values())
-    return CompletenessReport(max_len, len(states), len(realized),
-                              tuple(sorted(states - realized)))
-
-
 def enumerate_low(rs, sigma, max_len):
-    """All low elements of length <= max_len, with a completeness report.
+    """All low elements of length <= max_len, with a BijectionReport.
 
     The report states whether every state of the canonical automaton (every
     small inversion set) is realized by some low element found."""
     masks, _ = _low_search(rs, sigma, max_len)
-    return list(masks), _completeness(rs, sigma, max_len, masks)
+    aut = build_automaton(rs, sigma)
+    return list(masks), bijection_report(aut, masks, max_len)
 
 
 def enumerate_low_stable(rs, sigma, cap=25):
@@ -462,4 +476,5 @@ def enumerate_low_stable(rs, sigma, cap=25):
     reached), where reached is the last length the search examined: one
     more than the longest low element, unless the cap was hit."""
     masks, reached = _low_search(rs, sigma, cap)
-    return list(masks), _completeness(rs, sigma, reached, masks), reached
+    aut = build_automaton(rs, sigma)
+    return list(masks), bijection_report(aut, masks, reached), reached

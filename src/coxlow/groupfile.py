@@ -14,6 +14,7 @@ Schema:
 """
 
 import json
+import math
 
 from .core import INF, CoxeterMatrix, build_root_system
 from .errors import ParseError, ValidationError
@@ -82,6 +83,8 @@ def parse_group_file(text):
         value = item["value"]
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValidationError('%s.value: must be a number' % where)
+        if not math.isfinite(value):
+            raise ValidationError('%s.value: must be finite' % where)
         if value > -1:
             raise ValidationError('%s.value: must be <= -1' % where)
         overrides[(i, j)] = value

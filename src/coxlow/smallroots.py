@@ -54,7 +54,7 @@ def small_roots(rs, cap=10000):
     if cap < rs.rank:
         raise ValueError("cap must be at least the rank")
     table = rs.root_table
-    seen = set(range(rs.rank))      # the simple root alpha_s has id s
+    found = set(range(rs.rank))      # the simple root alpha_s has id s
     queue = deque(range(rs.rank))
     while queue:
         i = queue.popleft()
@@ -63,13 +63,13 @@ def small_roots(rs, cap=10000):
             # short edge: -1 < B(alpha_s, beta) < 0
             if rs.is_neg(b) and rs.is_pos(b + 1):
                 j = table.reflect(i, s)
-                if j not in seen:
-                    if len(seen) >= cap:
+                if j not in found:
+                    if len(found) >= cap:
                         raise ClosureCapExceeded(
                             "small-root closure exceeded cap %d" % cap)
-                    seen.add(j)
+                    found.add(j)
                     queue.append(j)
-    return SmallRootSet(rs, [table.roots[i] for i in seen])
+    return SmallRootSet(rs, [table.roots[i] for i in found])
 
 
 def default_lcap(rs, beta, alpha):

@@ -35,7 +35,6 @@ from coxlow import (
     verify_bijection,
     verify_inversion_polytopes,
 )
-from coxlow.elements import _low_search
 from coxlow.errors import ConstructionFailed, CyclicGraph, RankNotThree
 
 from conftest import gbip_oracle
@@ -182,7 +181,7 @@ def test_bijection_reports_unresolved_not_false(battery):
     # truncated search: missing lambdas are unresolved, never a disproof
     rs, sigma, aut = battery.get("H3")
     rep = verify_bijection(rs, sigma, aut, 3)
-    assert not rep.surjective
+    assert not rep.complete
     assert rep.unresolved_masks
     assert rep.injective  # the found ones still map injectively
 
@@ -202,38 +201,11 @@ def test_construct_rank2():
     assert got.word == (0,)
 
 
-def test_construct_falls_back_on_the_low_search(battery, monkeypatch):
-    # no graph source to peel: every nonzero mask goes to the fallback
-    monkeypatch.setattr(coxlow.conjecture, "source_generators",
-                        lambda graph: ())
-    rs, sigma, aut = battery.get("B3")
-    built = {}
-    for mask in aut.states:
-        x = construct_low_from_lambda(rs, sigma, mask)
-        assert is_low(rs, sigma, x)
-        assert small_inversion_mask(rs, sigma, x) == mask
-        built[mask] = x
-    # one memo, one search: each later mask is looked up in the first one
-    searches = []
-
-    def counting(*args, **kwargs):
-        searches.append(args)
-        return _low_search(*args, **kwargs)
-
-    monkeypatch.setattr(coxlow.conjecture, "_low_search", counting)
-    memo = {}
-    for mask in aut.states:
-        assert construct_low_from_lambda(rs, sigma, mask, _memo=memo) \
-            == built[mask]
-    assert len(searches) == 1
-
-
 def test_construct_failure_names_the_shortest_element(battery, monkeypatch):
-    # no graph source to peel and no low element to fall back on: the error
-    # names the mask and its shortest element, in ShortLex normal form
+    # no graph source to peel: the error names the mask and its shortest
+    # element, in ShortLex normal form
     monkeypatch.setattr(coxlow.conjecture, "source_generators",
                         lambda graph: ())
-    monkeypatch.setattr(coxlow.conjecture, "FALLBACK_MAX_LEN", 0)
     rs, sigma, aut = battery.get("B3")
     shortest = {}
     for elem, _, _ in elements_up_to_length(rs, 9):     # B3 has length 9
@@ -261,6 +233,27 @@ def test_construct_all_lambdas(battery):
             x = construct_low_from_lambda(rs, sigma, mask, _memo=memo)
             assert is_low(rs, sigma, x)
             assert small_inversion_mask(rs, sigma, x) == mask
+
+
+@pytest.mark.parametrize("bonds,n_lambda", [
+    ({(0, 1): 3, (1, 2): 3, (2, 3): 3}, 120),              # A4: |W| = 120
+    ({(0, 1): 3, (1, 2): 3, (2, 3): 3, (0, 3): 3}, 125),   # affine A3: 5^3
+], ids=["A4", "affine-A3"])
+def test_construct_all_lambdas_rank4(bonds, n_lambda):
+    # outside rank 3 descent peeling runs on plain left descents, and there
+    # is no other path: every mask must be built by it
+    entries = [[1 if i == j else 2 for j in range(4)] for i in range(4)]
+    for (i, j), m in bonds.items():
+        entries[i][j] = entries[j][i] = m
+    rs = build_root_system(entries)
+    sigma = small_roots(rs)
+    aut = build_automaton(rs, sigma)
+    assert len(aut.states) == n_lambda
+    memo = {}
+    for mask in aut.states:
+        x = construct_low_from_lambda(rs, sigma, mask, _memo=memo)
+        assert is_low(rs, sigma, x)
+        assert small_inversion_mask(rs, sigma, x) == mask
 
 
 def test_low_search_and_builder_solve_no_cone(monkeypatch):

@@ -20,6 +20,7 @@ from coxlow.errors import (
     NonSymmetricMatrix,
     OverrideAboveMinusOne,
     OverrideOnFiniteBond,
+    ValidationError,
 )
 
 from conftest import RATIONAL_NAMES, peel_depth
@@ -60,6 +61,14 @@ def test_override_rules():
         build_root_system(dihedral_matrix(3), gram_overrides={(0, 1): -1.5})
     with pytest.raises(OverrideAboveMinusOne):
         build_root_system(dihedral_matrix(INF), gram_overrides={(0, 1): -0.5})
+
+
+@pytest.mark.parametrize("backend", ["float", "rational"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_override_must_be_finite(backend, value):
+    with pytest.raises(ValidationError, match=r"\(0,1\) must be finite"):
+        build_root_system(dihedral_matrix(INF), gram_overrides={(0, 1): value},
+                          backend=backend)
 
 
 def test_rational_backend_rejects_irrational_bonds():

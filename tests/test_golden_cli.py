@@ -44,7 +44,7 @@ def test_verify_runs_one_low_element_search(monkeypatch):
         calls.append(args[2])
         return search(*args)
 
-    for module in (coxlow.elements, coxlow.conjecture, coxlow.cli):
+    for module in (coxlow.elements, coxlow.conjecture):
         monkeypatch.setattr(module, "_low_search", counting)
     path = str(ROOT / "demos" / "groups" / "universal.json")
     code, _ = run_cli(["verify", path, "--max-length", "6", "--polytopes"])

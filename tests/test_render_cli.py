@@ -299,6 +299,23 @@ def test_cli_lengths_must_be_nonnegative(universal_file, capsys, monkeypatch,
         main(argv)
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("command", [
+    ["small-roots"], ["growth", "--terms", "5", "--elements"],
+    ["verify", "--max-length", "4"]])
+def test_cli_rejects_non_finite_override(tmp_path, capsys, literal, command):
+    # Python's json reads these literals as floats, and NaN compares false
+    # with -1: the value must be finite before it is compared at all
+    path = tmp_path / "group.json"
+    path.write_text(UNIVERSAL_JSON.replace(
+        '"backend"', '"gram_overrides": [{"pair": [0, 1], "value": %s}],\n'
+        '  "backend"' % literal))
+    assert main([command[0], str(path)] + command[1:]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == 'error: field "gram_overrides"[0].value: must be finite\n'
+
+
 def test_golden_dot_infinite_dihedral():
     rs = build_root_system(dihedral_matrix(INF))
     sigma = small_roots(rs)
