@@ -26,7 +26,7 @@ for name, depth in [("affine-3-3-3", 4), ("hyperbolic-3-3-4", 5)]:
     sigma = small_roots(rs)
     aut = build_automaton(rs, sigma)
 
-    opts = RenderOptions(depth=depth, show_lambda_polytopes=True, labels=True)
+    opts = RenderOptions(depth=depth, labels=True)
     svg = render_svg(rs, sigma, aut.states, opts)
     path = out / ("%s.svg" % name)
     path.write_text(svg)

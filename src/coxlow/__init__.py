@@ -42,7 +42,6 @@ from .elements import (
     BijectionReport,
     Element,
     IDENTITY,
-    InversionSet,
     cone_membership,
     elements_by_length,
     elements_up_to_length,

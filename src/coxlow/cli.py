@@ -15,14 +15,13 @@ from .automaton import build_automaton, count_elements, export_dot, growth_serie
 from .conjecture import (
     build_gbip,
     check_acyclic,
-    check_simplex_edge_condition,
     source_generators,
     verify_bijection,
     verify_inversion_polytopes,
 )
 from .core import DEFAULT_EPS
 from .elements import enumerate_low, inversion_walk, left_descents
-from .errors import CoxlowError, ParseError, ValidationError
+from .errors import CoxlowError, ParseError, RankNotThree, ValidationError
 from .groupfile import load_root_system
 from .render import RenderOptions, render_svg
 from .smallroots import small_roots
@@ -137,6 +136,8 @@ def cmd_growth(args):
 
 def cmd_verify(args):
     rs = _load(args)
+    if args.polytopes and rs.rank != 3:
+        raise RankNotThree("--polytopes needs rank 3, not %d" % rs.rank)
     sigma = small_roots(rs)
     aut = build_automaton(rs, sigma)
     bij = verify_bijection(rs, sigma, aut, args.max_length)
@@ -166,10 +167,10 @@ def cmd_verify(args):
 
     poly_summary = None
     if args.polytopes:
-        if not check_simplex_edge_condition(rs, sigma):
+        rep = verify_inversion_polytopes(rs, sigma, aut, bij.mapping)
+        if not rep.hypothesis_met:
             print("note: small roots leave the simplex edges; the polytope "
                   "claim is outside its stated hypothesis")
-        rep = verify_inversion_polytopes(rs, sigma, aut, bij.mapping)
         matched = sum(1 for w in rep.witnesses.values() if w is not None)
         poly_summary = {"hypothesis_met": rep.hypothesis_met,
                         "matched": matched, "total": len(rep.witnesses)}
@@ -203,9 +204,7 @@ def cmd_verify(args):
 def cmd_render(args):
     rs = _load(args)
     sigma = small_roots(rs)
-    opts = RenderOptions(depth=args.depth, size=args.size,
-                         labels=args.labels,
-                         show_lambda_polytopes=args.lambdas)
+    opts = RenderOptions(depth=args.depth, size=args.size, labels=args.labels)
     lambdas = build_automaton(rs, sigma).states if args.lambdas else ()
     _emit(args, render_svg(rs, sigma, lambdas, opts))
     return EXIT_OK

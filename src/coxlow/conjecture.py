@@ -96,8 +96,10 @@ def build_gbip(rs, w, inv=None):
     if inv is None:
         inv = inversion_set(rs, w)
     table = rs.root_table
-    descents = {s for s in range(rs.rank) if s in inv.ids}
-    deep = [i for i in inv.order if i >= rs.rank]   # ids < rank are simple
+    descents = {s for s in range(rs.rank) if s in inv}
+    # ids < rank are simple; the others in (depth, key) order
+    deep = sorted((i for i in inv if i >= rs.rank),
+                  key=lambda i: table.roots[i].sort_key())
 
     def support(i):
         """Descents reachable from root i by depth-decreasing peeling in N(w).
@@ -118,7 +120,7 @@ def build_gbip(rs, w, inv=None):
                 if s in descents:
                     reached.add(s)
                 k = table.reflect(j, s)
-                if k in inv.ids and k not in seen:
+                if k in inv and k not in seen:
                     if k < rs.rank:
                         reached.add(k)
                     else:
@@ -273,8 +275,9 @@ def verify_inversion_polytopes(rs, sigma, aut, lows):
         raise RankNotThree("inversion polytopes are checked on the rank-3 chart")
     report = PolytopeReport(
         hypothesis_met=check_simplex_edge_condition(rs, sigma))
-    low_hulls = [(low, projective_hull(rs, inversion_set(rs, low)))
-                 for low in lows]
+    roots = rs.root_table.roots
+    low_hulls = [(low, projective_hull(
+        rs, [roots[i] for i in inversion_set(rs, low)])) for low in lows]
     for mask in aut.states:
         target = projective_hull(rs, sigma.mask_to_roots(mask))
         witness = None

@@ -3,14 +3,14 @@
 Elements are identified with their ShortLex normal form (the
 lexicographically least among the shortest words); equality and hashing go
 through the normal form exclusively.  A root is identified by its id in
-``rs.root_table`` throughout: inversion sets, the small roots, lambda
-masks and the right-descent roots by which ``is_low`` decides (it solves
-no cone) all hold ids.  ``elements_by_length`` walks the normal forms with
-the ShortLex automaton, which accepts exactly one word per element, so the
-walk is exact, compares no two elements and computes no matrix; it keeps
-each level as letters, parent indices and automaton states, and reads a
-word back and builds its Element only when an entry is drawn.  The
-inversion set convention is N(w) = Phi+ cap w(Phi-).  ``inversion_set``
+``rs.root_table`` throughout: inversion sets (frozensets of ids), the small
+roots, lambda masks and the right-descent roots by which ``is_low`` decides
+(it solves no cone) all hold ids.  ``elements_by_length`` walks the normal
+forms with the ShortLex automaton, which accepts exactly one word per
+element, so the walk is exact, compares no two elements and computes no
+matrix; it keeps each level as letters, parent indices and automaton states,
+and reads a word back and builds its Element only when an entry is drawn.
+The inversion set convention is N(w) = Phi+ cap w(Phi-).  ``inversion_set``
 builds it by left extension along the word, N(s x) = {alpha_s} u s N(x),
 which reads only the table's reflections; left descents are the generators
 whose simple root lies in N(w), and ``normalize`` peels the least of them
@@ -28,7 +28,6 @@ import itertools
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 
 from .automaton import build_automaton, build_shortlex_automaton
@@ -126,37 +125,11 @@ def normalize(rs, word):
 
 # -- inversion sets -----------------------------------------------------
 
-class InversionSet:
-    """N(w): the positive roots sent negative by w^{-1}.
-
-    ``ids`` are the roots' ids in rs.root_table, so alpha_s is in N(w) iff s
-    is in ``ids``; ``order`` lists them by (depth, key), as ``roots``."""
-
-    def __init__(self, rs, ids):
-        self.rs = rs
-        self.ids = frozenset(ids)
-
-    @cached_property
-    def order(self):
-        roots = self.rs.root_table.roots
-        return tuple(sorted(self.ids, key=lambda i: roots[i].sort_key()))
-
-    @cached_property
-    def roots(self):
-        roots = self.rs.root_table.roots
-        return tuple(roots[i] for i in self.order)
-
-    def __len__(self):
-        return len(self.ids)
-
-    def __iter__(self):
-        return iter(self.roots)
-
-
 def inversion_set(rs, w):
     """N(w) by left extension, reading the word from the right:
     N(s x) = {alpha_s} u s N(x), and s x is longer than x exactly when
-    alpha_s is not in N(x).  |N(w)| = length(w)."""
+    alpha_s is not in N(x).  Returns the frozenset of the roots' ids in
+    rs.root_table, so alpha_s is in N(w) iff s is; |N(w)| = length(w)."""
     reflect = rs.root_table.reflect
     ids = []
     for pos in range(len(w.word) - 1, -1, -1):
@@ -166,7 +139,7 @@ def inversion_set(rs, w):
                 "word %r is not reduced at position %d: alpha_%d is already "
                 "in N(%r)" % (w.word, pos, s, w.word[pos + 1:]))
         ids = [s] + [reflect(i, s) for i in ids]
-    return InversionSet(rs, ids)
+    return frozenset(ids)
 
 
 def left_descents(rs, w, inv=None):
@@ -175,14 +148,14 @@ def left_descents(rs, w, inv=None):
     ``inv`` is N(w) when the caller already has it."""
     if inv is None:
         inv = inversion_set(rs, w)
-    return {s for s in range(rs.rank) if s in inv.ids}
+    return {s for s in range(rs.rank) if s in inv}
 
 
 def small_inversion_mask(rs, sigma, w, inv=None):
     """lambda(w) = Sigma cap N(w), as a bitmask over Sigma's indexing."""
     if inv is None:
         inv = inversion_set(rs, w)
-    return sum(1 << sigma.bit[i] for i in inv.ids if i in sigma.bit)
+    return sum(1 << sigma.bit[i] for i in inv if i in sigma.bit)
 
 
 # -- cone membership ----------------------------------------------------
@@ -288,15 +261,17 @@ def is_low(rs, sigma, w):
 # -- element enumeration ------------------------------------------------
 
 class Level(Sequence):
-    """One level of the element walk, as integers: entry k extends the word
-    of entry ``parents[k]`` of ``prev`` by ``letters[k]`` and reaches the
-    ShortLex state ``states[k]``.  Drawing entry k, by index or iteration,
-    reads its word back through the parents and only then builds its
-    Element; level 0 holds the identity, with no prev, letter or parent."""
+    """One level of the element walk, as integers: entry k extends the word of
+    entry ``parents[k]`` of ``prev`` by ``letters[k]`` and reaches the ShortLex
+    state ``states[k]``.  Iterating builds ``words`` from the previous level's,
+    in a loop back to the last level that has them, and drops ``prev``;
+    indexing reads a word back to that level.  Only a drawn entry gets an
+    Element.  Level 0 holds the identity, with no prev, letter or parent."""
 
     def __init__(self, prev, letters, parents, states):
         self.prev, self.letters, self.parents, self.states = \
             prev, letters, parents, states
+        self.words = [()] if prev is None else None
 
     def __len__(self):
         return len(self.states)
@@ -304,19 +279,21 @@ class Level(Sequence):
     def __getitem__(self, k):
         k = range(len(self))[k]
         w, level, i = (), self, k
-        while level.prev is not None:
+        while level.words is None:
             w, level, i = (level.letters[i],) + w, level.prev, level.parents[i]
-        return Element(w), self.parents[k], self.states[k]
+        return Element(level.words[i] + w), self.parents[k], self.states[k]
 
     def __iter__(self):
-        chain = [self]
-        while chain[-1].prev is not None:
-            chain.append(chain[-1].prev)
-        words = [()]
-        for level in reversed(chain[:-1]):
-            words = [words[p] + (s,) for s, p in zip(level.letters, level.parents)]
+        chain, level = [], self
+        while level.words is None:
+            chain.append(level)
+            level = level.prev
+        for level in reversed(chain):
+            words, level.prev = level.prev.words, None
+            level.words = [words[p] + (s,)
+                           for s, p in zip(level.letters, level.parents)]
         return ((Element(w), p, state)
-                for w, p, state in zip(words, self.parents, self.states))
+                for w, p, state in zip(self.words, self.parents, self.states))
 
 
 def elements_by_length(rs, max_len=None):
@@ -358,36 +335,35 @@ def elements_up_to_length(rs, max_len):
 
 def inversion_walk(rs, max_len=None):
     """Yield (length, entries) level by level, like elements_by_length, but
-    each entry is (Element, InversionSet).
+    each entry is (Element, N(w)), N(w) the frozenset of its roots' ids.
 
     N(ws) = N(w) u {w(alpha_s)} when ws is longer than w, and w(alpha_s) is
     column s of the matrix of w on root coordinates, looked up in
     rs.root_table by key (a root the table lacks enters it through
-    rs.root_depth).  Each entry's word, ids and matrix are kept here, in
-    lists indexed like the level's letters and parents, which this reads
-    directly; the level of length max_len gets no matrices.  Only two levels
-    of lists are kept, and entries is a generator, so each Element and
-    InversionSet is built when drawn and freed after."""
+    rs.root_depth).  Each entry's ids and matrix are kept here, in lists
+    indexed like the level's letters and parents, which this reads directly,
+    with the level's own words; the level of length max_len gets no matrices.
+    Only two levels of lists are kept, and entries is a generator, so each
+    Element and set is built when drawn and freed after."""
     ids = rs.root_table.ids
     rows = reflection_rows(rs)
     zero = _zero(rs)
-    words, invs, mats = [()], [()], [identity_matrix(rs)]
+    invs, mats = [()], [identity_matrix(rs)]
     for length, level in elements_by_length(rs, max_len):
         if length:
-            prev_words, prev_invs, prev_mats = words, invs, mats
-            words, invs, mats = [], [], []
+            prev_invs, prev_mats = invs, mats
+            invs, mats = [], []
             for s, p in zip(level.letters, level.parents):
                 w = prev_mats[p]
                 v = mat_column(w, s)
                 key = rs.vec_key(v)
                 if key not in ids:
                     rs.root_depth(v)
-                words.append(prev_words[p] + (s,))
                 invs.append(prev_invs[p] + (ids[key],))
                 mats.append(None if length == max_len
                             else mat_mul_reflection(w, s, rows[s], zero))
-        yield length, ((Element(word), InversionSet(rs, inv))
-                       for word, inv in zip(words, invs))
+        yield length, ((elem, frozenset(inv))
+                       for (elem, _, _), inv in zip(level, invs))
 
 
 @dataclass
@@ -439,20 +415,18 @@ def _low_search(rs, sigma, cap):
     mask} in (length, word) order, the last length examined)."""
     reflect = rs.root_table.reflect
     masks = {IDENTITY: 0}
-    level = [(IDENTITY, InversionSet(rs, ()))]
+    level = [(IDENTITY, frozenset())]
     length = 0
     while level and length < cap:
         length += 1
         new_level = []
         for s in range(rs.rank):
             for x, inv in level:
-                if s in inv.ids or any(reflect(t, s) in inv.ids
-                                       for t in range(s)):
+                if s in inv or any(reflect(t, s) in inv for t in range(s)):
                     continue
-                inv_y = InversionSet(
-                    rs, [s] + [reflect(i, s) for i in inv.ids])
                 y = Element((s,) + x.word)
                 if is_low(rs, sigma, y):
+                    inv_y = frozenset([s] + [reflect(i, s) for i in inv])
                     masks[y] = small_inversion_mask(rs, sigma, y, inv=inv_y)
                     new_level.append((y, inv_y))
         level = new_level

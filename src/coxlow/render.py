@@ -17,7 +17,6 @@ from .projective import chart_vertices, convex_hull_2d, normalize_projective
 @dataclass
 class RenderOptions:
     depth: int = 4
-    show_lambda_polytopes: bool = False
     labels: bool = False
     size: int = 600
 
@@ -54,7 +53,7 @@ def render_svg(rs, sigma, lambdas=(), opts=None):
     """Render the projective picture; returns SVG text.
 
     ``lambdas`` is an iterable of bitmasks over sigma's indexing whose
-    convex hulls are drawn when opts.show_lambda_polytopes is set."""
+    convex hulls are drawn."""
     if rs.rank != 3:
         raise RankNotThree("SVG rendering uses the rank-3 triangle chart")
     opts = opts or RenderOptions()
@@ -76,24 +75,23 @@ def render_svg(rs, sigma, lambdas=(), opts=None):
     max_depth = max(r.depth for r in roots)
     sigma_keys = {r.key for r in sigma}
 
-    if opts.show_lambda_polytopes:
-        for mask in lambdas:
-            pts = [normalize_projective(rs, r.coords)
-                   for r in sigma.mask_to_roots(mask)]
-            if not pts:
-                continue
-            hull = convex_hull_2d(pts)
-            px = [_to_px(p, size) for p in hull]
-            coords = " ".join("%s,%s" % (_fmt(x), _fmt(y)) for x, y in px)
-            if len(px) == 1:
-                x, y = px[0]
-                lines.append('  <circle cx="%s" cy="%s" r="7" fill="none" '
-                             'stroke="#3366cc" stroke-width="1"/>'
-                             % (_fmt(x), _fmt(y)))
-            else:
-                lines.append('  <polygon points="%s" fill="#3366cc" '
-                             'fill-opacity="0.10" stroke="#3366cc" '
-                             'stroke-width="1"/>' % coords)
+    for mask in lambdas:
+        pts = [normalize_projective(rs, r.coords)
+               for r in sigma.mask_to_roots(mask)]
+        if not pts:
+            continue
+        hull = convex_hull_2d(pts)
+        px = [_to_px(p, size) for p in hull]
+        coords = " ".join("%s,%s" % (_fmt(x), _fmt(y)) for x, y in px)
+        if len(px) == 1:
+            x, y = px[0]
+            lines.append('  <circle cx="%s" cy="%s" r="7" fill="none" '
+                         'stroke="#3366cc" stroke-width="1"/>'
+                         % (_fmt(x), _fmt(y)))
+        else:
+            lines.append('  <polygon points="%s" fill="#3366cc" '
+                         'fill-opacity="0.10" stroke="#3366cc" '
+                         'stroke-width="1"/>' % coords)
 
     for root in roots:
         x, y = _to_px(normalize_projective(rs, root.coords), size)

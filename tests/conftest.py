@@ -1,5 +1,6 @@
 import sys
 import weakref
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -10,11 +11,21 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from coxlow import (
     Root, battery_root_system, build_automaton, cone_membership,
     inversion_set, small_roots)
-from coxlow.elements import IDENTITY, Element, identity_matrix, mat_column
+from coxlow.elements import IDENTITY, Element
 
 # rational-form battery groups (all bond labels in {1, 2, 3, inf})
 RATIONAL_NAMES = ["2-2-2", "3-2-2", "A3", "affine-3-3-3", "2-2-inf",
                   "2-inf-inf", "universal", "inf-3-3", "universal-override"]
+
+
+def identity_matrix(rs):
+    one, zero = (Fraction(1), Fraction(0)) if rs.exact else (1.0, 0.0)
+    return tuple(tuple(one if i == j else zero for j in range(rs.rank))
+                 for i in range(rs.rank))
+
+
+def mat_column(m, j):
+    return tuple(row[j] for row in m)
 
 
 def reflection_matrix(rs, s):
@@ -79,7 +90,7 @@ def prefix_inversion_roots(rs, word):
     """Test oracle: N(w) for a reduced word by the prefix formula
     N(s1...sk) = {alpha_s1, s1(alpha_s2), ..., s1...s_{k-1}(alpha_sk)},
     with plain matrix products and depths from peel_depth, so it reads no
-    root table.  The roots are sorted as InversionSet.roots are.  Depths
+    root table.  The roots are sorted by Root.sort_key, (depth, key).  Depths
     and prefix matrices are memoised per root system: each is computed as
     it would be from scratch, once."""
     if rs not in _PREFIX_MEMO:
@@ -106,12 +117,12 @@ def cone_is_low(rs, sigma, w, memo):
     with a gray zone in float).  ``memo`` is a dict the caller keeps for one
     root system: it holds the verdicts by (lambda ids, root id), and ids
     mean something only within one root table."""
-    inv = inversion_set(rs, w)
     roots = rs.root_table.roots
-    lam = [i for i in inv.order if i in sigma.bit]
+    order = sorted(inversion_set(rs, w), key=lambda i: roots[i].sort_key())
+    lam = [i for i in order if i in sigma.bit]
     lam_ids = frozenset(lam)
     lam_coords = tuple(roots[i].coords for i in lam)
-    for i in inv.order:
+    for i in order:
         if i in lam_ids:
             continue
         key = (lam_ids, i)

@@ -32,10 +32,11 @@ from coxlow.conjecture import (
     check_acyclic,
     source_generators,
 )
-from coxlow.elements import left_descents, mat_column
+from coxlow.elements import left_descents
 
 from conftest import (
-    RATIONAL_NAMES, mat_mul, matrix_bfs_levels, reflection_matrix)
+    RATIONAL_NAMES, identity_matrix, mat_column, mat_mul, matrix_bfs_levels,
+    reflection_matrix)
 
 NAMES = [name for name, _, _ in BATTERY]
 
@@ -115,7 +116,6 @@ def test_criterion_2_automaton_vs_oracle():
                 if step is not None:
                     rec(mat_mul(w, refl[s]), step, depth + 1)
 
-        from coxlow.elements import identity_matrix
         rec(identity_matrix(rs), 0, 0)
 
     for name in NAMES:

@@ -32,7 +32,7 @@ from coxlow import (
     small_roots,
     triangle_matrix,
 )
-from coxlow.elements import InversionSet, mat_mul_reflection, reflection_rows
+from coxlow.elements import mat_mul_reflection, reflection_rows
 from coxlow.errors import NonReducedInput, NumericallyAmbiguous
 
 from conftest import (
@@ -88,11 +88,12 @@ def test_float_normalize_matches_rational():
 
 def test_inversion_set_examples():
     rs = dihedral(INF)
+    roots = rs.root_table.roots
     assert len(inversion_set(rs, IDENTITY)) == 0
     n_s = inversion_set(rs, Element((0,)))
-    assert [r.coords for r in n_s] == [(1.0, 0.0)]
+    assert [roots[i].coords for i in n_s] == [(1.0, 0.0)]
     n_st = inversion_set(rs, Element((0, 1)))
-    assert sorted(tuple(round(c, 9) for c in r.coords) for r in n_st) == [(1.0, 0.0), (2.0, 1.0)]
+    assert sorted(tuple(round(c, 9) for c in roots[i].coords) for i in n_st) == [(1.0, 0.0), (2.0, 1.0)]
 
 
 def test_inversion_set_rejects_nonreduced():
@@ -125,14 +126,13 @@ def test_two_closure(battery):
     rs, _, _ = battery.get("A3")
     roots = {r.key: r for r in roots_up_to_depth(rs, 8)}
     for elem, _, _ in elements_up_to_length(rs, 6):
-        inv = inversion_set(rs, elem)
-        pairs = list(inv)
+        pairs = [rs.root_table.roots[i] for i in inversion_set(rs, elem)]
         for i, a in enumerate(pairs):
             for b in pairs[i + 1:]:
                 summed = tuple(x + y for x, y in zip(a.coords, b.coords))
                 key = rs.vec_key(summed)
                 if key in roots:
-                    assert key in {r.key for r in inv}, (elem, a, b)
+                    assert key in {r.key for r in pairs}, (elem, a, b)
 
 
 def assert_matches_oracle(rs, inv, word, where):
@@ -141,10 +141,12 @@ def assert_matches_oracle(rs, inv, word, where):
     and to 1e-9 in float, where the root table keeps the coordinates it
     found first."""
     ref = prefix_inversion_roots(rs, word)
-    assert ([(r.key, r.depth, r.sign) for r in inv.roots]
+    table = rs.root_table.roots
+    roots = [table[i] for i in sorted(inv, key=lambda i: table[i].sort_key())]
+    assert ([(r.key, r.depth, r.sign) for r in roots]
             == [(r.key, r.depth, r.sign) for r in ref]), where
     assert len(inv) == len(word), where
-    for root, ref_root in zip(inv.roots, ref):
+    for root, ref_root in zip(roots, ref):
         if rs.exact:
             assert root.coords == ref_root.coords, where
         else:
@@ -164,7 +166,7 @@ def test_inversion_walk_matches_inversion_set(battery, backend):
             for elem, inv in entries:
                 assert elem.length == length
                 assert_matches_oracle(rs, inv, elem.word, (name, elem))
-                assert inversion_set(rs, elem).ids == inv.ids, (name, elem)
+                assert inversion_set(rs, elem) == inv, (name, elem)
                 walked.append(elem)
         assert walked == [e for e, _, _ in elements_up_to_length(rs, 8)], name
 
@@ -455,39 +457,39 @@ def test_enumerate_low_matches_reference(name, backend):
 
 @pytest.mark.parametrize("backend", ["float", "rational"])
 def test_low_search_inversion_sets_match_inversion_set(monkeypatch, backend):
-    # every candidate y = s x of the search gets its N(y), built from the
-    # parent as {alpha_s} u s N(x), and a new one then goes to is_low; so
-    # each is_low call is paired with the InversionSet built last
-    built, seen = [], []
+    # every candidate y = s x of the search goes to is_low, and each one it
+    # accepts hands its N(y), built from the parent as {alpha_s} u s N(x),
+    # to small_inversion_mask
+    candidates, recorded = [], []
 
-    class Recording(InversionSet):
-        def __init__(self, rs, ids):
-            super().__init__(rs, ids)
-            built.append(self)
-
-    def recording(rs, sigma, w):
-        seen.append((w, built[-1]))
+    def recording_is_low(rs, sigma, w):
+        candidates.append(w)
         return is_low(rs, sigma, w)
 
-    monkeypatch.setattr(coxlow.elements, "InversionSet", Recording)
-    monkeypatch.setattr(coxlow.elements, "is_low", recording)
+    def recording_mask(rs, sigma, w, inv=None):
+        recorded.append((w, inv))
+        return small_inversion_mask(rs, sigma, w, inv=inv)
+
+    monkeypatch.setattr(coxlow.elements, "is_low", recording_is_low)
+    monkeypatch.setattr(coxlow.elements, "small_inversion_mask",
+                        recording_mask)
     names = ([name for name, _, _ in BATTERY] if backend == "float"
              else RATIONAL_NAMES)
     for name in names:
         rs = battery_root_system(name, backend)
         sigma = small_roots(rs)
-        built.clear()
-        seen.clear()
+        candidates.clear()
+        recorded.clear()
         lows, _, _ = enumerate_low_stable(rs, sigma)
-        assert set(lows) <= {IDENTITY} | {w for w, _ in seen}, name
-        # the identity's N(e) first, then each candidate's; each distinct
-        # N(y) reaches is_low once
-        assert built[0].ids == frozenset(), name
-        assert ([inv.ids for _, inv in seen]
-                == list(dict.fromkeys(inv.ids for inv in built[1:]))), name
-        for w, inv in seen:
+        # no element reaches is_low twice
+        assert (len({normalize(rs, w.word) for w in candidates})
+                == len(candidates)), name
+        assert set(lows) <= {IDENTITY} | set(candidates), name
+        # each low element but the identity, in order, with its N(w)
+        assert [w for w, _ in recorded] == lows[1:], name
+        for w, inv in recorded:
             assert_matches_oracle(rs, inv, w.word, (name, w))
-            assert inversion_set(rs, w).ids == inv.ids, (name, w)
+            assert inversion_set(rs, w) == inv, (name, w)
         # a low element's word is its ShortLex normal form, found without
         # normalize (a rejected candidate's word need not be)
         for w in lows:

@@ -111,7 +111,7 @@ def test_render_options_validate():
 
 def test_render_byte_stable(battery):
     rs, sigma, aut = battery.get("affine-3-3-3")
-    opts = RenderOptions(depth=3, show_lambda_polytopes=True, labels=True)
+    opts = RenderOptions(depth=3, labels=True)
     a = render_svg(rs, sigma, aut.states, opts)
     b = render_svg(rs, sigma, aut.states, opts)
     assert a == b
@@ -228,6 +228,17 @@ def test_cli_verify_unresolved(tmp_path, capsys):
                  "--gbip-length", "3"])
     assert code == 3
     assert "unresolved" in capsys.readouterr().out
+
+
+def test_cli_verify_polytopes_needs_rank_three(tmp_path, capsys):
+    # the rank is checked before verify prints anything
+    path = tmp_path / "dihedral.json"
+    path.write_text(group_to_json(dihedral_matrix(INF)))
+    assert main(["verify", str(path), "--max-length", "4",
+                 "--polytopes"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --polytopes needs rank 3, not 2\n"
 
 
 def test_cli_validation_exit(tmp_path, capsys):
