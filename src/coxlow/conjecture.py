@@ -71,7 +71,8 @@ class BipGraph:
 
     Vertices are tagged tuples ('g', label) and ('r', label); every edge
     must join the two classes.  Synthetic graphs (for testing the checks)
-    can be built directly with string labels."""
+    can be built directly with string labels.  A graph is not changed after
+    construction, so it is topologically sorted once, on the first check."""
 
     def __init__(self, gen_vertices, root_vertices, edges):
         self.gen_vertices = tuple(("g", v) for v in gen_vertices)
@@ -85,73 +86,77 @@ class BipGraph:
                 raise ValueError("edge %r does not join the two classes"
                                  % ((u, v),))
         self.edges = tuple(edges)
+        self._topo = None     # _topological_sort(self), once asked
+
+
+def _sorted(graph):
+    if graph._topo is None:
+        graph._topo = _topological_sort(graph)
+    return graph._topo
 
 
 def build_gbip(rs, w, inv=None):
     """The bipartite digraph described in the module docstring.
 
-    ``inv`` is N(w) when the caller already has it."""
+    ``inv`` is N(w) when the caller already has it.  The supporting
+    descents of all non-simple inversions come from one pass in (depth,
+    key) order: a down step beta -> s beta lowers the depth by one, so the
+    support of s beta is known before that of beta."""
     if rs.rank != 3:
         raise RankNotThree("the graph construction requires rank 3")
     if inv is None:
         inv = inversion_set(rs, w)
     table = rs.root_table
+    roots, signs, cols = table.roots, table.signs, table.cols
     descents = {s for s in range(rs.rank) if s in inv}
     # ids < rank are simple; the others in (depth, key) order
     deep = sorted((i for i in inv if i >= rs.rank),
-                  key=lambda i: table.roots[i].sort_key())
-
-    def support(i):
-        """Descents reachable from root i by depth-decreasing peeling in N(w).
-
-        Each step beta -> s beta with B(alpha_s, beta) > 0 (a down edge of
-        the table) writes beta as a positive combination of alpha_s and
-        s beta, and coclosedness of N(w) puts at least one of the two feet
-        inside N(w); a foot that is a simple root of N(w) is a supporting
-        descent."""
-        reached = set()
-        stack = [i]
-        seen = {i}
-        while stack:
-            j = stack.pop()
-            for s, sign in enumerate(table.signs[j]):
-                if sign <= 0:
-                    continue
-                if s in descents:
-                    reached.add(s)
-                k = table.reflect(j, s)
-                if k in inv and k not in seen:
-                    if k < rs.rank:
-                        reached.add(k)
-                    else:
-                        seen.add(k)
-                        stack.append(k)
-        return reached
-
+                  key=lambda i: roots[i].sort_key())
+    # support[i]: the descents reachable from root i by depth-decreasing
+    # peeling inside N(w).  Each step beta -> s beta with
+    # B(alpha_s, beta) > 0 (a down edge of the table) writes beta as a
+    # positive combination of alpha_s and s beta, and coclosedness of N(w)
+    # puts at least one of the two feet inside N(w); a foot that is a
+    # simple root of N(w) is a supporting descent.
+    support = {}
     engaged_nondescents = set()
     blocking = []
     supporting = []
     for i in deep:
-        key = table.roots[i].key
-        for s in support(i):
-            supporting.append((("g", s), ("r", key)))
-        for s, sign in enumerate(table.signs[i]):
-            if s not in descents and sign > 0:
+        key = roots[i].key
+        reached = set()
+        for s, sign in enumerate(signs[i]):
+            if sign <= 0:
+                continue
+            if s in descents:
+                reached.add(s)
+            else:
                 engaged_nondescents.add(s)
                 blocking.append((("r", key), ("g", s)))
+            k = cols[s][i]
+            if k is None:
+                k = table.reflect(i, s)
+            if k in support:
+                reached |= support[k]
+            elif k in descents:
+                reached.add(k)
+        support[i] = reached
+        supporting += [(("g", s), ("r", key)) for s in sorted(reached)]
     gens = sorted(descents | engaged_nondescents)
-    return BipGraph(gens, [table.roots[i].key for i in deep],
+    return BipGraph(gens, [roots[i].key for i in deep],
                     supporting + blocking)
 
 
-def check_acyclic(graph):
-    """Topological-sort verdict; on failure also return a witness cycle."""
+def _topological_sort(graph):
+    """(acyclic, witness cycle or None, sources) of a BipGraph, by one
+    in-degree pass and Kahn's algorithm."""
     succ = {v: [] for v in graph.vertices}
-    indeg = {v: 0 for v in graph.vertices}
+    indeg = dict.fromkeys(graph.vertices, 0)
     for u, v in graph.edges:
         succ[u].append(v)
         indeg[v] += 1
-    queue = [v for v in graph.vertices if indeg[v] == 0]
+    srcs = tuple(v for v in graph.vertices if indeg[v] == 0)
+    queue = list(srcs)
     removed = 0
     while queue:
         v = queue.pop()
@@ -161,25 +166,36 @@ def check_acyclic(graph):
             if indeg[t] == 0:
                 queue.append(t)
     if removed == len(graph.vertices):
-        return True, None
-    # find a cycle among the remaining vertices by following successors
+        return True, None, srcs
+    # every remaining vertex keeps a remaining predecessor, so walking
+    # predecessors from any of them closes a cycle
     remaining = {v for v in graph.vertices if indeg[v] > 0}
-    v = next(iter(sorted(remaining)))
+    pred = {}
+    for u, v in graph.edges:
+        if u in remaining:
+            pred.setdefault(v, u)
+    v = min(remaining)
     path, where = [], {}
     while v not in where:
         where[v] = len(path)
         path.append(v)
-        v = next(t for t in succ[v] if t in remaining)
-    return False, tuple(path[where[v]:])
+        v = pred[v]
+    return False, tuple(reversed(path[where[v]:])), srcs
+
+
+def check_acyclic(graph):
+    """Topological-sort verdict; on failure also return a witness cycle,
+    listed in edge direction."""
+    ok, cycle, _ = _sorted(graph)
+    return ok, cycle
 
 
 def sources(graph):
     """Vertices with no incoming edge (requires an acyclic graph)."""
-    ok, cycle = check_acyclic(graph)
+    ok, cycle, srcs = _sorted(graph)
     if not ok:
         raise CyclicGraph("graph has a cycle: %r" % (cycle,))
-    targets = {v for _, v in graph.edges}
-    return tuple(v for v in graph.vertices if v not in targets)
+    return srcs
 
 
 def source_generators(graph):

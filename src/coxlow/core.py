@@ -116,7 +116,10 @@ class RootTable:
     ``roots[i]`` is root i, with the coordinates it was first found with;
     ``ids`` maps a root key to its id; ``signs[i][s]`` is the sign (+1, 0 or
     -1) of B(alpha_s, root i).  The simple root alpha_s has id s.
-    ``reflect(i, s)`` is filled lazily and never peels: depth(s beta) is
+    ``cols[s]`` is one id-indexed column per generator: ``cols[s][i]`` is the
+    id of s . root i, or None until ``reflect(i, s)`` fills it (and
+    ``cols[s][s]`` stays None, since s negates alpha_s).  Every column has
+    one entry per root.  ``reflect`` never peels: depth(s beta) is
     depth(beta) - sign, and an orthogonal s fixes the root.  A vector of
     unknown depth enters through BasedRootSystem.root_depth.  The table
     holds no reference to its root system, so the two form no cycle."""
@@ -128,7 +131,7 @@ class RootTable:
         self.roots = []
         self.ids = {}
         self.signs = []
-        self._succ = []     # _succ[i][s]: id of s . root i, None until asked
+        self.cols = tuple([] for _ in gram)
         for v in simple_roots:
             self.add(v, vec_key(v), 1)
 
@@ -140,12 +143,14 @@ class RootTable:
         self.signs.append(tuple(   # bools subtract to 1, 0 or -1
             (b > self.eps) - (b < -self.eps)
             for b in (sum(map(mul, row, coords)) for row in self.gram)))
-        self._succ.append([None] * len(self.gram))
+        for col in self.cols:
+            col.append(None)
         return i
 
     def reflect(self, i, s):
         """Id of s . root i; root i must not be alpha_s, which s negates."""
-        j = self._succ[i][s]
+        col = self.cols[s]
+        j = col[i]
         if j is None:
             if i == s:
                 raise ValueError("s%d negates alpha_%d" % (s, s))
@@ -161,8 +166,8 @@ class RootTable:
                 j = self.ids.get(key)
                 if j is None:
                     j = self.add(v, key, beta.depth - sign)
-                self._succ[j][s] = i
-            self._succ[i][s] = j
+                col[j] = i
+            col[i] = j
         return j
 
 

@@ -129,8 +129,11 @@ def inversion_set(rs, w):
     """N(w) by left extension, reading the word from the right:
     N(s x) = {alpha_s} u s N(x), and s x is longer than x exactly when
     alpha_s is not in N(x).  Returns the frozenset of the roots' ids in
-    rs.root_table, so alpha_s is in N(w) iff s is; |N(w)| = length(w)."""
-    reflect = rs.root_table.reflect
+    rs.root_table, so alpha_s is in N(w) iff s is; |N(w)| = length(w).
+
+    Each letter s maps the ids through the table's column cols[s]; only an
+    entry the table has not filled yet goes through reflect."""
+    table = rs.root_table
     ids = []
     for pos in range(len(w.word) - 1, -1, -1):
         s = w.word[pos]
@@ -138,7 +141,12 @@ def inversion_set(rs, w):
             raise NonReducedInput(
                 "word %r is not reduced at position %d: alpha_%d is already "
                 "in N(%r)" % (w.word, pos, s, w.word[pos + 1:]))
-        ids = [s] + [reflect(i, s) for i in ids]
+        col = table.cols[s]
+        moved = [col[i] for i in ids]
+        if None in moved:
+            moved = [table.reflect(i, s) if j is None else j
+                     for i, j in zip(ids, moved)]
+        ids = [s] + moved
     return frozenset(ids)
 
 

@@ -28,6 +28,7 @@ from coxlow import (
     is_low,
     left_descents,
     normalize,
+    roots_up_to_depth,
     small_inversion_mask,
     small_roots,
     source_generators,
@@ -50,6 +51,13 @@ def test_battery_is_fixed():
 
 # -- synthetic graphs ---------------------------------------------------
 
+def _is_cycle_of(witness, graph):
+    edges = set(graph.edges)
+    return len(set(witness)) == len(witness) > 0 and all(
+        (u, witness[(n + 1) % len(witness)]) in edges
+        for n, u in enumerate(witness))
+
+
 def test_check_acyclic_synthetic():
     empty = BipGraph([], [], [])
     assert check_acyclic(empty) == (True, None)
@@ -58,6 +66,16 @@ def test_check_acyclic_synthetic():
     ok, witness = check_acyclic(two_cycle)
     assert not ok
     assert set(witness) == {("g", "a"), ("r", "x")}
+    assert _is_cycle_of(witness, two_cycle)
+    # the least vertex, ("g", "0"), is a sink downstream of the cycle
+    sink_below_cycle = BipGraph(["0", "a"], ["x"], [
+        (("g", "a"), ("r", "x")), (("r", "x"), ("g", "a")),
+        (("r", "x"), ("g", "0"))])
+    ok, witness = check_acyclic(sink_below_cycle)
+    assert not ok
+    assert _is_cycle_of(witness, sink_below_cycle)
+    with pytest.raises(CyclicGraph):
+        sources(sink_below_cycle)
 
 
 def test_sources_synthetic():
@@ -95,6 +113,45 @@ def test_gbip_matches_coordinate_oracle():
             assert [v for _, v in graph.gen_vertices] == gens, (name, elem)
             assert [v for _, v in graph.root_vertices] == roots, (name, elem)
             assert sorted(graph.edges) == sorted(edges), (name, elem)
+
+
+def _reversed_root_system(name, depth):
+    """A fresh root system whose table already holds every root of depth
+    <= ``depth``, the non-simple ones entered deepest first, so that each
+    root's shallower neighbours have larger ids than the root."""
+    rs = battery_root_system(name)
+    table = rs.root_table
+    for root in reversed(roots_up_to_depth(battery_root_system(name), depth)):
+        if root.key not in table.ids:
+            table.add(root.coords, root.key, root.depth)
+    return rs
+
+
+def test_gbip_supports_do_not_depend_on_id_order():
+    # build_gbip computes supports in (depth, key) order, never id order
+    cases = [(name, 8) for name, _, _ in BATTERY] + [("universal", 10)]
+    for name, max_len in cases:
+        rs = _reversed_root_system(name, max_len)
+        for elem, _, _ in elements_up_to_length(rs, max_len):
+            graph = build_gbip(rs, elem)
+            gens, roots, edges = gbip_oracle(rs, elem.word)
+            assert [v for _, v in graph.gen_vertices] == gens, (name, elem)
+            assert [v for _, v in graph.root_vertices] == roots, (name, elem)
+            assert list(graph.edges) == edges, (name, elem)
+
+
+def test_each_graph_is_sorted_once(monkeypatch):
+    calls = []
+    sort = coxlow.conjecture._topological_sort
+    monkeypatch.setattr(coxlow.conjecture, "_topological_sort",
+                        lambda graph: calls.append(graph) or sort(graph))
+    rs = battery_root_system("hyperbolic-3-3-4")
+    elem = normalize(rs, (0, 1, 2, 0, 1, 2))
+    graph = build_gbip(rs, elem)
+    assert check_acyclic(graph) == (True, None)
+    assert sources(graph)
+    assert set(source_generators(graph)) <= left_descents(rs, elem)
+    assert calls == [graph]
 
 
 def test_root_table_keeps_no_cycle_with_its_root_system():

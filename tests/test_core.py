@@ -199,6 +199,17 @@ def test_root_table_reflections_match_peeling_oracle():
             assert table.ids[root.key] == table.roots.index(root)
         assert ({r.key: r.depth for r in table.roots}
                 == {r.key: r.depth for r in roots}), name
+        # one id-indexed column per generator, agreeing with reflect
+        assert len(table.cols) == rs.rank
+        for s, col in enumerate(table.cols):
+            assert len(col) == len(table.roots), (name, s)
+            assert col[s] is None, (name, s)
+            for i, j in enumerate(col):
+                if j is not None:
+                    assert j == table.reflect(i, s), (name, i, s)
+                    assert table.roots[j].key == rs.vec_key(
+                        rs.reflect(s, table.roots[i].coords)), (name, i, s)
+                    assert col[j] == i, (name, i, s)
 
 
 def test_depth_changes_by_at_most_one():
