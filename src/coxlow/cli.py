@@ -6,6 +6,7 @@ at the requested bound (distinct from a crash).
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -21,7 +22,8 @@ from .conjecture import (
 )
 from .core import DEFAULT_EPS
 from .elements import enumerate_low, inversion_walk, left_descents
-from .errors import CoxlowError, ParseError, RankNotThree, ValidationError
+from .errors import (
+    CoxlowError, OutputError, ParseError, RankNotThree, ValidationError)
 from .groupfile import load_root_system
 from .render import RenderOptions, render_svg
 from .smallroots import small_roots
@@ -43,17 +45,24 @@ def _tolerance(args):
 
 def _load(args):
     try:
-        with open(args.group) as fh:
+        with open(args.group, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError("cannot read %s: %s" % (args.group, exc))
     return load_root_system(text, backend=args.backend, eps=_tolerance(args))
 
 
+def _write(path, text):
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise OutputError("cannot write %s: %s" % (path, exc.strerror))
+
+
 def _emit(args, text):
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
 
@@ -110,8 +119,7 @@ def cmd_automaton(args):
     aut = build_automaton(rs, sigma)
     dot = export_dot(aut)
     if args.dot:
-        with open(args.dot, "w") as fh:
-            fh.write(dot)
+        _write(args.dot, dot)
         print("automaton: %d states, written to %s" % (len(aut.states), args.dot))
     else:
         sys.stdout.write(dot)
@@ -210,7 +218,10 @@ def cmd_render(args):
     return EXIT_OK
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on the first call and shared by every
+    later ``main`` in the process."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("group", help="group-input JSON file")
     common.add_argument("--tolerance", type=float, default=None,

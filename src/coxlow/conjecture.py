@@ -67,26 +67,50 @@ def battery_root_system(name, backend="float"):
 
 
 class BipGraph:
-    """Bipartite digraph on generator vertices and root vertices.
+    """Bipartite digraph on generator vertices and root vertices, held as
+    integer indices.
 
-    Vertices are tagged tuples ('g', label) and ('r', label); every edge
-    must join the two classes.  Synthetic graphs (for testing the checks)
-    can be built directly with string labels.  A graph is not changed after
-    construction, so it is topologically sorted once, on the first check."""
+    Vertex k is the generator ``gen_labels[k]`` for k < g =
+    len(gen_labels), and the root ``root_labels[k - g]`` after that; each
+    of the ``arcs``, (tail, head) index pairs, must be in range and join
+    the two classes.  The read-only views ``gen_vertices``,
+    ``root_vertices``, ``vertices`` and ``edges`` give the same graph with
+    tagged vertices ('g', label) and ('r', label), built only when read.
+    Synthetic graphs (for testing the checks) can be built directly, with
+    any labels.  A graph is not changed after construction, so it is
+    topologically sorted once, on the first check."""
 
-    def __init__(self, gen_vertices, root_vertices, edges):
-        self.gen_vertices = tuple(("g", v) for v in gen_vertices)
-        self.root_vertices = tuple(("r", v) for v in root_vertices)
-        self.vertices = self.gen_vertices + self.root_vertices
-        vset = set(self.vertices)
-        for u, v in edges:
-            if u not in vset or v not in vset:
-                raise ValueError("edge endpoint %r not a vertex" % ((u, v),))
-            if u[0] == v[0]:
-                raise ValueError("edge %r does not join the two classes"
+    def __init__(self, gen_labels, root_labels, arcs):
+        self.gen_labels = tuple(gen_labels)
+        self.root_labels = tuple(root_labels)
+        self.arcs = tuple(arcs)
+        g = len(self.gen_labels)
+        n = g + len(self.root_labels)
+        for u, v in self.arcs:
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError("arc %r has an endpoint out of range(%d)"
+                                 % ((u, v), n))
+            if (u < g) == (v < g):
+                raise ValueError("arc %r does not join the two classes"
                                  % ((u, v),))
-        self.edges = tuple(edges)
         self._topo = None     # _topological_sort(self), once asked
+
+    @property
+    def gen_vertices(self):
+        return tuple(("g", label) for label in self.gen_labels)
+
+    @property
+    def root_vertices(self):
+        return tuple(("r", label) for label in self.root_labels)
+
+    @property
+    def vertices(self):
+        return self.gen_vertices + self.root_vertices
+
+    @property
+    def edges(self):
+        vertices = self.vertices
+        return tuple((vertices[u], vertices[v]) for u, v in self.arcs)
 
 
 def _sorted(graph):
@@ -95,67 +119,80 @@ def _sorted(graph):
     return graph._topo
 
 
+# _BITS[mask]: the generators in a bitmask over {0, 1, 2}, in increasing order
+_BITS = tuple(tuple(s for s in range(3) if mask >> s & 1) for mask in range(8))
+
+
 def build_gbip(rs, w, inv=None):
-    """The bipartite digraph described in the module docstring.
+    """The bipartite digraph described in the module docstring, as a
+    BipGraph: the generator vertices are the descents and the engaged
+    non-descents in increasing order, the root vertices the non-simple
+    inversions in (depth, key) order, labelled by key, and the arcs are
+    the supporting ones (root by root, descents in increasing order)
+    followed by the blocking ones (likewise).
 
     ``inv`` is N(w) when the caller already has it.  The supporting
     descents of all non-simple inversions come from one pass in (depth,
-    key) order: a down step beta -> s beta lowers the depth by one, so the
-    support of s beta is known before that of beta."""
+    key) order, as bitmasks over the generators: a down step
+    beta -> s beta lowers the depth by one, so the support of s beta is
+    known before that of beta."""
     if rs.rank != 3:
         raise RankNotThree("the graph construction requires rank 3")
     if inv is None:
         inv = inversion_set(rs, w)
     table = rs.root_table
     roots, signs, cols = table.roots, table.signs, table.cols
-    descents = {s for s in range(rs.rank) if s in inv}
-    # ids < rank are simple; the others in (depth, key) order
-    deep = sorted((i for i in inv if i >= rs.rank),
+    # ids 0, 1, 2 are the simple roots; the others in (depth, key) order
+    deep = sorted((i for i in inv if i >= 3),
                   key=lambda i: roots[i].sort_key())
     # support[i]: the descents reachable from root i by depth-decreasing
     # peeling inside N(w).  Each step beta -> s beta with
     # B(alpha_s, beta) > 0 (a down edge of the table) writes beta as a
     # positive combination of alpha_s and s beta, and coclosedness of N(w)
     # puts at least one of the two feet inside N(w); a foot that is a
-    # simple root of N(w) is a supporting descent.
-    support = {}
-    engaged_nondescents = set()
-    blocking = []
-    supporting = []
-    for i in deep:
-        key = roots[i].key
-        reached = set()
+    # simple root of N(w), a descent, supports itself.
+    support = {s: 1 << s for s in range(3) if s in inv}
+    descents = sum(support.values())      # the bits are distinct
+    gens = descents
+    supporting = []       # (s, j): descent s supports root deep[j]
+    blocking = []         # (j, s): root deep[j] blocks non-descent s
+    for j, i in enumerate(deep):
+        reached = 0
         for s, sign in enumerate(signs[i]):
             if sign <= 0:
                 continue
-            if s in descents:
-                reached.add(s)
+            if descents >> s & 1:
+                reached |= 1 << s
             else:
-                engaged_nondescents.add(s)
-                blocking.append((("r", key), ("g", s)))
+                gens |= 1 << s
+                blocking.append((j, s))
             k = cols[s][i]
             if k is None:
                 k = table.reflect(i, s)
-            if k in support:
-                reached |= support[k]
-            elif k in descents:
-                reached.add(k)
+            reached |= support.get(k, 0)
         support[i] = reached
-        supporting += [(("g", s), ("r", key)) for s in sorted(reached)]
-    gens = sorted(descents | engaged_nondescents)
-    return BipGraph(gens, [roots[i].key for i in deep],
-                    supporting + blocking)
+        supporting += [(s, j) for s in _BITS[reached]]
+    # generator s is vertex index[s]; root deep[j] is vertex g + j
+    gen_labels = _BITS[gens]
+    g = len(gen_labels)
+    index = {s: n for n, s in enumerate(gen_labels)}
+    arcs = [(index[s], g + j) for s, j in supporting]
+    arcs += [(g + j, index[s]) for j, s in blocking]
+    return BipGraph(gen_labels, [roots[i].key for i in deep], arcs)
 
 
 def _topological_sort(graph):
-    """(acyclic, witness cycle or None, sources) of a BipGraph, by one
-    in-degree pass and Kahn's algorithm."""
-    succ = {v: [] for v in graph.vertices}
-    indeg = dict.fromkeys(graph.vertices, 0)
-    for u, v in graph.edges:
+    """(acyclic, witness cycle or None, source indices) of a BipGraph, by
+    one in-degree pass and Kahn's algorithm on lists indexed by vertex.
+    The sources are in vertex order; the witness is a tuple of tagged
+    vertices in arc direction."""
+    n = len(graph.gen_labels) + len(graph.root_labels)
+    succ = [[] for _ in range(n)]
+    indeg = [0] * n
+    for u, v in graph.arcs:
         succ[u].append(v)
         indeg[v] += 1
-    srcs = tuple(v for v in graph.vertices if indeg[v] == 0)
+    srcs = tuple(v for v in range(n) if not indeg[v])
     queue = list(srcs)
     removed = 0
     while queue:
@@ -163,24 +200,25 @@ def _topological_sort(graph):
         removed += 1
         for t in succ[v]:
             indeg[t] -= 1
-            if indeg[t] == 0:
+            if not indeg[t]:
                 queue.append(t)
-    if removed == len(graph.vertices):
+    if removed == n:
         return True, None, srcs
     # every remaining vertex keeps a remaining predecessor, so walking
     # predecessors from any of them closes a cycle
-    remaining = {v for v in graph.vertices if indeg[v] > 0}
-    pred = {}
-    for u, v in graph.edges:
-        if u in remaining:
-            pred.setdefault(v, u)
-    v = min(remaining)
+    pred = [None] * n
+    for u, v in graph.arcs:
+        if indeg[u] and pred[v] is None:
+            pred[v] = u
+    v = min(v for v in range(n) if indeg[v])
     path, where = [], {}
     while v not in where:
         where[v] = len(path)
         path.append(v)
         v = pred[v]
-    return False, tuple(reversed(path[where[v]:])), srcs
+    vertices = graph.vertices
+    return (False, tuple(vertices[u] for u in reversed(path[where[v]:])),
+            srcs)
 
 
 def check_acyclic(graph):
@@ -190,16 +228,24 @@ def check_acyclic(graph):
     return ok, cycle
 
 
-def sources(graph):
-    """Vertices with no incoming edge (requires an acyclic graph)."""
+def _source_indices(graph):
     ok, cycle, srcs = _sorted(graph)
     if not ok:
         raise CyclicGraph("graph has a cycle: %r" % (cycle,))
     return srcs
 
 
+def sources(graph):
+    """Vertices with no incoming edge (requires an acyclic graph)."""
+    srcs = _source_indices(graph)
+    vertices = graph.vertices
+    return tuple(vertices[v] for v in srcs)
+
+
 def source_generators(graph):
-    return tuple(label for kind, label in sources(graph) if kind == "g")
+    labels = graph.gen_labels
+    return tuple(labels[v] for v in _source_indices(graph)
+                 if v < len(labels))
 
 
 def verify_bijection(rs, sigma, aut, max_len):

@@ -64,5 +64,9 @@ class ParseError(CoxlowError):
     pass
 
 
+class OutputError(CoxlowError):
+    """An output file could not be written."""
+
+
 class ValidationError(CoxlowError):
     pass

@@ -1,12 +1,7 @@
-import sys
 import weakref
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
-
-# the theorem oracles live in the top-level package oracles/
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 from coxlow import (
     Root, battery_root_system, build_automaton, cone_membership,

@@ -38,7 +38,7 @@ from coxlow import (
 )
 from coxlow.errors import ConstructionFailed, CyclicGraph, RankNotThree
 
-from conftest import gbip_oracle
+from conftest import RATIONAL_NAMES, gbip_oracle
 
 RANK3_SAMPLE = ("A3", "affine-3-3-3", "hyperbolic-3-3-4", "universal-override")
 
@@ -61,16 +61,16 @@ def _is_cycle_of(witness, graph):
 def test_check_acyclic_synthetic():
     empty = BipGraph([], [], [])
     assert check_acyclic(empty) == (True, None)
-    two_cycle = BipGraph(["a"], ["x"],
-                         [(("g", "a"), ("r", "x")), (("r", "x"), ("g", "a"))])
+    # vertex 0 is ("g", "a") and vertex 1 is ("r", "x")
+    two_cycle = BipGraph(["a"], ["x"], [(0, 1), (1, 0)])
+    assert two_cycle.edges == ((("g", "a"), ("r", "x")),
+                               (("r", "x"), ("g", "a")))
     ok, witness = check_acyclic(two_cycle)
     assert not ok
     assert set(witness) == {("g", "a"), ("r", "x")}
     assert _is_cycle_of(witness, two_cycle)
     # the least vertex, ("g", "0"), is a sink downstream of the cycle
-    sink_below_cycle = BipGraph(["0", "a"], ["x"], [
-        (("g", "a"), ("r", "x")), (("r", "x"), ("g", "a")),
-        (("r", "x"), ("g", "0"))])
+    sink_below_cycle = BipGraph(["0", "a"], ["x"], [(1, 2), (2, 1), (2, 0)])
     ok, witness = check_acyclic(sink_below_cycle)
     assert not ok
     assert _is_cycle_of(witness, sink_below_cycle)
@@ -80,19 +80,24 @@ def test_check_acyclic_synthetic():
 
 def test_sources_synthetic():
     assert sources(BipGraph([], [], [])) == ()
-    chain = BipGraph(["a", "c"], ["b"],
-                     [(("g", "a"), ("r", "b")), (("r", "b"), ("g", "c"))])
+    # ("g", "a") -> ("r", "b") -> ("g", "c")
+    chain = BipGraph(["a", "c"], ["b"], [(0, 2), (2, 1)])
     assert sources(chain) == (("g", "a"),)
     assert source_generators(chain) == ("a",)
-    cyclic = BipGraph(["a"], ["x"],
-                      [(("g", "a"), ("r", "x")), (("r", "x"), ("g", "a"))])
+    cyclic = BipGraph(["a"], ["x"], [(0, 1), (1, 0)])
     with pytest.raises(CyclicGraph):
         sources(cyclic)
 
 
 def test_bipgraph_rejects_same_class_edges():
-    with pytest.raises(ValueError):
-        BipGraph(["a", "b"], [], [(("g", "a"), ("g", "b"))])
+    with pytest.raises(ValueError, match="two classes"):
+        BipGraph(["a", "b"], [], [(0, 1)])
+    with pytest.raises(ValueError, match="two classes"):
+        BipGraph(["a"], ["x", "y"], [(1, 2)])
+    # two vertices: index 2 and index -1 are out of range
+    for arc in [(0, 2), (2, 0), (-1, 1), (1, -1)]:
+        with pytest.raises(ValueError, match="out of range"):
+            BipGraph(["a"], ["x"], [arc])
 
 
 # -- the graph on real elements -----------------------------------------
@@ -104,9 +109,12 @@ def test_gbip_identity(battery):
 
 
 def test_gbip_matches_coordinate_oracle():
-    # fresh root systems: the table is filled by build_gbip alone
-    for name, _, _ in BATTERY:
-        rs = battery_root_system(name)
+    # fresh root systems: the table is filled by build_gbip alone.  The
+    # rational backend labels roots by keys of Fractions.
+    cases = [(name, "float") for name, _, _ in BATTERY]
+    cases += [(name, "rational") for name in RATIONAL_NAMES]
+    for name, backend in cases:
+        rs = battery_root_system(name, backend)
         for elem, _, _ in elements_up_to_length(rs, 7):
             graph = build_gbip(rs, elem)
             gens, roots, edges = gbip_oracle(rs, elem.word)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import re
@@ -325,6 +326,85 @@ def test_cli_rejects_non_finite_override(tmp_path, capsys, literal, command):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == 'error: field "gram_overrides"[0].value: must be finite\n'
+
+
+@pytest.mark.parametrize("option", ["--out", "--dot"])
+@pytest.mark.parametrize("target", ["missing-dir", "dir"])
+def test_cli_write_errors_exit_2(universal_file, tmp_path, capsys, option,
+                                 target):
+    path = str(tmp_path / "missing" / "x") if target == "missing-dir" \
+        else str(tmp_path)
+    command = "automaton" if option == "--dot" else "growth"
+    argv = [command, universal_file, option, path]
+    if command == "growth":
+        argv += ["--terms", "3"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    # growth prints its lines before it writes the report
+    assert out == ("" if command == "automaton"
+                   else "reduced words by length: [1, 3, 6, 12]\n")
+    assert err.startswith("error: cannot write %s: " % path)
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_cli_group_file_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(UNIVERSAL_JSON.replace('"float"', '"fl\xf6at"')
+                     .encode("latin-1"))
+    assert main(["small-roots", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: cannot read %s: " % path)
+    assert "utf-8" in err and err.count("\n") == 1
+
+
+def _argument_parsers_built(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    return built
+
+
+def test_cli_builds_its_parser_once(universal_file, capsys, monkeypatch):
+    # options set by one call must not leak into the next
+    argvs = [
+        ["verify", universal_file, "--max-length", "3", "--gbip-length",
+         "3", "--polytopes"],
+        ["verify", universal_file, "--max-length", "3", "--gbip-length",
+         "3"],
+        ["growth", universal_file, "--terms", "4", "--elements"],
+        ["growth", universal_file, "--terms", "4"],
+        ["render", universal_file, "--depth", "1", "--lambdas", "--labels",
+         "--size", "300"],
+        ["render", universal_file, "--depth", "1"],
+        ["small-roots", universal_file, "--backend", "rational",
+         "--tolerance", "1e-9"],
+        ["small-roots", universal_file],
+        ["low-elements", universal_file, "--max-length", "-1"],
+        ["low-elements", universal_file, "--max-length", "2"],
+    ]
+
+    def run(argv):
+        code = main(argv)
+        return (code,) + tuple(capsys.readouterr())
+
+    expected = []
+    for argv in argvs:
+        coxlow.cli.build_parser.cache_clear()
+        expected.append(run(argv))
+    built = _argument_parsers_built(monkeypatch)
+    coxlow.cli.build_parser.cache_clear()
+    coxlow.cli.build_parser()
+    per_parser = len(built)
+    coxlow.cli.build_parser.cache_clear()
+    del built[:]
+    assert [run(argv) for argv in argvs] == expected
+    assert len(built) == per_parser > 0
 
 
 def test_golden_dot_infinite_dihedral():
