@@ -47,7 +47,9 @@ def _load(args):
     try:
         with open(args.group, encoding="utf-8") as fh:
             text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
+        raise ParseError("cannot read %s: %s" % (args.group, exc.strerror))
+    except UnicodeDecodeError as exc:
         raise ParseError("cannot read %s: %s" % (args.group, exc))
     return load_root_system(text, backend=args.backend, eps=_tolerance(args))
 

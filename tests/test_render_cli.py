@@ -347,27 +347,20 @@ def test_cli_write_errors_exit_2(universal_file, tmp_path, capsys, option,
     assert err.count("\n") == 1 and err.endswith("\n")
 
 
-def test_cli_group_file_not_utf8_exits_2(tmp_path, capsys):
-    path = tmp_path / "latin1.json"
-    path.write_bytes(UNIVERSAL_JSON.replace('"float"', '"fl\xf6at"')
-                     .encode("latin-1"))
+@pytest.mark.parametrize("case", ["missing", "not-utf8"])
+def test_cli_group_file_read_errors_exit_2(tmp_path, capsys, case):
+    path = tmp_path / "group.json"
+    if case == "not-utf8":
+        path.write_bytes(UNIVERSAL_JSON.replace('"float"', '"fl\xf6at"')
+                         .encode("latin-1"))
+        reason = "'utf-8' codec can't decode byte 0xf6"
+    else:
+        reason = "No such file or directory\n"
     assert main(["small-roots", str(path)]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("error: cannot read %s: " % path)
-    assert "utf-8" in err and err.count("\n") == 1
-
-
-def _argument_parsers_built(monkeypatch):
-    built = []
-    init = argparse.ArgumentParser.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(self)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    return built
+    assert err.startswith("error: cannot read %s: %s" % (path, reason))
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_cli_builds_its_parser_once(universal_file, capsys, monkeypatch):
@@ -397,7 +390,14 @@ def test_cli_builds_its_parser_once(universal_file, capsys, monkeypatch):
     for argv in argvs:
         coxlow.cli.build_parser.cache_clear()
         expected.append(run(argv))
-    built = _argument_parsers_built(monkeypatch)
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     coxlow.cli.build_parser.cache_clear()
     coxlow.cli.build_parser()
     per_parser = len(built)
