@@ -8,8 +8,9 @@ roots, lambda masks and the right-descent roots by which ``is_low`` decides
 (it solves no cone) all hold ids.  ``elements_by_length`` walks the normal
 forms with the ShortLex automaton, which accepts exactly one word per
 element, so the walk is exact, compares no two elements and computes no
-matrix; it keeps each level as letters, parent indices and automaton states,
-and reads a word back and builds its Element only when an entry is drawn.
+matrix; it builds and keeps each level as automaton states alone, derives a
+level's letters and parent indices when they are first read, and reads a
+word back and builds its Element only when an entry is drawn.
 The inversion set convention is N(w) = Phi+ cap w(Phi-).  ``inversion_set``
 builds it by left extension along the word, N(s x) = {alpha_s} u s N(x),
 which reads only the table's reflections; left descents are the generators
@@ -269,17 +270,46 @@ def is_low(rs, sigma, w):
 # -- element enumeration ------------------------------------------------
 
 class Level(Sequence):
-    """One level of the element walk, as integers: entry k extends the word of
-    entry ``parents[k]`` of ``prev`` by ``letters[k]`` and reaches the ShortLex
-    state ``states[k]``.  Iterating builds ``words`` from the previous level's,
-    in a loop back to the last level that has them, and drops ``prev``;
-    indexing reads a word back to that level.  Only a drawn entry gets an
-    Element.  Level 0 holds the identity, with no prev, letter or parent."""
+    """One level of the element walk, as integers: entry k reaches the
+    ShortLex state ``states[k]``, and extends the word of entry
+    ``parents[k]`` of ``prev`` by ``letters[k]``.  The walk stores only
+    ``states``, with ``moves``, the walk's table of each state's defined
+    letters and their targets, shared by all its levels.  ``letters`` and
+    ``parents`` are read-only arrays derived from ``prev.states`` and
+    ``moves`` the first time either is read, and kept after that.
 
-    def __init__(self, prev, letters, parents, states):
-        self.prev, self.letters, self.parents, self.states = \
-            prev, letters, parents, states
+    Iterating builds ``words`` from the previous level's, in a loop back to
+    the last level that has them, reading each level's letters and parents
+    before it drops ``prev``.  Indexing reads a word back to that level, so
+    indexing one entry of a deep level derives the letters and parents of
+    every level back to it: that costs the size of those levels once, and
+    they are kept.  Only a drawn entry gets an Element.  Level 0 holds the
+    identity, with no prev, letter or parent."""
+
+    def __init__(self, prev, states, moves):
+        self.prev, self.states, self.moves = prev, states, moves
+        self._links = ([None], [None]) if prev is None else None
         self.words = [()] if prev is None else None
+
+    @property
+    def letters(self):
+        return self._read_links()[0]
+
+    @property
+    def parents(self):
+        return self._read_links()[1]
+
+    def _read_links(self):
+        # each parent's children are its defined letters, in order
+        if self._links is None:
+            letters_of, prev_states = self.moves[0], self.prev.states
+            letters = array("H")
+            for state in prev_states:
+                letters += letters_of[state]
+            parents = array("I", [p for p, state in enumerate(prev_states)
+                                  for _ in letters_of[state]])
+            self._links = letters, parents
+        return self._links
 
     def __len__(self):
         return len(self.states)
@@ -297,9 +327,9 @@ class Level(Sequence):
             chain.append(level)
             level = level.prev
         for level in reversed(chain):
+            letters, parents = level._read_links()
             words, level.prev = level.prev.words, None
-            level.words = [words[p] + (s,)
-                           for s, p in zip(level.letters, level.parents)]
+            level.words = [words[p] + (s,) for s, p in zip(letters, parents)]
         return ((Element(w), p, state)
                 for w, p, state in zip(self.words, self.parents, self.states))
 
@@ -315,23 +345,26 @@ def elements_by_length(rs, max_len=None):
     an automatic structure for Coxeter groups", 1993); a level lists the
     accepted one-letter extensions of the previous level's words in
     ShortLex order.  So the walk is exact, compares no two elements and
-    computes no matrix; it stores each level's letters, parents and states
-    (see Level) and builds no word or Element."""
-    moves = [[(s, t) for s, t in enumerate(row) if t is not None]
-             for row in build_shortlex_automaton(rs, small_roots(rs)).transitions]
-    level = Level(None, [None], [None], array("I", [0]))
+    computes no matrix.  It builds each level from the previous level's
+    states alone, appending each state's array of targets, and stores only
+    the states: letters, parents, words and Elements are built when read
+    (see Level)."""
+    transitions = build_shortlex_automaton(rs, small_roots(rs)).transitions
+    moves = ([array("H", [s for s, t in enumerate(row) if t is not None])
+              for row in transitions],
+             [array("I", [t for t in row if t is not None])
+              for row in transitions])
+    _, targets = moves
+    level = Level(None, array("I", [0]), moves)
     length = 0
     yield 0, level
     while max_len is None or length < max_len:
-        letters, parents, states = array("H"), array("I"), array("I")
-        for p, state in enumerate(level.states):
-            for s, target in moves[state]:
-                letters.append(s)
-                parents.append(p)
-                states.append(target)
+        states = array("I")
+        for state in level.states:
+            states += targets[state]
         if not states:
             return
-        level = Level(level, letters, parents, states)
+        level = Level(level, states, moves)
         length += 1
         yield length, level
 

@@ -1,5 +1,6 @@
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -397,6 +398,44 @@ def test_level_index_matches_iteration(battery):
         for k in (len(level), -len(level) - 1):
             with pytest.raises(IndexError):
                 level[k]
+
+
+def test_levels_read_in_any_order(battery):
+    rs, _, _ = battery.get("hyperbolic-3-3-4")
+    expected = []
+    for _, level in elements_by_length(rs, 8):
+        expected.append((list(level), list(level.letters),
+                         list(level.parents)))
+    assert expected[0] == ([(IDENTITY, None, 0)], [None], [None])
+    levels = [level for _, level in elements_by_length(rs, 8)]
+    # the deepest level first: that drops every prev link back to level 0
+    deepest = list(levels[-1])
+    assert all(level.prev is None for level in levels)
+    for level, (entries, letters, parents) in zip(levels[:-1], expected):
+        assert [level[k] for k in range(len(level))] == entries
+        assert list(level) == entries
+        assert list(level.letters) == letters
+        assert list(level.parents) == parents
+    assert deepest == expected[-1][0]
+    assert list(levels[-1].letters) == expected[-1][1]
+    assert list(levels[-1].parents) == expected[-1][2]
+
+
+def test_walk_holds_few_bytes_per_element():
+    # every level of a counting walk held at once: the walk stores only
+    # each level's states (4 bytes an entry), not its letters or parents
+    rs = battery_root_system("hyperbolic-2-3-7")
+    small_roots(rs)                     # fill the root table beforehand
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        levels = [level for _, level in elements_by_length(rs, 45)]
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    n = sum(len(level) for level in levels)
+    assert n == 68828
+    assert held / n < 6, held / n
 
 
 def test_element_enumeration_counts():
