@@ -20,6 +20,7 @@ from .conjecture import (
     battery_root_system,
     build_gbip,
     check_acyclic,
+    check_gbip,
     check_simplex_edge_condition,
     construct_low_from_lambda,
     source_generators,

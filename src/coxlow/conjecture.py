@@ -1,18 +1,28 @@
 """Verification machinery for the low-elements / small-inversion-sets
 bijection in rank 3, together with the supporting graph checks.
 
-``build_gbip`` constructs, for a rank-3 element w, a bipartite digraph
-between generator vertices and the non-simple inversions of w:
+G_bip, for a rank-3 element w, is a bipartite digraph between generator
+vertices and root vertices, the non-simple inversions of w:
 
 * a descent s points to every non-simple inversion that can be peeled down
-  to alpha_s inside N(w) by depth-decreasing reflections;
+  to alpha_s inside N(w) by depth-decreasing reflections (s supports it);
 * a non-simple inversion points to every engaged non-descent s (one with
   B(alpha_s, beta) > 0), blocking it.
 
-Two facts are checked empirically on every battery group: the graph is
-acyclic, and its sources are exactly the left descents of w.  Together
-they drive the constructive descent-peeling recursion of
-``construct_low_from_lambda``.
+The claim checked on every battery group is that G_bip is acyclic and no
+root vertex is a source, so that its sources are exactly the left
+descents of w.  Arcs run descent -> root -> non-descent, so acyclicity and
+"the generator sources are the descents" hold by construction; the half
+that can fail is a root that no descent supports, which coclosedness of
+N(w) rules out and a set that is not coclosed can show.  A generator is a
+vertex only if it is a descent or blocked: in a graph with every
+generator as a vertex, a non-descent that no root blocks would be one more
+source, not a descent.
+
+``build_gbip`` builds the graph as a ``BipGraph``; ``check_gbip`` decides
+the claim from per-root generator bitmasks without building it.  The
+builder ``construct_low_from_lambda`` peels left descents, the generator
+sources.
 """
 
 from dataclasses import dataclass, field
@@ -123,23 +133,17 @@ def _sorted(graph):
 _BITS = tuple(tuple(s for s in range(3) if mask >> s & 1) for mask in range(8))
 
 
-def build_gbip(rs, w, inv=None):
-    """The bipartite digraph described in the module docstring, as a
-    BipGraph: the generator vertices are the descents and the engaged
-    non-descents in increasing order, the root vertices the non-simple
-    inversions in (depth, key) order, labelled by key, and the arcs are
-    the supporting ones (root by root, descents in increasing order)
-    followed by the blocking ones (likewise).
+def _gbip_masks(rs, inv):
+    """(deep, descents, supports, engaged) for N(w) = ``inv``: the non-simple
+    inversions in (depth, key) order, the descents as a bitmask over the
+    generators, and per deep root the bitmask of the descents that support
+    it and of the generators s with B(alpha_s, beta) > 0.
 
-    ``inv`` is N(w) when the caller already has it.  The supporting
-    descents of all non-simple inversions come from one pass in (depth,
-    key) order, as bitmasks over the generators: a down step
+    The supports come from one pass in (depth, key) order: a down step
     beta -> s beta lowers the depth by one, so the support of s beta is
     known before that of beta."""
     if rs.rank != 3:
         raise RankNotThree("the graph construction requires rank 3")
-    if inv is None:
-        inv = inversion_set(rs, w)
     table = rs.root_table
     roots, signs, cols = table.roots, table.signs, table.cols
     # ids 0, 1, 2 are the simple roots; the others in (depth, key) order
@@ -153,32 +157,99 @@ def build_gbip(rs, w, inv=None):
     # simple root of N(w), a descent, supports itself.
     support = {s: 1 << s for s in range(3) if s in inv}
     descents = sum(support.values())      # the bits are distinct
-    gens = descents
-    supporting = []       # (s, j): descent s supports root deep[j]
-    blocking = []         # (j, s): root deep[j] blocks non-descent s
-    for j, i in enumerate(deep):
-        reached = 0
+    supports, engaged = [], []
+    for i in deep:
+        reached = up = 0
         for s, sign in enumerate(signs[i]):
             if sign <= 0:
                 continue
-            if descents >> s & 1:
-                reached |= 1 << s
-            else:
-                gens |= 1 << s
-                blocking.append((j, s))
+            up |= 1 << s
             k = cols[s][i]
             if k is None:
                 k = table.reflect(i, s)
             reached |= support.get(k, 0)
+        reached |= up & descents
         support[i] = reached
-        supporting += [(s, j) for s in _BITS[reached]]
+        supports.append(reached)
+        engaged.append(up)
+    return deep, descents, supports, engaged
+
+
+def build_gbip(rs, w, inv=None):
+    """The bipartite digraph described in the module docstring, as a
+    BipGraph: the generator vertices are the descents and the engaged
+    non-descents in increasing order, the root vertices the non-simple
+    inversions in (depth, key) order, labelled by key, and the arcs are
+    the supporting ones (root by root, descents in increasing order)
+    followed by the blocking ones (likewise).
+
+    ``inv`` is N(w) when the caller already has it."""
+    if inv is None:
+        inv = inversion_set(rs, w)
+    deep, descents, supports, engaged = _gbip_masks(rs, inv)
+    gens = descents
+    for up in engaged:
+        gens |= up
     # generator s is vertex index[s]; root deep[j] is vertex g + j
     gen_labels = _BITS[gens]
     g = len(gen_labels)
     index = {s: n for n, s in enumerate(gen_labels)}
-    arcs = [(index[s], g + j) for s, j in supporting]
-    arcs += [(g + j, index[s]) for j, s in blocking]
+    arcs = [(index[s], g + j) for j, reached in enumerate(supports)
+            for s in _BITS[reached]]
+    arcs += [(g + j, index[s]) for j, up in enumerate(engaged)
+             for s in _BITS[up & ~descents]]
+    roots = rs.root_table.roots
     return BipGraph(gen_labels, [roots[i].key for i in deep], arcs)
+
+
+def check_gbip(rs, inv):
+    """The claim of the module docstring for N(w) = ``inv``, decided from
+    the masks of ``_gbip_masks`` without building the graph: (True, None),
+    or (False, witness) with the witness of ``_gbip_verdict``, roots
+    labelled by key."""
+    ok, witness = _gbip_verdict(*_gbip_masks(rs, inv))
+    if not ok:
+        roots = rs.root_table.roots
+        witness = tuple((kind, roots[x].key if kind == "r" else x)
+                        for kind, x in witness)
+    return ok, witness
+
+
+# the arcs of each simple cycle of a digraph on {0, 1, 2}, shortest first
+_GEN_CYCLES = tuple(tuple(zip(c, c[1:] + c[:1])) for c in (
+    (0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2), (0, 2, 1)))
+
+
+def _gbip_verdict(labels, descents, supports, engaged):
+    """(ok, witness) for the graph in which root j, labelled ``labels[j]``,
+    has an arc from each generator in ``supports[j]`` and to each
+    non-descent in ``engaged[j]``.
+
+    A cycle alternates generators and roots, so it compresses to a cycle
+    of the digraph on the generators with s -> t when s supports a root
+    that blocks t, and each such arc lifts back to s -> root -> t.  The
+    first of its simple cycles found is a shortest, so the lift meets no
+    root twice.  The witness, built only on failure, is that cycle of
+    tagged vertices in arc direction, or else the first root source."""
+    succ = [0, 0, 0]        # succ[s]: the generators that s points to
+    for reached, up in set(zip(supports, engaged)):
+        for s in _BITS[reached]:
+            succ[s] |= up & ~descents
+    heads = succ[0] | succ[1] | succ[2]
+    # a cycle passes through a generator with arcs both in and out
+    if any(succ[s] and heads >> s & 1 for s in range(3)):
+        for arcs in _GEN_CYCLES:
+            if all(succ[s] >> t & 1 for s, t in arcs):
+                witness = ()
+                for s, t in arcs:
+                    j = next(j for j, (reached, up)
+                             in enumerate(zip(supports, engaged))
+                             if reached >> s & 1 and (up & ~descents) >> t & 1)
+                    witness += (("g", s), ("r", labels[j]))
+                return False, witness
+    if 0 in supports:
+        return False, (("r", labels[supports.index(0)]),)
+    return True, None
 
 
 def _topological_sort(graph):
@@ -259,9 +330,9 @@ def verify_bijection(rs, sigma, aut, max_len):
 def construct_low_from_lambda(rs, sigma, mask, _memo=None):
     """Build a low element whose small inversion set is ``mask``.
 
-    Take the shortest element realizing the mask, pick a source of its
-    bipartite graph (a descent; outside rank 3, any left descent), peel it
-    off and recurse; the candidate is verified before being returned.
+    Take the shortest element realizing the mask, peel off one of its left
+    descents (in rank 3, the generator sources of its G_bip) and recurse;
+    the candidate is verified before being returned.
     There is no other path: a mask that descent peeling cannot build raises
     ConstructionFailed, naming the mask and its shortest element, since
     that signals a bug in the construction, not a counterexample.
@@ -281,12 +352,7 @@ def construct_low_from_lambda(rs, sigma, mask, _memo=None):
         raise ConstructionFailed("mask %d is not a state of the automaton"
                                  % mask)
     w_min = normalize(rs, tuple(reversed(letters)))
-    if rs.rank == 3:
-        srcs = source_generators(build_gbip(rs, w_min))
-    else:
-        # outside rank 3 the graph is not defined; peel plain descents
-        srcs = tuple(sorted(left_descents(rs, w_min)))
-    for s in srcs:
+    for s in sorted(left_descents(rs, w_min)):
         peeled = normalize(rs, (s,) + w_min.word)
         if peeled.length >= w_min.length:
             continue

@@ -26,13 +26,7 @@ from coxlow import (
     verify_bijection,
     verify_inversion_polytopes,
 )
-from coxlow.conjecture import (
-    FINITE_BATTERY_ORDERS,
-    build_gbip,
-    check_acyclic,
-    source_generators,
-)
-from coxlow.elements import left_descents
+from coxlow.conjecture import FINITE_BATTERY_ORDERS, check_gbip
 
 from conftest import (
     RATIONAL_NAMES, identity_matrix, mat_column, mat_mul, matrix_bfs_levels,
@@ -168,18 +162,13 @@ def test_criterion_5_gbip_checks():
         rs, _, _ = group(name)
         for _, entries in inversion_walk(rs, 12):
             for elem, inv in entries:
-                graph = build_gbip(rs, elem, inv=inv)
-                ok, witness = check_acyclic(graph)
+                ok, witness = check_gbip(rs, inv)
                 if not ok:
                     violations.append((name, elem, witness))
-                    continue
-                if not set(source_generators(graph)) <= \
-                        left_descents(rs, elem, inv=inv):
-                    violations.append((name, elem, "source not a descent"))
                 checked += 1
-    report(5, not violations, "G_bip acyclic and sources are descents on "
-           "%d elements (length <= 12), %d violations"
-           % (checked, len(violations)))
+    report(5, not violations, "G_bip acyclic with no root source, so its "
+           "sources are the descents, on %d elements (length <= 12), "
+           "%d violations" % (checked, len(violations)))
 
 
 def test_criterion_6_constructive_builder():

@@ -1,4 +1,5 @@
 import gc
+import random
 import re
 import weakref
 
@@ -18,6 +19,7 @@ from coxlow import (
     build_gbip,
     build_root_system,
     check_acyclic,
+    check_gbip,
     check_simplex_edge_condition,
     construct_low_from_lambda,
     dihedral_matrix,
@@ -25,6 +27,7 @@ from coxlow import (
     enumerate_low,
     enumerate_low_stable,
     inversion_set,
+    inversion_walk,
     is_low,
     left_descents,
     normalize,
@@ -215,6 +218,112 @@ def test_peeling_a_source_keeps_lowness(battery):
             assert is_low(rs, sigma, peeled), (elem, s)
 
 
+# -- the mask check -----------------------------------------------------
+
+def _graph_verdict(graph):
+    """The claim read off a BipGraph: acyclic, and no root is a source."""
+    ok, _ = check_acyclic(graph)
+    return ok and all(kind == "g" for kind, _ in sources(graph))
+
+
+def test_check_gbip_agrees_with_the_graph_check():
+    cases = [(name, "float") for name, _, _ in BATTERY]
+    cases += [(name, "rational") for name in RATIONAL_NAMES]
+    for name, backend in cases:
+        rs = battery_root_system(name, backend)
+        for _, entries in inversion_walk(rs, 8):
+            for elem, inv in entries:
+                graph = build_gbip(rs, elem, inv=inv)
+                ok, witness = check_gbip(rs, inv)
+                assert ok == _graph_verdict(graph), (name, backend, elem)
+                assert ok and witness is None, (name, backend, elem)
+
+
+def test_check_gbip_flags_sets_that_are_not_coclosed():
+    # N(w) without its simple roots: no deep root has a supporting
+    # descent.  The graph check passes every such set; the mask check must
+    # flag each one, naming a root that is a source.
+    rs = battery_root_system("hyperbolic-3-3-4")
+    cut_sets = 0
+    for _, entries in inversion_walk(rs, 10):
+        for elem, inv in entries:
+            cut = inv - {0, 1, 2}
+            if not cut:
+                continue
+            cut_sets += 1
+            graph = build_gbip(rs, elem, inv=cut)
+            assert check_acyclic(graph)[0]
+            assert set(source_generators(graph)) <= \
+                left_descents(rs, elem, inv=cut)
+            ok, witness = check_gbip(rs, cut)
+            assert not ok, elem
+            assert len(witness) == 1 and witness[0] in sources(graph), elem
+            assert witness[0][0] == "r", elem
+    assert cut_sets == 399      # elements of length 2 to 10
+
+
+def _mask_graph(labels, descents, supports, engaged):
+    """The BipGraph that the masks describe, for checking the verdict."""
+    blocks = [up & ~descents for up in engaged]
+    gens = descents
+    for mask in supports + blocks:
+        gens |= mask
+    gen_labels = [s for s in range(3) if gens >> s & 1]
+    g = len(gen_labels)
+    index = {s: n for n, s in enumerate(gen_labels)}
+    arcs = [(index[s], g + j) for j, mask in enumerate(supports)
+            for s in gen_labels if mask >> s & 1]
+    arcs += [(g + j, index[s]) for j, mask in enumerate(blocks)
+             for s in gen_labels if mask >> s & 1]
+    return BipGraph(gen_labels, labels, arcs)
+
+
+def test_mask_verdict_rejects_a_cycle_with_a_cycle_witness():
+    verdict = coxlow.conjecture._gbip_verdict
+    # 0 supports x, which blocks 1; 1 supports y, which blocks 0
+    pattern = (["x", "y"], 0, [0b001, 0b010], [0b010, 0b001])
+    ok, witness = verdict(*pattern)
+    assert not ok
+    assert witness == (("g", 0), ("r", "x"), ("g", 1), ("r", "y"))
+    assert _is_cycle_of(witness, _mask_graph(*pattern))
+    # the 3-cycle 0 -> 2 -> 1 -> 0, one root per arc
+    pattern = (["x", "y", "z"], 0, [0b001, 0b100, 0b010],
+               [0b100, 0b010, 0b001])
+    ok, witness = verdict(*pattern)
+    assert witness == (("g", 0), ("r", "x"), ("g", 2), ("r", "y"),
+                       ("g", 1), ("r", "z"))
+    assert _is_cycle_of(witness, _mask_graph(*pattern))
+    # x serves two arcs of the 3-cycle 0 -> 1 -> 2 -> 0: the witness is
+    # the shorter cycle through x, not a walk that meets x twice
+    pattern = (["x", "y"], 0, [0b101, 0b010], [0b011, 0b100])
+    ok, witness = verdict(*pattern)
+    assert witness == (("g", 0), ("r", "x"))
+    assert _is_cycle_of(witness, _mask_graph(*pattern))
+    # acyclic, with a root source, and a valid graph
+    assert verdict(["x"], 0b001, [0], [0b010]) == (False, (("r", "x"),))
+    assert verdict(["x"], 0b001, [0b001], [0b011]) == (True, None)
+    assert verdict([], 0, [], []) == (True, None)
+
+
+def test_mask_verdict_matches_the_graph_on_random_patterns():
+    rng = random.Random(16)
+    verdict = coxlow.conjecture._gbip_verdict
+    for _ in range(3000):
+        n = rng.randrange(4)
+        pattern = (["r%d" % j for j in range(n)], rng.randrange(8),
+                   [rng.randrange(8) for _ in range(n)],
+                   [rng.randrange(8) for _ in range(n)])
+        graph = _mask_graph(*pattern)
+        ok, witness = verdict(*pattern)
+        assert ok == _graph_verdict(graph), pattern
+        if ok:
+            assert witness is None
+        elif check_acyclic(graph)[0]:
+            assert len(witness) == 1 and witness[0] in sources(graph)
+        else:
+            assert _is_cycle_of(witness, graph), pattern
+
+
 # -- the bijection ------------------------------------------------------
 
 def test_bijection_infinite_dihedral():
@@ -267,10 +376,10 @@ def test_construct_rank2():
 
 
 def test_construct_failure_names_the_shortest_element(battery, monkeypatch):
-    # no graph source to peel: the error names the mask and its shortest
+    # no descent to peel: the error names the mask and its shortest
     # element, in ShortLex normal form
-    monkeypatch.setattr(coxlow.conjecture, "source_generators",
-                        lambda graph: ())
+    monkeypatch.setattr(coxlow.conjecture, "left_descents",
+                        lambda rs, w: set())
     rs, sigma, aut = battery.get("B3")
     shortest = {}
     for elem, _, _ in elements_up_to_length(rs, 9):     # B3 has length 9

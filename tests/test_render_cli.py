@@ -2,11 +2,14 @@ import argparse
 import json
 import math
 import re
+from pathlib import Path
 
 import pytest
 
 import coxlow.cli
+import coxlow.conjecture
 from coxlow import (
+    IDENTITY,
     INF,
     RenderOptions,
     build_automaton,
@@ -405,6 +408,33 @@ def test_cli_builds_its_parser_once(universal_file, capsys, monkeypatch):
     del built[:]
     assert [run(argv) for argv in argvs] == expected
     assert len(built) == per_parser > 0
+
+
+def test_cli_verify_builds_no_graph(capsys, monkeypatch):
+    # verify decides the G_bip claim on bitmasks, with the golden output
+    root = Path(__file__).resolve().parent.parent
+    golden = root / "tests" / "golden"
+    made = []
+
+    class CountingGraph(coxlow.conjecture.BipGraph):
+        def __init__(self, *args):
+            made.append(self)
+            super().__init__(*args)
+
+    monkeypatch.setattr(coxlow.conjecture, "BipGraph", CountingGraph)
+    monkeypatch.chdir(root)
+    cases = [case for case in json.loads((golden / "cases.json").read_text())
+             if case["argv"][0] == "verify"]
+    assert len(cases) == 5
+    for case in cases:
+        assert main(case["argv"]) == case["exit"]
+        out = capsys.readouterr().out
+        assert out == (golden / (case["name"] + ".out")).read_text()
+    assert made == []
+    rs = load_root_system((root / "demos" / "groups" /
+                           "hyperbolic-3-3-4.json").read_text())
+    coxlow.conjecture.build_gbip(rs, IDENTITY)
+    assert len(made) == 1       # the count sees a graph that is built
 
 
 def test_golden_dot_infinite_dihedral():
