@@ -14,10 +14,8 @@ from collections import deque
 class Automaton:
     """Deterministic acceptor of reduced words (all states accepting)."""
 
-    def __init__(self, rs, sigma, states, transitions):
-        self.rs = rs
+    def __init__(self, sigma, states, transitions):
         self.sigma = sigma
-        self.rank = rs.rank
         self.states = tuple(states)        # bitmasks; states[0] == 0
         self.transitions = tuple(tuple(row) for row in transitions)
         self.state_index = {mask: i for i, mask in enumerate(self.states)}
@@ -108,7 +106,7 @@ def _reduced_word_delta(rs, sigma):
 def build_automaton(rs, sigma):
     """Build the automaton with delta(A, s) = {alpha_s} u (s A cap Sigma)."""
     states, transitions = _close(rs, sigma, _reduced_word_delta(rs, sigma))
-    return Automaton(rs, sigma, states, transitions)
+    return Automaton(sigma, states, transitions)
 
 
 def build_shortlex_automaton(rs, sigma):
@@ -132,7 +130,7 @@ def build_shortlex_automaton(rs, sigma):
         return None if new is None else new | poison[s]
 
     states, transitions = _close(rs, sigma, delta)
-    return Automaton(rs, sigma, states, transitions)
+    return Automaton(sigma, states, transitions)
 
 
 def is_reduced(aut, word):

@@ -352,11 +352,12 @@ def construct_low_from_lambda(rs, sigma, mask, _memo=None):
         raise ConstructionFailed("mask %d is not a state of the automaton"
                                  % mask)
     w_min = normalize(rs, tuple(reversed(letters)))
-    for s in sorted(left_descents(rs, w_min)):
-        peeled = normalize(rs, (s,) + w_min.word)
-        if peeled.length >= w_min.length:
-            continue
-        sub_mask = small_inversion_mask(rs, sigma, peeled)
+    inv = inversion_set(rs, w_min)
+    reflect = rs.root_table.reflect
+    for s in sorted(left_descents(rs, w_min, inv=inv)):
+        # N(s w_min) = s (N(w_min) - {alpha_s}), s being a left descent
+        sub_mask = small_inversion_mask(
+            rs, sigma, None, inv=[reflect(i, s) for i in inv if i != s])
         try:
             x_sub = construct_low_from_lambda(rs, sigma, sub_mask, _memo)
         except ConstructionFailed:

@@ -13,7 +13,7 @@ Conventions used throughout the package:
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
@@ -86,12 +86,12 @@ def dihedral_matrix(m):
 
 @dataclass(frozen=True, slots=True)
 class Root:
-    """A root stored by its coordinates in the simple-root basis."""
+    """A positive root: its coordinates in the simple-root basis, its depth
+    and its key.  Every root is a positive root of a RootTable."""
 
     coords: tuple
     depth: int
-    sign: int
-    key: tuple = field(compare=True, default=None)
+    key: tuple
 
     def sort_key(self):
         return (self.depth, self.key)
@@ -138,7 +138,7 @@ class RootTable:
     def add(self, coords, key, depth):
         """Record a positive root the table does not hold; returns its id."""
         i = len(self.roots)
-        self.roots.append(Root(coords, depth, 1, key))
+        self.roots.append(Root(coords, depth, key))
         self.ids[key] = i
         self.signs.append(tuple(   # bools subtract to 1, 0 or -1
             (b > self.eps) - (b < -self.eps)
@@ -192,8 +192,9 @@ class BasedRootSystem:
         self.simple_roots = tuple(
             tuple(one if i == s else zero for i in range(self.rank))
             for s in range(self.rank))
+        self.vec_key = tuple if self.exact else _float_key
         self.root_table = RootTable(self.simple_roots, self.gram, self.eps,
-                                    tuple if self.exact else _float_key)
+                                    self.vec_key)
 
     # -- scalar comparison helpers -------------------------------------
 
@@ -232,27 +233,13 @@ class BasedRootSystem:
         c = 2 * self.form_simple(s, v)
         return tuple(v[i] - c if i == s else v[i] for i in range(self.rank))
 
-    def vec_key(self, v):
-        """Canonical hashable key identifying a coordinate vector."""
-        return tuple(v) if self.exact else _float_key(v)
-
-    def vec_sign(self, v):
-        """+1 for a nonnegative vector, -1 for nonpositive, 0 for mixed."""
-        has_pos = any(self.is_pos(c) for c in v)
-        has_neg = any(self.is_neg(c) for c in v)
-        if has_pos and has_neg:
-            return 0
-        return -1 if has_neg else 1
-
     def is_negative_root_vec(self, v):
-        return self.vec_sign(v) == -1 and any(self.is_neg(c) for c in v)
+        """Some coordinate is negative and none is positive."""
+        return (any(self.is_neg(c) for c in v)
+                and not any(self.is_pos(c) for c in v))
 
     def make_root(self, coords, depth):
-        return Root(tuple(coords), depth, self.vec_sign(coords),
-                    key=self.vec_key(coords))
-
-    def simple_root(self, s):
-        return self.make_root(self.simple_roots[s], 1)
+        return Root(tuple(coords), depth, self.vec_key(coords))
 
     def root_depth(self, v):
         """Depth of a positive root, read from root_table.

@@ -27,7 +27,6 @@ are only safety bounds.
 
 import itertools
 from array import array
-from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -269,7 +268,7 @@ def is_low(rs, sigma, w):
 
 # -- element enumeration ------------------------------------------------
 
-class Level(Sequence):
+class Level:
     """One level of the element walk, as integers: entry k reaches the
     ShortLex state ``states[k]``, and extends the word of entry
     ``parents[k]`` of ``prev`` by ``letters[k]``.  The walk stores only
@@ -278,12 +277,10 @@ class Level(Sequence):
     ``parents`` are read-only arrays derived from ``prev.states`` and
     ``moves`` the first time either is read, and kept after that.
 
-    Iterating builds ``words`` from the previous level's, in a loop back to
-    the last level that has them, reading each level's letters and parents
-    before it drops ``prev``.  Indexing reads a word back to that level, so
-    indexing one entry of a deep level derives the letters and parents of
-    every level back to it: that costs the size of those levels once, and
-    they are kept.  Only a drawn entry gets an Element.  Level 0 holds the
+    A level is read through len and iteration.  Iterating builds ``words``
+    from the previous level's, in a loop back to the last level that has
+    them, reading each level's letters and parents before it drops
+    ``prev``.  Only a drawn entry gets an Element.  Level 0 holds the
     identity, with no prev, letter or parent."""
 
     def __init__(self, prev, states, moves):
@@ -313,13 +310,6 @@ class Level(Sequence):
 
     def __len__(self):
         return len(self.states)
-
-    def __getitem__(self, k):
-        k = range(len(self))[k]
-        w, level, i = (), self, k
-        while level.words is None:
-            w, level, i = (level.letters[i],) + w, level.prev, level.parents[i]
-        return Element(level.words[i] + w), self.parents[k], self.states[k]
 
     def __iter__(self):
         chain, level = [], self

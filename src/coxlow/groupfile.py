@@ -16,7 +16,7 @@ Schema:
 import json
 import math
 
-from .core import INF, CoxeterMatrix, build_root_system
+from .core import DEFAULT_EPS, INF, CoxeterMatrix, build_root_system
 from .errors import ParseError, ValidationError
 
 
@@ -96,14 +96,11 @@ def parse_group_file(text):
     return CoxeterMatrix(entries), overrides, backend
 
 
-def load_root_system(text, backend=None, eps=None):
+def load_root_system(text, backend=None, eps=DEFAULT_EPS):
     """Build a root system directly from group-file text."""
     matrix, overrides, file_backend = parse_group_file(text)
-    kwargs = {}
-    if eps is not None:
-        kwargs["eps"] = eps
     return build_root_system(matrix, gram_overrides=overrides,
-                             backend=backend or file_backend, **kwargs)
+                             backend=backend or file_backend, eps=eps)
 
 
 def group_to_json(matrix, overrides=None, backend="float"):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .core import roots_up_to_depth
 from .errors import RankNotThree, ValidationError
-from .projective import chart_vertices, convex_hull_2d, normalize_projective
+from .projective import chart_vertices, normalize_projective, projective_hull
 
 
 @dataclass
@@ -76,11 +76,9 @@ def render_svg(rs, sigma, lambdas=(), opts=None):
     sigma_keys = {r.key for r in sigma}
 
     for mask in lambdas:
-        pts = [normalize_projective(rs, r.coords)
-               for r in sigma.mask_to_roots(mask)]
-        if not pts:
+        if not mask:
             continue
-        hull = convex_hull_2d(pts)
+        hull = projective_hull(rs, sigma.mask_to_roots(mask))
         px = [_to_px(p, size) for p in hull]
         coords = " ".join("%s,%s" % (_fmt(x), _fmt(y)) for x, y in px)
         if len(px) == 1:

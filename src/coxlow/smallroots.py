@@ -9,7 +9,6 @@ simple roots, apply s whenever -1 < B(alpha_s, beta) < 0.
 
 from collections import deque, namedtuple
 
-from .core import Root
 from .errors import ClosureCapExceeded
 
 DominanceVerdict = namedtuple("DominanceVerdict", ["value", "decisive"])
@@ -25,7 +24,6 @@ class SmallRootSet:
     change once built.  The given roots must be in the table already."""
 
     def __init__(self, rs, roots):
-        self.rs = rs
         table = rs.root_table
         self.ids = tuple(sorted({table.ids[root.key] for root in roots},
                                 key=lambda i: table.roots[i].sort_key()))
@@ -135,23 +133,21 @@ def small_roots_by_dominance(rs, depth_bound, lcap=10):
 
 
 def is_bipodal(rs, roots):
-    """Bipodality of a set of positive roots.
+    """Bipodality of a set of positive roots, given as Roots.
 
     Every non-simple member beta must stand on two feet inside the set:
     for each s with B(alpha_s, beta) > 0 (so that s lowers beta's depth,
     and beta is a positive combination of alpha_s and s beta), both
     alpha_s and s beta must belong to the set."""
-    keys = {root.key if isinstance(root, Root) else rs.vec_key(root)
-            for root in roots}
+    keys = {root.key for root in roots}
     simple_keys = [rs.vec_key(rs.simple_roots[s]) for s in range(rs.rank)]
     for root in roots:
-        coords = root.coords if isinstance(root, Root) else tuple(root)
-        if rs.vec_key(coords) in simple_keys:
+        if root.key in simple_keys:
             continue
         for s in range(rs.rank):
-            if rs.is_pos(rs.form_simple(s, coords)):
+            if rs.is_pos(rs.form_simple(s, root.coords)):
                 if simple_keys[s] not in keys:
                     return False
-                if rs.vec_key(rs.reflect(s, coords)) not in keys:
+                if rs.vec_key(rs.reflect(s, root.coords)) not in keys:
                     return False
     return True

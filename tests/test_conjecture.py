@@ -379,7 +379,7 @@ def test_construct_failure_names_the_shortest_element(battery, monkeypatch):
     # no descent to peel: the error names the mask and its shortest
     # element, in ShortLex normal form
     monkeypatch.setattr(coxlow.conjecture, "left_descents",
-                        lambda rs, w: set())
+                        lambda rs, w, inv=None: set())
     rs, sigma, aut = battery.get("B3")
     shortest = {}
     for elem, _, _ in elements_up_to_length(rs, 9):     # B3 has length 9
@@ -397,6 +397,24 @@ def test_construct_failure_names_the_shortest_element(battery, monkeypatch):
         assert normalize(rs, w_min.word) == w_min
         assert small_inversion_mask(rs, sigma, w_min) == mask
         assert w_min.length == shortest[mask]
+
+
+def test_construct_computes_two_inversion_sets_per_mask(battery, monkeypatch):
+    # N(s w_min) is read off N(w_min), so each non-zero mask normalizes and
+    # computes N(.) of its shortest element and of the candidate only
+    calls = {"normalize": 0, "inversion_set": 0}
+    for name in calls:
+        def counted(*args, fn=getattr(coxlow.elements, name), name=name):
+            calls[name] += 1
+            return fn(*args)
+        for mod in (coxlow.elements, coxlow.conjecture):
+            monkeypatch.setattr(mod, name, counted)
+    rs, sigma, aut = battery.get("B3")
+    memo = {}
+    for mask in aut.states:
+        construct_low_from_lambda(rs, sigma, mask, _memo=memo)
+    nonzero = len(aut.states) - 1
+    assert calls == {"normalize": 2 * nonzero, "inversion_set": 2 * nonzero}
 
 
 def test_construct_all_lambdas(battery):
@@ -504,7 +522,8 @@ def test_construct_keys_automata_by_sigma_content():
     rs = build_root_system(dihedral_matrix(3))
     full = (1 << len(small_roots(rs))) - 1
     for _ in range(20):
-        simple_only = SmallRootSet(rs, [rs.simple_root(s) for s in range(2)])
+        simple_only = SmallRootSet(
+            rs, [rs.root_table.roots[s] for s in range(2)])
         with pytest.raises(ConstructionFailed):
             construct_low_from_lambda(rs, simple_only, full)
         del simple_only

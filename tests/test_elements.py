@@ -26,6 +26,7 @@ from coxlow import (
     enumerate_low_stable,
     inversion_set,
     inversion_walk,
+    is_bipodal,
     is_low,
     left_descents,
     normalize,
@@ -137,15 +138,15 @@ def test_two_closure(battery):
 
 
 def assert_matches_oracle(rs, inv, word, where):
-    """inv against the prefix-formula oracle of conftest: keys, depths,
-    signs and order exactly; coordinates exactly in the rational backend
+    """inv against the prefix-formula oracle of conftest: keys, depths and
+    order exactly; coordinates exactly in the rational backend
     and to 1e-9 in float, where the root table keeps the coordinates it
     found first."""
     ref = prefix_inversion_roots(rs, word)
     table = rs.root_table.roots
     roots = [table[i] for i in sorted(inv, key=lambda i: table[i].sort_key())]
-    assert ([(r.key, r.depth, r.sign) for r in roots]
-            == [(r.key, r.depth, r.sign) for r in ref]), where
+    assert ([(r.key, r.depth) for r in roots]
+            == [(r.key, r.depth) for r in ref]), where
     assert len(inv) == len(word), where
     for root, ref_root in zip(roots, ref):
         if rs.exact:
@@ -194,7 +195,7 @@ def test_small_inversion_mask():
     assert small_inversion_mask(rs, sigma, IDENTITY) == 0
     # lambda(st) = {alpha_s}: the deep inversion is not small
     lam = small_inversion_mask(rs, sigma, Element((0, 1)))
-    assert sigma.mask_to_roots(lam) == [rs.simple_root(0)]
+    assert sigma.mask_to_roots(lam) == [rs.root_table.roots[0]]
     rs3 = dihedral(3)
     sigma3 = small_roots(rs3)
     lam3 = small_inversion_mask(rs3, sigma3, Element((0, 1, 0)))
@@ -206,7 +207,7 @@ def test_small_inversion_mask():
 
 def test_cone_membership_basics():
     rs = dihedral(INF)
-    a = [rs.simple_root(0), rs.simple_root(1)]
+    a = [rs.root_table.roots[0], rs.root_table.roots[1]]
     gamma = rs.make_root((2, 1), 2)
     assert cone_membership(rs, a, gamma)
     assert cone_membership(rs, a, a[0])
@@ -216,11 +217,12 @@ def test_cone_membership_basics():
 
 def test_cone_membership_exact_backend():
     rs = dihedral(INF, backend="rational")
-    a = [rs.simple_root(0)]
+    a = [rs.root_table.roots[0]]
     from fractions import Fraction
     gamma = rs.make_root((Fraction(2), Fraction(1)), 2)
     assert not cone_membership(rs, a, gamma)
-    assert cone_membership(rs, [rs.simple_root(0), rs.simple_root(1)], gamma)
+    assert cone_membership(
+        rs, [rs.root_table.roots[0], rs.root_table.roots[1]], gamma)
 
 
 def test_cone_gray_zone():
@@ -261,12 +263,21 @@ def test_is_low_matches_cone_oracle(battery, backend):
 @settings(max_examples=100, deadline=None, database=None)
 @given(st.tuples(*[st.sampled_from([2, 3, 4, 5, 6, 7, 8, INF])] * 3))
 def test_is_low_matches_cone_oracle_on_random_triangles(bonds):
+    # also: Sigma is bipodal, |N(w)| = length(w), and the left-extension
+    # search finds the walk's low elements in order, as low elements are
+    # closed under suffixes (Dyer-Hohlweg 2016)
     rs = build_root_system(triangle_matrix(*bonds))
     sigma = small_roots(rs)
+    assert is_bipodal(rs, sigma.roots), bonds
     memo = {}
+    lows = []
     for elem, _, _ in elements_up_to_length(rs, 6):
-        assert (is_low(rs, sigma, elem)
-                == cone_is_low(rs, sigma, elem, memo)), (bonds, elem)
+        low = is_low(rs, sigma, elem)
+        assert low == cone_is_low(rs, sigma, elem, memo), (bonds, elem)
+        assert len(inversion_set(rs, elem)) == elem.length, (bonds, elem)
+        if low:
+            lows.append(elem)
+    assert enumerate_low(rs, sigma, 6)[0] == lows, bonds
 
 
 def test_is_low_answers_for_any_word(battery):
@@ -340,6 +351,7 @@ def _assert_walk_matches_oracle(rs, max_len, where):
             ), where
     assert list(walk[0][1]) == [(IDENTITY, None, 0)], where
     for (_, prev), (_, entries) in zip(walk, walk[1:]):
+        prev = list(prev)
         for elem, p, state in entries:
             parent, _, parent_state = prev[p]
             assert parent.word == elem.word[:-1], (where, elem)
@@ -384,20 +396,8 @@ def test_walk_builds_no_element_until_drawn(monkeypatch):
     assert [len(entries) for entries in levels] == count_elements(
         rs, small_roots(rs), 30)
     assert built == []
-    elem, _, _ = levels[30][-1]        # drawing one entry builds one Element
+    elem, _, _ = next(iter(levels[30]))  # drawing one entry builds one Element
     assert built == [elem.word] and elem.length == 30
-
-
-def test_level_index_matches_iteration(battery):
-    rs, _, _ = battery.get("hyperbolic-3-3-4")
-    for _, level in elements_by_length(rs, 8):
-        entries = list(level)
-        assert [level[k] for k in range(len(level))] == entries
-        assert level[-1] == entries[-1]
-        assert level[-len(level)] == entries[0]
-        for k in (len(level), -len(level) - 1):
-            with pytest.raises(IndexError):
-                level[k]
 
 
 def test_levels_read_in_any_order(battery):
@@ -412,7 +412,6 @@ def test_levels_read_in_any_order(battery):
     deepest = list(levels[-1])
     assert all(level.prev is None for level in levels)
     for level, (entries, letters, parents) in zip(levels[:-1], expected):
-        assert [level[k] for k in range(len(level))] == entries
         assert list(level) == entries
         assert list(level.letters) == letters
         assert list(level.parents) == parents

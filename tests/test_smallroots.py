@@ -68,7 +68,7 @@ def test_dominance_reflexive():
 def test_dominance_infinite_dihedral():
     rs = build_root_system(dihedral_matrix(INF))
     beta = rs.make_root((2, 1), 2)       # alpha_t + 2 alpha_s with s=0
-    alpha = rs.simple_root(0)
+    alpha = rs.root_table.roots[0]
     assert dominates(rs, beta, alpha, lcap=10).value
     # but not the other simple root's deep partner
     assert not dominates(rs, alpha, beta, lcap=10).value
@@ -77,7 +77,7 @@ def test_dominance_infinite_dihedral():
 def test_dominance_fast_path():
     rs = build_root_system(dihedral_matrix(3))
     beta = rs.make_root((1, 1), 2)
-    v = dominates(rs, beta, rs.simple_root(0))
+    v = dominates(rs, beta, rs.root_table.roots[0])
     assert v == (False, True)
 
 
@@ -85,7 +85,7 @@ def test_is_small():
     rs = build_root_system(dihedral_matrix(INF))
     sigma = small_roots(rs)
     keys = {r.key for r in sigma}
-    assert rs.simple_root(0).key in keys
+    assert rs.root_table.roots[0].key in keys
     assert rs.make_root((2, 1), 2).key not in keys
     rs3 = build_root_system(dihedral_matrix(3))
     sigma3 = small_roots(rs3)
@@ -116,7 +116,7 @@ def test_oracle_agreement_sample(battery):
 def test_bipodal_trivial_cases(battery):
     rs, sigma, _ = battery.get("B3")
     assert is_bipodal(rs, [])
-    assert is_bipodal(rs, [rs.simple_root(s) for s in range(rs.rank)])
+    assert is_bipodal(rs, [rs.root_table.roots[s] for s in range(rs.rank)])
     assert is_bipodal(rs, sigma)
 
 
