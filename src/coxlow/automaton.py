@@ -12,12 +12,16 @@ from collections import deque
 
 
 class Automaton:
-    """Deterministic acceptor of reduced words (all states accepting)."""
+    """Deterministic acceptor of reduced words (all states accepting).
 
-    def __init__(self, sigma, states, transitions):
+    ``first_in[k]`` is the (state index, letter) of the first transition
+    into state k, in (state index, letter) order; None for the start."""
+
+    def __init__(self, sigma, states, transitions, first_in):
         self.sigma = sigma
         self.states = tuple(states)        # bitmasks; states[0] == 0
         self.transitions = tuple(tuple(row) for row in transitions)
+        self.first_in = tuple(first_in)
         self.state_index = {mask: i for i, mask in enumerate(self.states)}
 
     def __len__(self):
@@ -42,10 +46,15 @@ def _reflection_table(rs, sigma):
 
 
 def _close(rs, sigma, delta):
+    """Number the states reachable from the empty set breadth first, trying
+    letters in increasing order; returns (states, transitions, first_in)
+    for Automaton.  The transition that numbers a state is its first
+    in-transition, in (state index, letter) order."""
     start = 0
     states = [start]
     index = {start: 0}
     transitions = []
+    first_in = [None]
     queue = deque([start])
     while queue:
         mask = queue.popleft()
@@ -59,23 +68,22 @@ def _close(rs, sigma, delta):
                     index[new] = len(states)
                     states.append(new)
                     queue.append(new)
+                    first_in.append((len(transitions), s))
                 row.append(index[new])
         transitions.append(row)
-    return states, transitions
+    return states, transitions, first_in
 
 
 def _shortest_state_word(aut, mask):
     """Letters of a shortest path from the start to the state ``mask``, or
-    None when it is no state.  _close numbers the states breadth first,
-    trying letters in increasing order, so the first transition into a
-    state, in (state index, letter) order, is the last step of such a path."""
+    None when it is no state.  _close numbers the states breadth first, so
+    a state's first in-transition is the last step of such a path."""
     target = aut.state_index.get(mask)
     if target is None:
         return None
     letters = []
     while target:
-        target, s = next((i, s) for i, row in enumerate(aut.transitions)
-                         for s, t in enumerate(row) if t == target)
+        target, s = aut.first_in[target]
         letters.append(s)
     return tuple(reversed(letters))
 
@@ -105,8 +113,7 @@ def _reduced_word_delta(rs, sigma):
 
 def build_automaton(rs, sigma):
     """Build the automaton with delta(A, s) = {alpha_s} u (s A cap Sigma)."""
-    states, transitions = _close(rs, sigma, _reduced_word_delta(rs, sigma))
-    return Automaton(sigma, states, transitions)
+    return Automaton(sigma, *_close(rs, sigma, _reduced_word_delta(rs, sigma)))
 
 
 def build_shortlex_automaton(rs, sigma):
@@ -129,8 +136,7 @@ def build_shortlex_automaton(rs, sigma):
         new = reduced(mask, s)
         return None if new is None else new | poison[s]
 
-    states, transitions = _close(rs, sigma, delta)
-    return Automaton(sigma, states, transitions)
+    return Automaton(sigma, *_close(rs, sigma, delta))
 
 
 def is_reduced(aut, word):

@@ -120,9 +120,11 @@ class RootTable:
     id of s . root i, or None until ``reflect(i, s)`` fills it (and
     ``cols[s][s]`` stays None, since s negates alpha_s).  Every column has
     one entry per root.  ``reflect`` never peels: depth(s beta) is
-    depth(beta) - sign, and an orthogonal s fixes the root.  A vector of
-    unknown depth enters through BasedRootSystem.root_depth.  The table
-    holds no reference to its root system, so the two form no cycle."""
+    depth(beta) - sign, and an orthogonal s fixes the root.  Past the
+    simple roots, the package adds roots only through ``reflect``;
+    BasedRootSystem.root_depth stays for a caller that holds a raw vector.
+    The table holds no reference to its root system, so the two form no
+    cycle."""
 
     def __init__(self, simple_roots, gram, eps, vec_key):
         self.gram = gram
@@ -176,9 +178,11 @@ class BasedRootSystem:
 
     The form and the simple roots are fixed at construction.  What grows is
     ``root_table`` (a RootTable): every positive root that the small roots,
-    an inversion set, a peeling graph or ``root_depth`` has met, with its
+    an inversion set, the element walk or a peeling graph has met, with its
     depth and its reflections, so that each (root, s) pair is computed once
-    per root system.  Derived data such as automata is passed explicitly."""
+    per root system.  ``root_depth`` also adds roots, for a caller that
+    holds a raw vector.  Derived data such as automata is passed
+    explicitly."""
 
     def __init__(self, matrix, gram, backend, eps):
         self.matrix = matrix

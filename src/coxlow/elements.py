@@ -16,8 +16,9 @@ builds it by left extension along the word, N(s x) = {alpha_s} u s N(x),
 which reads only the table's reflections; left descents are the generators
 whose simple root lies in N(w), and ``normalize`` peels the least of them
 off N(w) until it is empty.  ``inversion_walk`` carries N(w) along the
-element walk instead, as N(ws) = N(w) u {w(alpha_s)}; it is the one routine
-that keeps a matrix per element.
+element walk instead, as N(ws) = N(w) u {w(alpha_s)}, and reads w(alpha_s)
+off the table's reflections too: no routine here keeps a matrix or keys a
+vector, so root identity is decided in ``RootTable.reflect`` alone.
 
 Low elements are found exactly by extending low elements on the left by
 their least left descent (see ``_low_search``); the search stops on its
@@ -28,7 +29,6 @@ are only safety bounds.
 import itertools
 from array import array
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .automaton import build_automaton, build_shortlex_automaton
 from .core import Root
@@ -53,47 +53,6 @@ class Element:
 
 
 IDENTITY = Element(())
-
-
-# -- matrix action ------------------------------------------------------
-
-def _zero(rs):
-    return Fraction(0) if rs.exact else 0.0
-
-
-def identity_matrix(rs):
-    one = Fraction(1) if rs.exact else 1.0
-    zero = _zero(rs)
-    return tuple(tuple(one if i == j else zero for j in range(rs.rank))
-                 for i in range(rs.rank))
-
-
-def reflection_rows(rs):
-    """Row s of R_s, the matrix of the simple reflection s on root
-    coordinates, for each s: the one row where R_s is not the identity."""
-    ident = identity_matrix(rs)
-    return tuple(tuple(ident[s][j] - 2 * rs.gram[s][j] for j in range(rs.rank))
-                 for s in range(rs.rank))
-
-
-def mat_mul_reflection(w, s, r, zero):
-    """w R_s, where r is row s of R_s: only column s mixes into the others.
-
-    The same numbers as the plain matrix product, bit for bit: every entry
-    of that product has at most two nonzero terms.  ``zero`` is the
-    backend's zero; zero - a instead of -a never gives -0.0, just as sums
-    that start at the integer 0 never do."""
-    out = []
-    for row in w:
-        a = row[s]
-        new = [x + a * c for x, c in zip(row, r)]
-        new[s] = zero - a
-        out.append(tuple(new))
-    return tuple(out)
-
-
-def mat_column(m, j):
-    return tuple(row[j] for row in m)
 
 
 # -- normal forms -------------------------------------------------------
@@ -205,20 +164,12 @@ def cone_membership(rs, generators, gamma):
 
     By conic Caratheodory, membership holds iff gamma lies in the cone of
     some linearly independent subset of size <= rank, so all such subsets
-    are solved directly (exactly in the rational backend).  Float solves
-    whose best residual lands in the gray zone [EPS_CONE, 10 EPS_CONE]
+    are solved directly (exactly in the rational backend); a repeated
+    generator only adds rank-deficient subsets, which are skipped.  Float
+    solves whose best residual lands in the gray zone [EPS_CONE, 10 EPS_CONE]
     raise NumericallyAmbiguous, naming gamma, instead of silently flipping."""
-    vecs = []
-    keys = set()
-    for g in generators:
-        coords = g.coords if isinstance(g, Root) else tuple(g)
-        key = rs.vec_key(coords)
-        if key not in keys:
-            keys.add(key)
-            vecs.append(coords)
+    vecs = [g.coords if isinstance(g, Root) else tuple(g) for g in generators]
     target = gamma.coords if isinstance(gamma, Root) else tuple(gamma)
-    if rs.vec_key(target) in keys:
-        return True
     if not vecs:
         return False
     coeff_tol = 0 if rs.exact else EPS_CONE
@@ -368,31 +319,28 @@ def inversion_walk(rs, max_len=None):
     """Yield (length, entries) level by level, like elements_by_length, but
     each entry is (Element, N(w)), N(w) the frozenset of its roots' ids.
 
-    N(ws) = N(w) u {w(alpha_s)} when ws is longer than w, and w(alpha_s) is
-    column s of the matrix of w on root coordinates, looked up in
-    rs.root_table by key (a root the table lacks enters it through
-    rs.root_depth).  Each entry's ids and matrix are kept here, in lists
-    indexed like the level's letters and parents, which this reads directly,
-    with the level's own words; the level of length max_len gets no matrices.
-    Only two levels of lists are kept, and entries is a generator, so each
-    Element and set is built when drawn and freed after."""
-    ids = rs.root_table.ids
-    rows = reflection_rows(rs)
-    zero = _zero(rs)
-    invs, mats = [()], [identity_matrix(rs)]
+    N(us) = N(u) u {u(alpha_s)} when us is longer than u (Bjorner-Brenti,
+    Combinatorics of Coxeter Groups), and u(alpha_s) is the id reached from
+    alpha_s by u's letters, right to left, through the table's columns.
+    Every root on the way is u'(alpha_s) for a suffix u' of u, so positive,
+    and a root the table lacks enters it through reflect.  Each entry's ids
+    are kept here, in a list indexed like the level's letters and parents,
+    which this reads with the level's own words.  Only two levels of lists
+    are kept, and entries is a generator, so each Element and set is built
+    when drawn and freed after."""
+    table = rs.root_table
+    cols, reflect = table.cols, table.reflect
+    invs = [()]
     for length, level in elements_by_length(rs, max_len):
         if length:
-            prev_invs, prev_mats = invs, mats
-            invs, mats = [], []
-            for s, p in zip(level.letters, level.parents):
-                w = prev_mats[p]
-                v = mat_column(w, s)
-                key = rs.vec_key(v)
-                if key not in ids:
-                    rs.root_depth(v)
-                invs.append(prev_invs[p] + (ids[key],))
-                mats.append(None if length == max_len
-                            else mat_mul_reflection(w, s, rows[s], zero))
+            iter(level)         # iterating a level builds its words
+            prev_invs, invs = invs, []
+            for word, p in zip(level.words, level.parents):
+                i = word[-1]
+                for t in word[-2::-1]:
+                    j = cols[t][i]
+                    i = reflect(i, t) if j is None else j
+                invs.append(prev_invs[p] + (i,))
         yield length, ((elem, frozenset(inv))
                        for (elem, _, _), inv in zip(level, invs))
 

@@ -5,8 +5,6 @@ captured output).  Every concrete count asserted here was produced by the
 in-repo oracle named in the test before being frozen as a regression value.
 """
 
-import pytest
-
 from coxlow import (
     BATTERY,
     battery_root_system,

@@ -1,7 +1,5 @@
 import itertools
 
-import pytest
-
 from coxlow import (
     INF,
     CoxeterMatrix,

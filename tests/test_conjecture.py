@@ -26,7 +26,6 @@ from coxlow import (
     elements_up_to_length,
     enumerate_low,
     enumerate_low_stable,
-    inversion_set,
     inversion_walk,
     is_low,
     left_descents,

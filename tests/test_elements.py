@@ -34,7 +34,6 @@ from coxlow import (
     small_roots,
     triangle_matrix,
 )
-from coxlow.elements import mat_mul_reflection, reflection_rows
 from coxlow.errors import NonReducedInput, NumericallyAmbiguous
 
 from conftest import (
@@ -158,17 +157,30 @@ def assert_matches_oracle(rs, inv, word, where):
 
 @pytest.mark.parametrize("backend", ["float", "rational"])
 def test_inversion_walk_matches_inversion_set(battery, backend):
-    # the walk's N(w) and inversion_set's both match the oracle
+    # the walk's N(w) and inversion_set's both match the oracle; the walk
+    # also runs on a fresh root system whose raw-vector entry points raise,
+    # so it must grow the table through RootTable.reflect alone
+    def refuse(*args):
+        raise AssertionError("the walk keyed or peeled a vector")
+
     names = ([name for name, _, _ in BATTERY] if backend == "float"
              else RATIONAL_NAMES)
     for name in names:
         rs, _, _ = battery.get(name, backend)
+        bare = battery_root_system(name, backend=backend)
+        bare.vec_key = bare.root_depth = refuse
         walked = []
-        for length, entries in inversion_walk(rs, 8):
-            for elem, inv in entries:
+        for (length, entries), (_, bare_entries) in zip(
+                inversion_walk(rs, 8), inversion_walk(bare, 8), strict=True):
+            for (elem, inv), (bare_elem, bare_inv) in zip(
+                    entries, bare_entries, strict=True):
                 assert elem.length == length
                 assert_matches_oracle(rs, inv, elem.word, (name, elem))
                 assert inversion_set(rs, elem) == inv, (name, elem)
+                assert bare_elem == elem, name
+                assert ({bare.root_table.roots[i].key for i in bare_inv}
+                        == {rs.root_table.roots[i].key for i in inv}), \
+                    (name, elem)
                 walked.append(elem)
         assert walked == [e for e, _, _ in elements_up_to_length(rs, 8)], name
 
@@ -218,7 +230,6 @@ def test_cone_membership_basics():
 def test_cone_membership_exact_backend():
     rs = dihedral(INF, backend="rational")
     a = [rs.root_table.roots[0]]
-    from fractions import Fraction
     gamma = rs.make_root((Fraction(2), Fraction(1)), 2)
     assert not cone_membership(rs, a, gamma)
     assert cone_membership(
@@ -263,18 +274,22 @@ def test_is_low_matches_cone_oracle(battery, backend):
 @settings(max_examples=100, deadline=None, database=None)
 @given(st.tuples(*[st.sampled_from([2, 3, 4, 5, 6, 7, 8, INF])] * 3))
 def test_is_low_matches_cone_oracle_on_random_triangles(bonds):
-    # also: Sigma is bipodal, |N(w)| = length(w), and the left-extension
-    # search finds the walk's low elements in order, as low elements are
-    # closed under suffixes (Dyer-Hohlweg 2016)
+    # also: Sigma is bipodal, the walk's N(w), grown on a fresh root system
+    # before anything else adds roots, is inversion_set's and has length(w)
+    # roots, and the left-extension search finds the walk's low elements in
+    # order, as low elements are closed under suffixes (Dyer-Hohlweg 2016)
     rs = build_root_system(triangle_matrix(*bonds))
+    walked = [entry for _, entries in inversion_walk(rs, 6)
+              for entry in entries]
     sigma = small_roots(rs)
     assert is_bipodal(rs, sigma.roots), bonds
     memo = {}
     lows = []
-    for elem, _, _ in elements_up_to_length(rs, 6):
+    for elem, inv in walked:
         low = is_low(rs, sigma, elem)
         assert low == cone_is_low(rs, sigma, elem, memo), (bonds, elem)
-        assert len(inversion_set(rs, elem)) == elem.length, (bonds, elem)
+        assert inversion_set(rs, elem) == inv, (bonds, elem)
+        assert len(inv) == elem.length, (bonds, elem)
         if low:
             lows.append(elem)
     assert enumerate_low(rs, sigma, 6)[0] == lows, bonds
@@ -336,14 +351,8 @@ def _assert_walk_matches_oracle(rs, max_len, where):
     """The automaton walk against the matrix BFS of conftest: the same words
     in the same order; each parent index points at the entry whose word is
     the prefix, and each state is the ShortLex automaton's transition from
-    the parent's state on the last letter.  The walk keeps no matrices, so
-    the matrix claim is on mat_mul_reflection, which inversion_walk uses:
-    the parent's oracle matrix times R_s equals the oracle's mat_mul
-    product to the last bit (repr round-trips a float exactly and tells
-    -0.0 from 0.0)."""
+    the parent's state on the last letter."""
     aut = build_shortlex_automaton(rs, small_roots(rs))
-    rows = reflection_rows(rs)
-    zero = Fraction(0) if rs.exact else 0.0
     walk = list(elements_by_length(rs, max_len))
     oracle = list(matrix_bfs_levels(rs, max_len))
     assert ([(k, [e.word for e, _, _ in entries]) for k, entries in walk]
@@ -357,13 +366,6 @@ def _assert_walk_matches_oracle(rs, max_len, where):
             assert parent.word == elem.word[:-1], (where, elem)
             assert state == aut.transitions[parent_state][elem.word[-1]], \
                 (where, elem)
-    for (_, prev), (_, entries) in zip(oracle, oracle[1:]):
-        parent_matrix = {elem.word: w for elem, w in prev}
-        for elem, w in entries:
-            s = elem.word[-1]
-            product = mat_mul_reflection(
-                parent_matrix[elem.word[:-1]], s, rows[s], zero)
-            assert repr(product) == repr(w), (where, elem)
 
 
 @pytest.mark.parametrize("backend", ["float", "rational"])

@@ -10,7 +10,6 @@ from coxlow import (
     small_roots_by_dominance,
 )
 from coxlow.errors import ClosureCapExceeded
-from coxlow.smallroots import SmallRootSet
 
 SIGMA_COUNTS = {"A3": 6, "B3": 9, "H3": 15, "affine-3-3-3": 6, "universal": 3}
 
