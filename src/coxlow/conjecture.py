@@ -31,12 +31,14 @@ from .automaton import _shortest_state_word, build_automaton
 from .core import INF, triangle_matrix, build_root_system
 from .elements import (
     IDENTITY,
+    _left_multiply,
     _low_search,
+    _shortlex,
+    _word_inversions,
     bijection_report,
     inversion_set,
     is_low,
     left_descents,
-    normalize,
     small_inversion_mask,
 )
 from .errors import ConstructionFailed, CyclicGraph, RankNotThree
@@ -97,10 +99,10 @@ class BipGraph:
         g = len(self.gen_labels)
         n = g + len(self.root_labels)
         for u, v in self.arcs:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError("arc %r has an endpoint out of range(%d)"
-                                 % ((u, v), n))
-            if (u < g) == (v < g):
+            if not (0 <= u < g <= v < n or 0 <= v < g <= u < n):
+                if not (0 <= u < n and 0 <= v < n):
+                    raise ValueError("arc %r has an endpoint out of range(%d)"
+                                     % ((u, v), n))
                 raise ValueError("arc %r does not join the two classes"
                                  % ((u, v),))
         self._topo = None     # _topological_sort(self), once asked
@@ -145,10 +147,9 @@ def _gbip_masks(rs, inv):
     if rs.rank != 3:
         raise RankNotThree("the graph construction requires rank 3")
     table = rs.root_table
-    roots, signs, cols = table.roots, table.signs, table.cols
+    ups, cols = table.ups, table.cols
     # ids 0, 1, 2 are the simple roots; the others in (depth, key) order
-    deep = sorted((i for i in inv if i >= 3),
-                  key=lambda i: roots[i].sort_key())
+    deep = sorted([i for i in inv if i >= 3], key=table.sort_keys.__getitem__)
     # support[i]: the descents reachable from root i by depth-decreasing
     # peeling inside N(w).  Each step beta -> s beta with
     # B(alpha_s, beta) > 0 (a down edge of the table) writes beta as a
@@ -159,16 +160,13 @@ def _gbip_masks(rs, inv):
     descents = sum(support.values())      # the bits are distinct
     supports, engaged = [], []
     for i in deep:
-        reached = up = 0
-        for s, sign in enumerate(signs[i]):
-            if sign <= 0:
-                continue
-            up |= 1 << s
+        up = ups[i]
+        reached = up & descents
+        for s in _BITS[up]:
             k = cols[s][i]
             if k is None:
                 k = table.reflect(i, s)
             reached |= support.get(k, 0)
-        reached |= up & descents
         support[i] = reached
         supports.append(reached)
         engaged.append(up)
@@ -336,8 +334,12 @@ def construct_low_from_lambda(rs, sigma, mask, _memo=None):
     There is no other path: a mask that descent peeling cannot build raises
     ConstructionFailed, naming the mask and its shortest element, since
     that signals a bug in the construction, not a counterexample.
-    ``_memo`` also holds the automaton, so one memo serves one (rs, sigma)
-    only."""
+    N(w_min) is the one inversion set built from a word; the others are
+    read off it, N(s w_min) = s (N(w_min) - {alpha_s}), or off the memo,
+    N(s x) = {alpha_s} u s N(x) for the element x built for the peeled
+    mask.  ``_memo`` also holds the automaton and, under
+    ("inversions", mask), the N(x) of each element built, so one memo
+    serves one (rs, sigma) only."""
     if _memo is None:
         _memo = {}
     if mask in _memo:
@@ -346,13 +348,14 @@ def construct_low_from_lambda(rs, sigma, mask, _memo=None):
         _memo["automaton"] = build_automaton(rs, sigma)
     if mask == 0:
         _memo[0] = IDENTITY
+        _memo["inversions", 0] = frozenset()
         return IDENTITY
     letters = _shortest_state_word(_memo["automaton"], mask)
     if letters is None:
         raise ConstructionFailed("mask %d is not a state of the automaton"
                                  % mask)
-    w_min = normalize(rs, tuple(reversed(letters)))
-    inv = inversion_set(rs, w_min)
+    inv = _word_inversions(rs, tuple(reversed(letters)))
+    w_min = _shortlex(rs, inv)
     reflect = rs.root_table.reflect
     for s in sorted(left_descents(rs, w_min, inv=inv)):
         # N(s w_min) = s (N(w_min) - {alpha_s}), s being a left descent
@@ -362,10 +365,12 @@ def construct_low_from_lambda(rs, sigma, mask, _memo=None):
             x_sub = construct_low_from_lambda(rs, sigma, sub_mask, _memo)
         except ConstructionFailed:
             continue
-        candidate = normalize(rs, (s,) + x_sub.word)
-        if (small_inversion_mask(rs, sigma, candidate) == mask
+        inv_c = _left_multiply(rs, s, _memo["inversions", sub_mask])
+        candidate = _shortlex(rs, inv_c)
+        if (small_inversion_mask(rs, sigma, candidate, inv=inv_c) == mask
                 and is_low(rs, sigma, candidate)):
             _memo[mask] = candidate
+            _memo["inversions", mask] = inv_c
             return candidate
     raise ConstructionFailed(
         "no low element realizing mask %d found (descent peeling from its "

@@ -107,18 +107,23 @@ class Root:
 
 
 def _float_key(v):
-    return tuple(int(round(float(c) * _KEY_SCALE)) for c in v)
+    return tuple([int(round(float(c) * _KEY_SCALE)) for c in v])
 
 
 class RootTable:
     """The positive roots met so far, each under an integer id.
 
     ``roots[i]`` is root i, with the coordinates it was first found with;
-    ``ids`` maps a root key to its id; ``signs[i][s]`` is the sign (+1, 0 or
-    -1) of B(alpha_s, root i).  The simple root alpha_s has id s.
+    ``ids`` maps a root key to its id.  The simple root alpha_s has id s.
+    ``add`` computes each root's form values once, and these id-indexed
+    lists keep them and what is derived from them: ``forms[i][t]`` is
+    B(alpha_t, root i); ``signs[i][t]`` its sign (+1, 0 or -1, within
+    eps); ``ups[i]`` the bitmask of the generators t with
+    B(alpha_t, root i) > 0, the s for which s . root i is shallower; and
+    ``sort_keys[i]`` is (depth, key), the order in which roots are listed.
     ``cols[s]`` is one id-indexed column per generator: ``cols[s][i]`` is the
     id of s . root i, or None until ``reflect(i, s)`` fills it (and
-    ``cols[s][s]`` stays None, since s negates alpha_s).  Every column has
+    ``cols[s][s]`` stays None, since s negates alpha_s).  Every list has
     one entry per root.  ``reflect`` never peels: depth(s beta) is
     depth(beta) - sign, and an orthogonal s fixes the root.  Past the
     simple roots, the package adds roots only through ``reflect``;
@@ -132,7 +137,10 @@ class RootTable:
         self.vec_key = vec_key
         self.roots = []
         self.ids = {}
+        self.forms = []
         self.signs = []
+        self.ups = []
+        self.sort_keys = []
         self.cols = tuple([] for _ in gram)
         for v in simple_roots:
             self.add(v, vec_key(v), 1)
@@ -142,9 +150,13 @@ class RootTable:
         i = len(self.roots)
         self.roots.append(Root(coords, depth, key))
         self.ids[key] = i
-        self.signs.append(tuple(   # bools subtract to 1, 0 or -1
-            (b > self.eps) - (b < -self.eps)
-            for b in (sum(map(mul, row, coords)) for row in self.gram)))
+        eps = self.eps
+        forms = tuple([sum(map(mul, row, coords)) for row in self.gram])
+        self.forms.append(forms)
+        # bools subtract to 1, 0 or -1
+        self.signs.append(tuple([(b > eps) - (b < -eps) for b in forms]))
+        self.ups.append(sum([1 << t for t, b in enumerate(forms) if b > eps]))
+        self.sort_keys.append((depth, key))
         for col in self.cols:
             col.append(None)
         return i
@@ -161,9 +173,9 @@ class RootTable:
                 j = i
             else:
                 beta = self.roots[i]
-                c = 2 * sum(map(mul, self.gram[s], beta.coords))
-                v = tuple(x - c if k == s else x
-                          for k, x in enumerate(beta.coords))
+                v = list(beta.coords)
+                v[s] -= 2 * self.forms[i][s]
+                v = tuple(v)
                 key = self.vec_key(v)
                 j = self.ids.get(key)
                 if j is None:

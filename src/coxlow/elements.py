@@ -12,13 +12,17 @@ matrix; it builds and keeps each level as automaton states alone, derives a
 level's letters and parent indices when they are first read, and reads a
 word back and builds its Element only when an entry is drawn.
 The inversion set convention is N(w) = Phi+ cap w(Phi-).  ``inversion_set``
-builds it by left extension along the word, N(s x) = {alpha_s} u s N(x),
-which reads only the table's reflections; left descents are the generators
-whose simple root lies in N(w), and ``normalize`` peels the least of them
-off N(w) until it is empty.  ``inversion_walk`` carries N(w) along the
-element walk instead, as N(ws) = N(w) u {w(alpha_s)}, and reads w(alpha_s)
-off the table's reflections too: no routine here keeps a matrix or keys a
-vector, so root identity is decided in ``RootTable.reflect`` alone.
+reads it off prefix traces: for w = s_1 ... s_k, N(w) holds
+s_1 ... s_(j-1)(alpha_(s_j)) for each j, and the trace of alpha_(s_j) steps
+through the table's columns for s_(j-1), ..., s_1, building no set per
+letter.  ``normalize`` builds N(w) of any word by left extension,
+N(s x) = {alpha_s} u s N(x) (or s (N(x) - {alpha_s}) when s x is
+shorter); left descents are the generators whose simple root lies in N(w),
+and ``normalize`` peels the least of them off N(w) until it is empty.
+``inversion_walk`` carries N(w) along the element walk instead, as
+N(ws) = N(w) u {w(alpha_s)}, and reads w(alpha_s) off the table's
+reflections too: no routine here keeps a matrix or keys a vector, so root
+identity is decided in ``RootTable.reflect`` alone.
 
 Low elements are found exactly by extending low elements on the left by
 their least left descent (see ``_low_search``); the search stops on its
@@ -62,18 +66,37 @@ def normalize(rs, word):
 
     N(w) is built on root-table ids, reading the word from the right: if
     alpha_s is not in N(x), N(s x) = {alpha_s} u s N(x); if it is,
-    N(s x) = s (N(x) - {alpha_s}).  Then greedy: the first letter of the
-    ShortLex-least reduced word is the least left descent s, the least
-    simple root in N(w); peel it off (N(s w) = s (N(w) - {alpha_s})) and
-    repeat until N(w) is empty.  No coordinate's sign is tested."""
+    N(s x) = s (N(x) - {alpha_s}).  Then ``_shortlex`` reads the normal
+    form off N(w).  No coordinate's sign is tested."""
+    return _shortlex(rs, _word_inversions(rs, word))
+
+
+def _word_inversions(rs, word):
+    """N(w), as a set of root-table ids, for the element w of any word."""
     for s in word:
         if not 0 <= s < rs.rank:
             raise ValueError("generator %r out of range" % (s,))
-    reflect = rs.root_table.reflect
     ids = set()
     for s in reversed(word):
-        rest = {reflect(i, s) for i in ids if i != s}
-        ids = rest if s in ids else rest | {s}
+        ids = _left_multiply(rs, s, ids)
+    return ids
+
+
+def _left_multiply(rs, s, ids):
+    """N(s w) from N(w) = ``ids``: {alpha_s} u s N(w) if alpha_s is not in
+    N(w), else s (N(w) - {alpha_s})."""
+    reflect = rs.root_table.reflect
+    rest = {reflect(i, s) for i in ids if i != s}
+    return rest if s in ids else rest | {s}
+
+
+def _shortlex(rs, ids):
+    """The ShortLex normal form of the element w with N(w) = ``ids``.
+
+    Greedy: the first letter of the ShortLex-least reduced word is the
+    least left descent s, the least simple root in N(w); peel it off
+    (N(s w) = s (N(w) - {alpha_s})) and repeat until N(w) is empty."""
+    reflect = rs.root_table.reflect
     letters = []
     while ids:
         s = min(ids)        # alpha_s has id s, below every non-simple root
@@ -85,28 +108,59 @@ def normalize(rs, word):
 # -- inversion sets -----------------------------------------------------
 
 def inversion_set(rs, w):
-    """N(w) by left extension, reading the word from the right:
-    N(s x) = {alpha_s} u s N(x), and s x is longer than x exactly when
-    alpha_s is not in N(x).  Returns the frozenset of the roots' ids in
-    rs.root_table, so alpha_s is in N(w) iff s is; |N(w)| = length(w).
+    """N(w) by prefix traces: for w = s_1 ... s_k,
+    N(w) = {s_1 ... s_(j-1)(alpha_(s_j)) : j = 1, ..., k} (Bjorner-Brenti,
+    Combinatorics of Coxeter Groups, 4.4).  Returns the frozenset of the
+    roots' ids in rs.root_table, so alpha_s is in N(w) iff s is;
+    |N(w)| = length(w).
 
-    Each letter s maps the ids through the table's column cols[s]; only an
-    entry the table has not filled yet goes through reflect."""
+    The trace of alpha_(s_j) applies s_(j-1), ..., s_1 in turn through the
+    table's columns; only an entry the table has not filled yet goes
+    through reflect.  Each root on a trace is
+    s_p ... s_(j-1)(alpha_(s_j)), positive while s_p ... s_j is reduced, so
+    a word that is not reduced shows where a trace meets alpha_t just
+    before applying t; then NonReducedInput names the largest such point
+    over all traces (see ``_non_reduced``)."""
     table = rs.root_table
+    cols, reflect = table.cols, table.reflect
+    word = w.word
+    rev = word[::-1]
+    k = len(word)
     ids = []
-    for pos in range(len(w.word) - 1, -1, -1):
-        s = w.word[pos]
-        if s in ids:
-            raise NonReducedInput(
-                "word %r is not reduced at position %d: alpha_%d is already "
-                "in N(%r)" % (w.word, pos, s, w.word[pos + 1:]))
-        col = table.cols[s]
-        moved = [col[i] for i in ids]
-        if None in moved:
-            moved = [table.reflect(i, s) if j is None else j
-                     for i, j in zip(ids, moved)]
-        ids = [s] + moved
+    for j, i in enumerate(word):
+        for t in rev[k - j:]:       # s_(j-1), ..., s_1
+            m = cols[t][i]
+            if m is None:
+                if i == t:
+                    raise _non_reduced(rs, word)
+                m = reflect(i, t)
+            i = m
+        ids.append(i)
     return frozenset(ids)
+
+
+def _non_reduced(rs, word):
+    """NonReducedInput for a word that is not reduced, naming the largest p
+    with word[p:] not reduced, with alpha_(word[p]) in N(word[p + 1:]).
+
+    That p is the largest point where a trace meets alpha_t just before
+    applying t = word[p]: if the trace of alpha_(word[j]) meets it there,
+    word[p:j] sends alpha_(word[j]) to -alpha_t, so word[p:j + 1] is not
+    reduced; and for the largest p, word[p + 1:] is reduced and
+    N(word[p + 1:]) holds alpha_t as the root of some trace.  Each trace
+    stops at its first meeting, the largest of its own, and looks no
+    further left than the largest found so far."""
+    reflect = rs.root_table.reflect
+    pos = -1
+    for j, i in enumerate(word):
+        for p in range(j - 1, pos, -1):
+            if i == word[p]:
+                pos = p
+                break
+            i = reflect(i, word[p])
+    return NonReducedInput(
+        "word %r is not reduced at position %d: alpha_%d is already "
+        "in N(%r)" % (word, pos, word[pos], word[pos + 1:]))
 
 
 def left_descents(rs, w, inv=None):
@@ -203,15 +257,24 @@ def is_low(rs, sigma, w):
     of the roots -w(alpha_t), t a right descent (Hohlweg-Labbe 2016), so w
     is low iff they are all small (Dyer-Hohlweg 2016).  Each w(alpha_t) is
     a signed root-table id: s alpha_s = -alpha_s, s(-beta) = -(s beta).
-    Any word will do, reduced or not: the answer is for its element."""
-    reflect = rs.root_table.reflect
+    Any word will do, reduced or not: the answer is for its element.
+
+    Each step reads the table's column cols[s]; only an entry the table
+    has not filled yet goes through reflect, and cols[s][s] is never
+    filled, so the negation is found there too."""
+    table = rs.root_table
+    cols, reflect = table.cols, table.reflect
+    rev = w.word[::-1]
     for t in range(rs.rank):
         i, negative = t, False
-        for s in reversed(w.word):
-            if i == s:
-                negative = not negative
-            else:
-                i = reflect(i, s)
+        for s in rev:
+            j = cols[s][i]
+            if j is None:
+                if i == s:
+                    negative = not negative
+                    continue
+                j = reflect(i, s)
+            i = j
         if negative and i not in sigma.bit:
             return False
     return True

@@ -26,7 +26,7 @@ class SmallRootSet:
     def __init__(self, rs, roots):
         table = rs.root_table
         self.ids = tuple(sorted({table.ids[root.key] for root in roots},
-                                key=lambda i: table.roots[i].sort_key()))
+                                key=table.sort_keys.__getitem__))
         self.bit = {i: b for b, i in enumerate(self.ids)}
         self.roots = tuple(table.roots[i] for i in self.ids)
 
@@ -57,7 +57,7 @@ def small_roots(rs, cap=10000):
     while queue:
         i = queue.popleft()
         for s in range(rs.rank):
-            b = rs.form_simple(s, table.roots[i].coords)
+            b = table.forms[i][s]
             # short edge: -1 < B(alpha_s, beta) < 0
             if rs.is_neg(b) and rs.is_pos(b + 1):
                 j = table.reflect(i, s)

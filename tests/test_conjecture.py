@@ -26,6 +26,7 @@ from coxlow import (
     elements_up_to_length,
     enumerate_low,
     enumerate_low_stable,
+    inversion_set,
     inversion_walk,
     is_low,
     left_descents,
@@ -38,6 +39,7 @@ from coxlow import (
     verify_bijection,
     verify_inversion_polytopes,
 )
+from coxlow.core import RootTable
 from coxlow.errors import ConstructionFailed, CyclicGraph, RankNotThree
 
 from conftest import RATIONAL_NAMES, gbip_oracle
@@ -108,6 +110,35 @@ def test_gbip_identity(battery):
     rs, _, _ = battery.get("hyperbolic-3-3-4")
     graph = build_gbip(rs, IDENTITY)
     assert graph.vertices == ()
+
+
+def test_warm_table_adds_and_reflects_nothing(monkeypatch):
+    # a second pass over the same elements finds every root and column
+    # entry it needs in the table: these routines call reflect only for a
+    # missing cols entry, and add no root
+    for name, _, _ in BATTERY:
+        rs = battery_root_system(name)
+        sigma = small_roots(rs)
+        elems = elements_up_to_length(rs, 8)
+
+        def run():
+            for elem, _, _ in elems:
+                inv = inversion_set(rs, elem)
+                left_descents(rs, elem)
+                build_gbip(rs, elem)
+                check_gbip(rs, inv)
+                is_low(rs, sigma, elem)
+
+        run()
+        calls = {"add": 0, "reflect": 0}
+        for method in calls:
+            def counted(*args, fn=getattr(RootTable, method), method=method):
+                calls[method] += 1
+                return fn(*args)
+            monkeypatch.setattr(RootTable, method, counted)
+        run()
+        monkeypatch.undo()
+        assert calls == {"add": 0, "reflect": 0}, name
 
 
 def test_gbip_matches_coordinate_oracle():
@@ -399,21 +430,25 @@ def test_construct_failure_names_the_shortest_element(battery, monkeypatch):
 
 
 def test_construct_computes_two_inversion_sets_per_mask(battery, monkeypatch):
-    # N(s w_min) is read off N(w_min), so each non-zero mask normalizes and
-    # computes N(.) of its shortest element and of the candidate only
-    calls = {"normalize": 0, "inversion_set": 0}
+    # each non-zero mask builds N(.) from a word once, for its shortest
+    # element, and reads the candidate's N(s x) = {alpha_s} u s N(x) off the
+    # memo; both normal forms are read off those sets
+    calls = dict.fromkeys(
+        ["normalize", "inversion_set", "_word_inversions", "_shortlex"], 0)
     for name in calls:
         def counted(*args, fn=getattr(coxlow.elements, name), name=name):
             calls[name] += 1
             return fn(*args)
         for mod in (coxlow.elements, coxlow.conjecture):
-            monkeypatch.setattr(mod, name, counted)
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, counted)
     rs, sigma, aut = battery.get("B3")
     memo = {}
     for mask in aut.states:
         construct_low_from_lambda(rs, sigma, mask, _memo=memo)
     nonzero = len(aut.states) - 1
-    assert calls == {"normalize": 2 * nonzero, "inversion_set": 2 * nonzero}
+    assert calls == {"normalize": 0, "inversion_set": 0,
+                     "_word_inversions": nonzero, "_shortlex": 2 * nonzero}
 
 
 def test_construct_all_lambdas(battery):

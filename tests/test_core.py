@@ -8,8 +8,11 @@ from coxlow import (
     BATTERY,
     INF,
     CoxeterMatrix,
+    battery_root_system,
     build_root_system,
     dihedral_matrix,
+    inversion_set,
+    inversion_walk,
     roots_up_to_depth,
     triangle_matrix,
 )
@@ -171,6 +174,48 @@ def test_root_depths_are_correct():
         for root in roots_up_to_depth(_battery(name), 8):
             assert (rs.root_depth(root.coords) == peel_depth(rs, root.coords)
                     == root.depth), (name, root)
+
+
+@pytest.mark.parametrize("backend", ["float", "rational"])
+def test_root_table_per_root_data(backend):
+    # each root's stored form values are the form recomputed, bit for bit;
+    # its signs, up mask and sort key follow from them; and each root that
+    # reflect added has exactly the coordinates rs.reflect gives its parent
+    names = ([name for name, _, _ in BATTERY] if backend == "float"
+             else RATIONAL_NAMES)
+    for name in names:
+        rs = battery_root_system(name, backend=backend)
+        table = rs.root_table
+        parents = {}
+
+        def recording(i, s, reflect=table.reflect):
+            n = len(table.roots)
+            j = reflect(i, s)
+            if len(table.roots) > n:
+                parents[j] = (i, s)
+            return j
+
+        table.reflect = recording
+        for _, entries in inversion_walk(rs, 8):
+            for elem, inv in entries:
+                assert inversion_set(rs, elem) == inv, (name, elem)
+        n = len(table.roots)
+        assert set(parents) == set(range(rs.rank, n)), name
+        assert (len(table.forms) == len(table.signs) == len(table.ups)
+                == len(table.sort_keys) == n), name
+        for i, root in enumerate(table.roots):
+            forms = tuple(rs.form_simple(t, root.coords)
+                          for t in range(rs.rank))
+            assert table.forms[i] == forms, (name, i)
+            assert table.signs[i] == tuple(
+                1 if rs.is_pos(b) else -1 if rs.is_neg(b) else 0
+                for b in forms), (name, i)
+            assert table.ups[i] == sum(
+                1 << t for t, b in enumerate(forms) if rs.is_pos(b)), (name, i)
+            assert table.sort_keys[i] == (root.depth, root.key), (name, i)
+        for j, (i, s) in parents.items():
+            assert table.roots[j].coords == rs.reflect(
+                s, table.roots[i].coords), (name, i, s)
 
 
 def test_root_table_reflections_match_peeling_oracle():

@@ -114,6 +114,32 @@ def test_inversion_set_names_the_nonreduced_position(word, pos):
         inversion_set(rs, Element(word))
 
 
+@pytest.mark.parametrize("name,backend", [
+    ("A3", "float"), ("A3", "rational"), ("H3", "float"),
+    ("hyperbolic-3-3-4", "float"), ("universal", "float"),
+    ("universal", "rational")])
+def test_nonreduced_position_matches_suffix_oracle(name, backend):
+    # the position named is the largest p with word[p:] not reduced, found
+    # here by normalizing the suffixes from the right
+    rs = battery_root_system(name, backend=backend)
+    rng = random.Random(1900)
+    rejected = 0
+    for _ in range(3000):
+        word = tuple(rng.randrange(3) for _ in range(rng.randrange(13)))
+        pos = next((p for p in range(len(word) - 1, -1, -1)
+                    if normalize(rs, word[p:]).length < len(word) - p), None)
+        try:
+            inv = inversion_set(rs, Element(word))
+        except NonReducedInput as exc:
+            assert str(exc) == (
+                "word %r is not reduced at position %d: alpha_%d is already "
+                "in N(%r)" % (word, pos, word[pos], word[pos + 1:])), word
+            rejected += 1
+        else:
+            assert pos is None and len(inv) == len(word), word
+    assert 300 < rejected < 2700
+
+
 def test_inversion_size_is_length(battery):
     for name in ("hyperbolic-3-3-4", "affine-4-4-2"):
         rs, _, _ = battery.get(name)
