@@ -19,13 +19,19 @@ vertex only if it is a descent or blocked: in a graph with every
 generator as a vertex, a non-descent that no root blocks would be one more
 source, not a descent.
 
-``build_gbip`` builds the graph as a ``BipGraph``; ``check_gbip`` decides
-the claim from per-root generator bitmasks without building it.  The
-builder ``construct_low_from_lambda`` peels left descents, the generator
-sources.
+``build_gbip`` builds the graph as a ``BipGraph`` that arrives with its
+verdict, read off the construction: acyclic, with the descents and the
+unsupported roots as its sources.  ``check_gbip`` decides the claim from
+per-root generator bitmasks without building the graph, and searches for
+a cycle only when a support reaches outside the descents.  Kahn's sort,
+``_topological_sort``, runs only for hand-built graphs, and the tests
+keep it as the reference for both.  The builder
+``construct_low_from_lambda`` peels left descents, the generator sources.
 """
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import or_
 
 from .automaton import _shortest_state_word, build_automaton
 from .core import INF, triangle_matrix, build_root_system
@@ -89,7 +95,8 @@ class BipGraph:
     ``root_vertices``, ``vertices`` and ``edges`` give the same graph with
     tagged vertices ('g', label) and ('r', label), built only when read.
     Synthetic graphs (for testing the checks) can be built directly, with
-    any labels.  A graph is not changed after construction, so it is
+    any labels.  A graph is not changed after construction: one from
+    ``build_gbip`` arrives with its sort result, and a hand-built one is
     topologically sorted once, on the first check."""
 
     def __init__(self, gen_labels, root_labels, arcs):
@@ -105,7 +112,7 @@ class BipGraph:
                                      % ((u, v), n))
                 raise ValueError("arc %r does not join the two classes"
                                  % ((u, v),))
-        self._topo = None     # _topological_sort(self), once asked
+        self._topo = None     # _topological_sort(self), once known
 
     @property
     def gen_vertices(self):
@@ -133,6 +140,11 @@ def _sorted(graph):
 
 # _BITS[mask]: the generators in a bitmask over {0, 1, 2}, in increasing order
 _BITS = tuple(tuple(s for s in range(3) if mask >> s & 1) for mask in range(8))
+# _GEN_INDEX[gens][mask]: the vertex indices of the generators in mask (a
+# subset of gens) when the generator vertices are _BITS[gens]
+_GEN_INDEX = tuple(tuple(tuple(len(_BITS[gens & ((1 << s) - 1)])
+                               for s in _BITS[mask]) for mask in range(8))
+                   for gens in range(8))
 
 
 def _gbip_masks(rs, inv):
@@ -185,19 +197,27 @@ def build_gbip(rs, w, inv=None):
     if inv is None:
         inv = inversion_set(rs, w)
     deep, descents, supports, engaged = _gbip_masks(rs, inv)
-    gens = descents
-    for up in engaged:
-        gens |= up
-    # generator s is vertex index[s]; root deep[j] is vertex g + j
+    gens = reduce(or_, engaged, descents)
+    # the generators in a mask are the vertices index[mask]; root deep[j]
+    # is vertex g + j
     gen_labels = _BITS[gens]
     g = len(gen_labels)
-    index = {s: n for n, s in enumerate(gen_labels)}
-    arcs = [(index[s], g + j) for j, reached in enumerate(supports)
-            for s in _BITS[reached]]
-    arcs += [(g + j, index[s]) for j, up in enumerate(engaged)
-             for s in _BITS[up & ~descents]]
+    index = _GEN_INDEX[gens]
+    arcs = [(k, g + j) for j, reached in enumerate(supports)
+            for k in index[reached]]
+    arcs += [(g + j, k) for j, up in enumerate(engaged)
+             for k in index[up & ~descents]]
     roots = rs.root_table.roots
-    return BipGraph(gen_labels, [roots[i].key for i in deep], arcs)
+    graph = BipGraph(gen_labels, [roots[i].key for i in deep], arcs)
+    # supports hold descent bits only and blocks are up & ~descents, so no
+    # generator has arcs both in and out (no cycle), every blocked
+    # non-descent has an in-arc, and a root is a source iff unsupported
+    srcs = index[descents]
+    if 0 in supports:
+        srcs += tuple(g + j for j, reached in enumerate(supports)
+                      if not reached)
+    graph._topo = (True, None, srcs)
+    return graph
 
 
 def check_gbip(rs, inv):
@@ -228,23 +248,30 @@ def _gbip_verdict(labels, descents, supports, engaged):
     that blocks t, and each such arc lifts back to s -> root -> t.  The
     first of its simple cycles found is a shortest, so the lift meets no
     root twice.  The witness, built only on failure, is that cycle of
-    tagged vertices in arc direction, or else the first root source."""
-    succ = [0, 0, 0]        # succ[s]: the generators that s points to
-    for reached, up in set(zip(supports, engaged)):
-        for s in _BITS[reached]:
-            succ[s] |= up & ~descents
-    heads = succ[0] | succ[1] | succ[2]
-    # a cycle passes through a generator with arcs both in and out
-    if any(succ[s] and heads >> s & 1 for s in range(3)):
-        for arcs in _GEN_CYCLES:
-            if all(succ[s] >> t & 1 for s, t in arcs):
-                witness = ()
-                for s, t in arcs:
-                    j = next(j for j, (reached, up)
-                             in enumerate(zip(supports, engaged))
-                             if reached >> s & 1 and (up & ~descents) >> t & 1)
-                    witness += (("g", s), ("r", labels[j]))
-                return False, witness
+    tagged vertices in arc direction, or else the first root source.
+
+    When every support lies inside ``descents``, as on every graph
+    ``build_gbip`` makes, arcs run descent -> root -> non-descent and no
+    cycle is searched for."""
+    # a cycle passes through a generator with arcs both in and out, and
+    # only a supporting non-descent can have both
+    if reduce(or_, supports, 0) & ~descents:
+        succ = [0, 0, 0]        # succ[s]: the generators that s points to
+        for reached, up in set(zip(supports, engaged)):
+            for s in _BITS[reached]:
+                succ[s] |= up & ~descents
+        heads = succ[0] | succ[1] | succ[2]
+        if any(succ[s] and heads >> s & 1 for s in range(3)):
+            for arcs in _GEN_CYCLES:
+                if all(succ[s] >> t & 1 for s, t in arcs):
+                    witness = ()
+                    for s, t in arcs:
+                        j = next(j for j, (reached, up)
+                                 in enumerate(zip(supports, engaged))
+                                 if reached >> s & 1
+                                 and (up & ~descents) >> t & 1)
+                        witness += (("g", s), ("r", labels[j]))
+                    return False, witness
     if 0 in supports:
         return False, (("r", labels[supports.index(0)]),)
     return True, None
@@ -291,8 +318,9 @@ def _topological_sort(graph):
 
 
 def check_acyclic(graph):
-    """Topological-sort verdict; on failure also return a witness cycle,
-    listed in edge direction."""
+    """(acyclic, witness cycle or None), the cycle listed in edge
+    direction.  A graph from ``build_gbip`` arrives with its verdict;
+    Kahn's sort runs only for a hand-built graph."""
     ok, cycle, _ = _sorted(graph)
     return ok, cycle
 

@@ -39,6 +39,7 @@ from coxlow import (
     verify_bijection,
     verify_inversion_polytopes,
 )
+from coxlow.conjecture import _topological_sort
 from coxlow.core import RootTable
 from coxlow.errors import ConstructionFailed, CyclicGraph, RankNotThree
 
@@ -182,17 +183,24 @@ def test_gbip_supports_do_not_depend_on_id_order():
 
 
 def test_each_graph_is_sorted_once(monkeypatch):
+    # a graph from build_gbip arrives with its sort result, so the checks
+    # sort none; a hand-built graph is sorted on the first check only
     calls = []
-    sort = coxlow.conjecture._topological_sort
     monkeypatch.setattr(coxlow.conjecture, "_topological_sort",
-                        lambda graph: calls.append(graph) or sort(graph))
+                        lambda graph: calls.append(graph)
+                        or _topological_sort(graph))
     rs = battery_root_system("hyperbolic-3-3-4")
-    elem = normalize(rs, (0, 1, 2, 0, 1, 2))
-    graph = build_gbip(rs, elem)
-    assert check_acyclic(graph) == (True, None)
-    assert sources(graph)
-    assert set(source_generators(graph)) <= left_descents(rs, elem)
-    assert calls == [graph]
+    for elem, _, _ in elements_up_to_length(rs, 6):
+        graph = build_gbip(rs, elem)
+        assert check_acyclic(graph) == (True, None)
+        assert sources(graph) or not elem.length
+        assert set(source_generators(graph)) == left_descents(rs, elem)
+    assert calls == []
+    chain = BipGraph(["a", "c"], ["b"], [(0, 2), (2, 1)])
+    assert check_acyclic(chain) == (True, None)
+    assert sources(chain) == (("g", "a"),)
+    assert source_generators(chain) == ("a",)
+    assert calls == [chain]
 
 
 def test_root_table_keeps_no_cycle_with_its_root_system():
@@ -217,16 +225,44 @@ def test_gbip_requires_rank3():
         build_gbip(rs, IDENTITY)
 
 
-def test_gbip_acyclic_and_sources_are_descents(battery):
-    # acceptance pushes to length 12 on (3,3,4); here a broad short sweep
-    for name in RANK3_SAMPLE:
-        rs, _, _ = battery.get(name)
-        for elem, _, _ in elements_up_to_length(rs, 6):
-            graph = build_gbip(rs, elem)
-            ok, witness = check_acyclic(graph)
-            assert ok, (name, elem, witness)
-            srcs = set(source_generators(graph))
-            assert srcs <= left_descents(rs, elem), (name, elem)
+def test_gbip_acyclic_and_sources_are_descents():
+    # the sort result build_gbip hands each graph is Kahn's, on every
+    # graph of every battery group to length 8
+    cases = [(name, "float") for name, _, _ in BATTERY]
+    cases += [(name, "rational") for name in RATIONAL_NAMES]
+    for name, backend in cases:
+        rs = battery_root_system(name, backend)
+        for _, entries in inversion_walk(rs, 8):
+            for elem, inv in entries:
+                graph = build_gbip(rs, elem, inv=inv)
+                assert graph._topo == _topological_sort(graph), \
+                    (name, backend, elem)
+                ok, witness = check_acyclic(graph)
+                assert ok, (name, backend, elem, witness)
+                assert set(source_generators(graph)) \
+                    == left_descents(rs, elem, inv=inv), (name, backend, elem)
+
+
+def test_gbip_sort_result_on_arbitrary_id_sets():
+    # random sets of table ids, coclosed or not: supported and unsupported
+    # roots both occur, and the seeded sort result is still Kahn's
+    rng = random.Random(20)
+    root_sources = supported = 0
+    for name in ("hyperbolic-3-3-4", "universal", "affine-6-3-2", "H3"):
+        rs = battery_root_system(name)
+        for _ in inversion_walk(rs, 8):
+            pass
+        n = len(rs.root_table.roots)
+        for _ in range(500):
+            inv = {s for s in range(3) if rng.random() < 0.5}
+            inv |= set(rng.sample(range(3, n), rng.randrange(1, 8)))
+            graph = build_gbip(rs, IDENTITY, inv=inv)    # w is not read
+            assert graph._topo == _topological_sort(graph), (name, inv)
+            g = len(graph.gen_labels)
+            n_src = sum(v >= g for v in graph._topo[2])
+            root_sources += n_src > 0
+            supported += n_src < len(graph.root_labels)
+    assert root_sources >= 200 and supported >= 200, (root_sources, supported)
 
 
 def test_gbip_sources_are_exactly_descents_on_lows(battery):
@@ -251,9 +287,10 @@ def test_peeling_a_source_keeps_lowness(battery):
 # -- the mask check -----------------------------------------------------
 
 def _graph_verdict(graph):
-    """The claim read off a BipGraph: acyclic, and no root is a source."""
-    ok, _ = check_acyclic(graph)
-    return ok and all(kind == "g" for kind, _ in sources(graph))
+    """The claim read off a BipGraph by Kahn's sort, whatever sort result
+    the graph arrived with: acyclic, and no root is a source."""
+    ok, _, srcs = _topological_sort(graph)
+    return ok and all(v < len(graph.gen_labels) for v in srcs)
 
 
 def test_check_gbip_agrees_with_the_graph_check():
@@ -282,6 +319,7 @@ def test_check_gbip_flags_sets_that_are_not_coclosed():
                 continue
             cut_sets += 1
             graph = build_gbip(rs, elem, inv=cut)
+            assert graph._topo == _topological_sort(graph), elem
             assert check_acyclic(graph)[0]
             assert set(source_generators(graph)) <= \
                 left_descents(rs, elem, inv=cut)
@@ -336,13 +374,20 @@ def test_mask_verdict_rejects_a_cycle_with_a_cycle_witness():
 
 
 def test_mask_verdict_matches_the_graph_on_random_patterns():
+    # both branches of the verdict: supports inside the descents (no
+    # cycle search) and supports outside them (the search)
     rng = random.Random(16)
     verdict = coxlow.conjecture._gbip_verdict
+    inside = outside = 0
     for _ in range(3000):
         n = rng.randrange(4)
         pattern = (["r%d" % j for j in range(n)], rng.randrange(8),
                    [rng.randrange(8) for _ in range(n)],
                    [rng.randrange(8) for _ in range(n)])
+        if any(reached & ~pattern[1] for reached in pattern[2]):
+            outside += 1
+        else:
+            inside += 1
         graph = _mask_graph(*pattern)
         ok, witness = verdict(*pattern)
         assert ok == _graph_verdict(graph), pattern
@@ -352,6 +397,7 @@ def test_mask_verdict_matches_the_graph_on_random_patterns():
             assert len(witness) == 1 and witness[0] in sources(graph)
         else:
             assert _is_cycle_of(witness, graph), pattern
+    assert inside >= 200 and outside >= 200, (inside, outside)
 
 
 # -- the bijection ------------------------------------------------------
