@@ -14,9 +14,9 @@ import sys
 from . import __version__
 from .automaton import build_automaton, count_elements, export_dot, growth_series
 from .conjecture import (
-    check_gbip, verify_bijection, verify_inversion_polytopes)
+    check_gbip_walk, verify_bijection, verify_inversion_polytopes)
 from .core import DEFAULT_EPS
-from .elements import enumerate_low, inversion_walk
+from .elements import enumerate_low
 from .errors import (
     CoxlowError, OutputError, ParseError, RankNotThree, ValidationError)
 from .groupfile import load_root_system
@@ -156,12 +156,7 @@ def cmd_verify(args):
 
     gbip_summary = None
     if rs.rank == 3:
-        checked = violations = 0
-        for _, entries in inversion_walk(rs, args.gbip_length):
-            for _, inv in entries:
-                ok, _ = check_gbip(rs, inv)
-                checked += 1
-                violations += 0 if ok else 1
+        checked, violations = check_gbip_walk(rs, args.gbip_length)
         gbip_summary = {"max_length": args.gbip_length,
                         "elements_checked": checked, "violations": violations}
         print("graph checks (length <= %d): %d elements, %d violations"

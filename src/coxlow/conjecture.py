@@ -19,13 +19,13 @@ vertex only if it is a descent or blocked: in a graph with every
 generator as a vertex, a non-descent that no root blocks would be one more
 source, not a descent.
 
-``build_gbip`` builds the graph as a ``BipGraph`` that arrives with its
-verdict, read off the construction: acyclic, with the descents and the
-unsupported roots as its sources.  ``check_gbip`` decides the claim from
-per-root generator bitmasks without building the graph, and searches for
-a cycle only when a support reaches outside the descents.  Kahn's sort,
-``_topological_sort``, runs only for hand-built graphs, and the tests
-keep it as the reference for both.  The builder
+``check_gbip`` decides the claim for one N(w) from per-root generator
+bitmasks, and ``verify`` decides it along the walk with
+``check_gbip_walk``, by induction on N(us) = N(u) u {u(alpha_s)}, with
+``check_gbip`` as its fallback and the tests' reference.  ``build_gbip``
+builds the graph as a ``BipGraph`` that arrives with its verdict, read
+off the construction; Kahn's sort, ``_topological_sort``, runs only for
+hand-built graphs and is the tests' reference for both.  The builder
 ``construct_low_from_lambda`` peels left descents, the generator sources.
 """
 
@@ -37,6 +37,7 @@ from .automaton import _shortest_state_word, build_automaton
 from .core import INF, triangle_matrix, build_root_system
 from .elements import (
     IDENTITY,
+    _inversion_levels,
     _left_multiply,
     _low_search,
     _shortlex,
@@ -231,6 +232,35 @@ def check_gbip(rs, inv):
         witness = tuple((kind, roots[x].key if kind == "r" else x)
                         for kind, x in witness)
     return ok, witness
+
+
+def check_gbip_walk(rs, max_len):
+    """(checked, violations) of ``check_gbip`` on the walk to max_len."""
+    flags = b"".join(_gbip_walk_failures(rs, max_len))
+    return len(flags), flags.count(1)
+
+
+def _gbip_walk_failures(rs, max_len):
+    """Per level of the walk, a bytearray flagging what check_gbip fails."""
+    if rs.rank != 3:
+        raise RankNotThree("the graph construction requires rank 3")
+    ups, reflect = rs.root_table.ups, rs.root_table.reflect
+    # N(us) = N(u) u {g}.  If N(u) has no root source, N(us) has none but
+    # perhaps g: supports only grow as roots are added, and the descents of
+    # us include u's.  A deep g is supported iff some s in ups[g] is a
+    # descent of us or has s g != g in N(us), so in N(u), where it is a
+    # descent or a supported deep root.  So r lookups give check_gbip's
+    # verdict exactly; an entry whose parent failed gets the full check.
+    failed = bytearray(1)       # N(e) is empty
+    for length, level, invs in _inversion_levels(rs, max_len):
+        if length:
+            prev, failed = failed, bytearray()
+            for inv, p in zip(invs, level.parents):
+                g = inv[-1]
+                ok = (check_gbip(rs, inv)[0] if prev[p] else g < 3 or any(
+                    s in inv or reflect(g, s) in inv for s in _BITS[ups[g]]))
+                failed.append(not ok)
+        yield failed
 
 
 # the arcs of each simple cycle of a digraph on {0, 1, 2}, shortest first

@@ -386,11 +386,17 @@ def inversion_walk(rs, max_len=None):
     Combinatorics of Coxeter Groups), and u(alpha_s) is the id reached from
     alpha_s by u's letters, right to left, through the table's columns.
     Every root on the way is u'(alpha_s) for a suffix u' of u, so positive,
-    and a root the table lacks enters it through reflect.  Each entry's ids
-    are kept here, in a list indexed like the level's letters and parents,
-    which this reads with the level's own words.  Only two levels of lists
-    are kept, and entries is a generator, so each Element and set is built
-    when drawn and freed after."""
+    and a root the table lacks enters it through reflect.  Only two levels
+    of ids are kept, and entries is a generator, so each Element and set is
+    built when drawn and freed after."""
+    for length, level, invs in _inversion_levels(rs, max_len):
+        yield length, ((elem, frozenset(inv))
+                       for (elem, _, _), inv in zip(level, invs))
+
+
+def _inversion_levels(rs, max_len):
+    """Yield (length, Level, invs): invs[k] is N(us) for entry k = us, the
+    tuple of its parent's ids (level.parents[k]) and then u(alpha_s)."""
     table = rs.root_table
     cols, reflect = table.cols, table.reflect
     invs = [()]
@@ -404,8 +410,7 @@ def inversion_walk(rs, max_len=None):
                     j = cols[t][i]
                     i = reflect(i, t) if j is None else j
                 invs.append(prev_invs[p] + (i,))
-        yield length, ((elem, frozenset(inv))
-                       for (elem, _, _), inv in zip(level, invs))
+        yield length, level, invs
 
 
 @dataclass

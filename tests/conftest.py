@@ -4,13 +4,20 @@ from fractions import Fraction
 import pytest
 
 from coxlow import (
-    Root, battery_root_system, build_automaton, cone_membership,
+    INF, Root, battery_root_system, build_automaton, cone_membership,
     inversion_set, small_roots)
 from coxlow.elements import IDENTITY, Element
 
 # rational-form battery groups (all bond labels in {1, 2, 3, inf})
 RATIONAL_NAMES = ["2-2-2", "3-2-2", "A3", "affine-3-3-3", "2-2-inf",
                   "2-inf-inf", "universal", "inf-3-3", "universal-override"]
+
+
+def matrix_edge_condition(bonds):
+    """The Coxeter-matrix condition under which all small roots lie on the
+    edges of conv(Delta): every m_st is 2 or infinite (the right-angled
+    case), or no m_st is 2 (PAPER.md, closing paragraph)."""
+    return set(bonds) <= {2, INF} or 2 not in bonds
 
 
 def identity_matrix(rs):

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import random
 import re
 import weakref
@@ -36,14 +37,15 @@ from coxlow import (
     small_roots,
     source_generators,
     sources,
+    triangle_matrix,
     verify_bijection,
     verify_inversion_polytopes,
 )
-from coxlow.conjecture import _topological_sort
+from coxlow.conjecture import _topological_sort, check_gbip_walk
 from coxlow.core import RootTable
 from coxlow.errors import ConstructionFailed, CyclicGraph, RankNotThree
 
-from conftest import RATIONAL_NAMES, gbip_oracle
+from conftest import RATIONAL_NAMES, gbip_oracle, matrix_edge_condition
 
 RANK3_SAMPLE = ("A3", "affine-3-3-3", "hyperbolic-3-3-4", "universal-override")
 
@@ -400,6 +402,73 @@ def test_mask_verdict_matches_the_graph_on_random_patterns():
     assert inside >= 200 and outside >= 200, (inside, outside)
 
 
+# -- the check along the walk -------------------------------------------
+
+def _walk_flags(rs, max_len):
+    """Per element, in walk order: does check_gbip_walk find a root source?"""
+    return b"".join(coxlow.conjecture._gbip_walk_failures(rs, max_len))
+
+
+def _full_flags(rs, max_len):
+    """The same flags from the full check_gbip on every N(w) of the walk."""
+    return bytes(not check_gbip(rs, inv)[0]
+                 for _, entries in inversion_walk(rs, max_len)
+                 for _, inv in entries)
+
+
+def _count_fallbacks(monkeypatch):
+    """Count the full checks that check_gbip_walk falls back to."""
+    calls = []
+
+    def counted(rs, inv):
+        calls.append(inv)
+        return check_gbip(rs, inv)
+    monkeypatch.setattr(coxlow.conjecture, "check_gbip", counted)
+    return calls
+
+
+def test_check_gbip_walk_matches_check_gbip_per_element(monkeypatch):
+    # every battery set passes, so the induction decides all of them and
+    # the full check is never called
+    fallbacks = _count_fallbacks(monkeypatch)
+    cases = [(name, "float") for name, _, _ in BATTERY]
+    cases += [(name, "rational") for name in RATIONAL_NAMES]
+    for name, backend in cases:
+        rs = battery_root_system(name, backend)
+        flags = _walk_flags(rs, 8)
+        assert flags == _full_flags(rs, 8), (name, backend)
+        assert check_gbip_walk(rs, 8) == (len(flags), 0), (name, backend)
+    assert not fallbacks
+
+
+def test_check_gbip_walk_matches_check_gbip_under_mutation(monkeypatch):
+    # clearing ups for 2 random deep roots leaves roots unsupported; the
+    # induction must flag exactly the elements the full check flags, and
+    # falls back to it below every element that fails
+    fallbacks = _count_fallbacks(monkeypatch)
+    rng = random.Random(21)
+    violations = 0
+    for name in ("H3", "affine-4-4-2", "hyperbolic-3-3-4", "universal",
+                 "inf-3-3"):
+        for _ in range(6):
+            rs = battery_root_system(name)
+            for _ in inversion_walk(rs, 8):
+                pass
+            ups = rs.root_table.ups
+            for i in rng.sample(range(3, len(ups)), 2):
+                ups[i] = 0
+            flags = _walk_flags(rs, 8)
+            assert flags == _full_flags(rs, 8), name
+            assert check_gbip_walk(rs, 8) == (len(flags), flags.count(1))
+            violations += flags.count(1)
+    assert violations > 0 and fallbacks
+
+
+def test_check_gbip_walk_requires_rank3():
+    with pytest.raises(RankNotThree):
+        check_gbip_walk(build_root_system(dihedral_matrix(3)), 2)
+
+
 # -- the bijection ------------------------------------------------------
 
 def test_bijection_infinite_dihedral():
@@ -557,6 +626,23 @@ def test_simplex_edge_condition(battery):
     assert check_simplex_edge_condition(rs2, sigma2)
     rs3, sigma3, _ = battery.get("B3")
     assert not check_simplex_edge_condition(rs3, sigma3)
+
+
+def test_matrix_condition_implies_the_edge_condition():
+    # on the 9 battery groups that meet the matrix condition (the edge
+    # condition also holds on 3-2-2, which does not), and on every bond
+    # triple from {2, ..., 8, inf} that meets it, up to order
+    groups = [(name, bonds, overrides) for name, bonds, overrides in BATTERY
+              if matrix_edge_condition(bonds)]
+    triples = [bonds for bonds in itertools.combinations_with_replacement(
+        (2, 3, 4, 5, 6, 7, 8, INF), 3) if matrix_edge_condition(bonds)]
+    assert (len(groups), len(triples)) == (9, 87)
+    cases = [(bonds, overrides) for _, bonds, overrides in groups]
+    cases += [(bonds, None) for bonds in triples]
+    for bonds, overrides in cases:
+        rs = build_root_system(triangle_matrix(*bonds),
+                               gram_overrides=overrides)
+        assert check_simplex_edge_condition(rs, small_roots(rs)), bonds
 
 
 def test_polytopes_universal(battery):

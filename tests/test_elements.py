@@ -303,10 +303,17 @@ def test_is_low_matches_cone_oracle_on_random_triangles(bonds):
     # also: Sigma is bipodal, the walk's N(w), grown on a fresh root system
     # before anything else adds roots, is inversion_set's and has length(w)
     # roots, and the left-extension search finds the walk's low elements in
-    # order, as low elements are closed under suffixes (Dyer-Hohlweg 2016)
+    # order, as low elements are closed under suffixes (Dyer-Hohlweg 2016);
+    # the last id of each entry's tuple is the one root N(us) adds to N(u)
     rs = build_root_system(triangle_matrix(*bonds))
     walked = [entry for _, entries in inversion_walk(rs, 6)
               for entry in entries]
+    invs = None
+    for length, level, next_invs in coxlow.elements._inversion_levels(rs, 6):
+        for inv, p in zip(next_invs, level.parents) if length else ():
+            assert set(inv) - set(invs[p]) == {inv[-1]}, (bonds, inv)
+            assert len(set(inv)) == len(invs[p]) + 1 == length, (bonds, inv)
+        invs = next_invs
     sigma = small_roots(rs)
     assert is_bipodal(rs, sigma.roots), bonds
     memo = {}
