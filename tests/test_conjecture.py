@@ -632,14 +632,12 @@ def test_matrix_condition_implies_the_edge_condition():
     # on the 9 battery groups that meet the matrix condition (the edge
     # condition also holds on 3-2-2, which does not), and on every bond
     # triple from {2, ..., 8, inf} that meets it, up to order
-    groups = [(name, bonds, overrides) for name, bonds, overrides in BATTERY
+    groups = [(bonds, overrides) for _, bonds, overrides in BATTERY
               if matrix_edge_condition(bonds)]
     triples = [bonds for bonds in itertools.combinations_with_replacement(
         (2, 3, 4, 5, 6, 7, 8, INF), 3) if matrix_edge_condition(bonds)]
     assert (len(groups), len(triples)) == (9, 87)
-    cases = [(bonds, overrides) for _, bonds, overrides in groups]
-    cases += [(bonds, None) for bonds in triples]
-    for bonds, overrides in cases:
+    for bonds, overrides in groups + [(bonds, None) for bonds in triples]:
         rs = build_root_system(triangle_matrix(*bonds),
                                gram_overrides=overrides)
         assert check_simplex_edge_condition(rs, small_roots(rs)), bonds
