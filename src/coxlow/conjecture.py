@@ -11,18 +11,18 @@ vertices and root vertices, the non-simple inversions of w:
 
 The claim checked on every battery group is that G_bip is acyclic and no
 root vertex is a source, so that its sources are exactly the left
-descents of w.  Arcs run descent -> root -> non-descent, so acyclicity and
-"the generator sources are the descents" hold by construction; the half
-that can fail is a root that no descent supports, which coclosedness of
-N(w) rules out and a set that is not coclosed can show.  A generator is a
-vertex only if it is a descent or blocked: in a graph with every
-generator as a vertex, a non-descent that no root blocks would be one more
-source, not a descent.
+descents of w.  Every support is built from descent bits, so arcs run
+descent -> root -> non-descent, and acyclicity and "the generator sources
+are the descents" hold by construction; the claim fails only at a root
+that no descent supports, which coclosedness of N(w) rules out and a set
+that is not coclosed can show.  A generator is a vertex only if it is a
+descent or blocked: in a graph with every generator as a vertex, a
+non-descent that no root blocks would be one more source, not a descent.
 
-``check_gbip`` decides the claim for one N(w) from per-root generator
-bitmasks, and ``verify`` decides it along the walk with
-``check_gbip_walk``, by induction on N(us) = N(u) u {u(alpha_s)}, with
-``check_gbip`` as its fallback and the tests' reference.  ``build_gbip``
+``check_gbip`` decides the claim for one N(w) by that root-source rule,
+from per-root support bitmasks, and ``verify`` decides it along the walk
+with ``check_gbip_walk``, by induction on N(us) = N(u) u {u(alpha_s)},
+with ``check_gbip`` as its fallback and the tests' reference.  ``build_gbip``
 builds the graph as a ``BipGraph`` that arrives with its verdict, read
 off the construction; Kahn's sort, ``_topological_sort``, runs only for
 hand-built graphs and is the tests' reference for both.  The builder
@@ -223,15 +223,14 @@ def build_gbip(rs, w, inv=None):
 
 def check_gbip(rs, inv):
     """The claim of the module docstring for N(w) = ``inv``, decided from
-    the masks of ``_gbip_masks`` without building the graph: (True, None),
-    or (False, witness) with the witness of ``_gbip_verdict``, roots
-    labelled by key."""
-    ok, witness = _gbip_verdict(*_gbip_masks(rs, inv))
-    if not ok:
-        roots = rs.root_table.roots
-        witness = tuple((kind, roots[x].key if kind == "r" else x)
-                        for kind, x in witness)
-    return ok, witness
+    the supports of ``_gbip_masks`` without building the graph: (True,
+    None), or (False, (("r", key),)) for the first deep root, in (depth,
+    key) order, that no descent supports."""
+    deep, _, supports, _ = _gbip_masks(rs, inv)
+    if 0 in supports:
+        key = rs.root_table.roots[deep[supports.index(0)]].key
+        return False, (("r", key),)
+    return True, None
 
 
 def check_gbip_walk(rs, max_len):
@@ -261,50 +260,6 @@ def _gbip_walk_failures(rs, max_len):
                     s in inv or reflect(g, s) in inv for s in _BITS[ups[g]]))
                 failed.append(not ok)
         yield failed
-
-
-# the arcs of each simple cycle of a digraph on {0, 1, 2}, shortest first
-_GEN_CYCLES = tuple(tuple(zip(c, c[1:] + c[:1])) for c in (
-    (0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2), (0, 2, 1)))
-
-
-def _gbip_verdict(labels, descents, supports, engaged):
-    """(ok, witness) for the graph in which root j, labelled ``labels[j]``,
-    has an arc from each generator in ``supports[j]`` and to each
-    non-descent in ``engaged[j]``.
-
-    A cycle alternates generators and roots, so it compresses to a cycle
-    of the digraph on the generators with s -> t when s supports a root
-    that blocks t, and each such arc lifts back to s -> root -> t.  The
-    first of its simple cycles found is a shortest, so the lift meets no
-    root twice.  The witness, built only on failure, is that cycle of
-    tagged vertices in arc direction, or else the first root source.
-
-    When every support lies inside ``descents``, as on every graph
-    ``build_gbip`` makes, arcs run descent -> root -> non-descent and no
-    cycle is searched for."""
-    # a cycle passes through a generator with arcs both in and out, and
-    # only a supporting non-descent can have both
-    if reduce(or_, supports, 0) & ~descents:
-        succ = [0, 0, 0]        # succ[s]: the generators that s points to
-        for reached, up in set(zip(supports, engaged)):
-            for s in _BITS[reached]:
-                succ[s] |= up & ~descents
-        heads = succ[0] | succ[1] | succ[2]
-        if any(succ[s] and heads >> s & 1 for s in range(3)):
-            for arcs in _GEN_CYCLES:
-                if all(succ[s] >> t & 1 for s, t in arcs):
-                    witness = ()
-                    for s, t in arcs:
-                        j = next(j for j, (reached, up)
-                                 in enumerate(zip(supports, engaged))
-                                 if reached >> s & 1
-                                 and (up & ~descents) >> t & 1)
-                        witness += (("g", s), ("r", labels[j]))
-                    return False, witness
-    if 0 in supports:
-        return False, (("r", labels[supports.index(0)]),)
-    return True, None
 
 
 def _topological_sort(graph):
@@ -414,11 +369,10 @@ def construct_low_from_lambda(rs, sigma, mask, _memo=None):
                                  % mask)
     inv = _word_inversions(rs, tuple(reversed(letters)))
     w_min = _shortlex(rs, inv)
-    reflect = rs.root_table.reflect
     for s in sorted(left_descents(rs, w_min, inv=inv)):
         # N(s w_min) = s (N(w_min) - {alpha_s}), s being a left descent
         sub_mask = small_inversion_mask(
-            rs, sigma, None, inv=[reflect(i, s) for i in inv if i != s])
+            rs, sigma, None, inv=_left_multiply(rs, s, inv))
         try:
             x_sub = construct_low_from_lambda(rs, sigma, sub_mask, _memo)
         except ConstructionFailed:

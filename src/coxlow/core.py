@@ -188,17 +188,18 @@ class RootTable:
 class BasedRootSystem:
     """Simple roots plus the symmetric bilinear form of a Coxeter system.
 
-    The form and the simple roots are fixed at construction.  What grows is
-    ``root_table`` (a RootTable): every positive root that the small roots,
-    an inversion set, the element walk or a peeling graph has met, with its
-    depth and its reflections, so that each (root, s) pair is computed once
-    per root system.  ``root_depth`` also adds roots, for a caller that
-    holds a raw vector.  Derived data such as automata is passed
-    explicitly."""
+    The form, the simple roots and ``generators`` (the frozenset
+    range(rank)) are fixed at construction.  What grows is ``root_table``
+    (a RootTable): every positive root that the small roots, an inversion
+    set, the element walk or a peeling graph has met, with its depth and
+    its reflections, so that each (root, s) pair is computed once per root
+    system.  ``root_depth`` also adds roots, for a caller that holds a raw
+    vector.  Derived data such as automata is passed explicitly."""
 
     def __init__(self, matrix, gram, backend, eps):
         self.matrix = matrix
         self.rank = matrix.rank
+        self.generators = frozenset(range(self.rank))
         self.gram = gram
         self.backend = backend
         self.exact = backend == "rational"

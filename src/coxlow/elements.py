@@ -71,11 +71,16 @@ def normalize(rs, word):
     return _shortlex(rs, _word_inversions(rs, word))
 
 
+def _check_letters(rs, word):
+    """Raise ValueError at the first letter of word outside range(rank)."""
+    if not rs.generators.issuperset(word):
+        s = next(s for s in word if s not in rs.generators)
+        raise ValueError("generator %r out of range" % (s,))
+
+
 def _word_inversions(rs, word):
     """N(w), as a set of root-table ids, for the element w of any word."""
-    for s in word:
-        if not 0 <= s < rs.rank:
-            raise ValueError("generator %r out of range" % (s,))
+    _check_letters(rs, word)
     ids = set()
     for s in reversed(word):
         ids = _left_multiply(rs, s, ids)
@@ -96,12 +101,11 @@ def _shortlex(rs, ids):
     Greedy: the first letter of the ShortLex-least reduced word is the
     least left descent s, the least simple root in N(w); peel it off
     (N(s w) = s (N(w) - {alpha_s})) and repeat until N(w) is empty."""
-    reflect = rs.root_table.reflect
     letters = []
     while ids:
         s = min(ids)        # alpha_s has id s, below every non-simple root
         letters.append(s)
-        ids = {reflect(i, s) for i in ids if i != s}
+        ids = _left_multiply(rs, s, ids)
     return Element(tuple(letters))
 
 
@@ -119,11 +123,13 @@ def inversion_set(rs, w):
     through reflect.  Each root on a trace is
     s_p ... s_(j-1)(alpha_(s_j)), positive while s_p ... s_j is reduced, so
     a word that is not reduced shows where a trace meets alpha_t just
-    before applying t; then NonReducedInput names the largest such point
-    over all traces (see ``_non_reduced``)."""
+    before applying t; then NonReducedInput names the largest p with
+    word[p:] not reduced (see ``_non_reduced``).  A letter outside
+    range(rs.rank) raises ValueError."""
+    word = w.word
+    _check_letters(rs, word)
     table = rs.root_table
     cols, reflect = table.cols, table.reflect
-    word = w.word
     rev = word[::-1]
     k = len(word)
     ids = []
@@ -141,26 +147,15 @@ def inversion_set(rs, w):
 
 def _non_reduced(rs, word):
     """NonReducedInput for a word that is not reduced, naming the largest p
-    with word[p:] not reduced, with alpha_(word[p]) in N(word[p + 1:]).
-
-    That p is the largest point where a trace meets alpha_t just before
-    applying t = word[p]: if the trace of alpha_(word[j]) meets it there,
-    word[p:j] sends alpha_(word[j]) to -alpha_t, so word[p:j + 1] is not
-    reduced; and for the largest p, word[p + 1:] is reduced and
-    N(word[p + 1:]) holds alpha_t as the root of some trace.  Each trace
-    stops at its first meeting, the largest of its own, and looks no
-    further left than the largest found so far."""
-    reflect = rs.root_table.reflect
-    pos = -1
-    for j, i in enumerate(word):
-        for p in range(j - 1, pos, -1):
-            if i == word[p]:
-                pos = p
-                break
-            i = reflect(i, word[p])
-    return NonReducedInput(
-        "word %r is not reduced at position %d: alpha_%d is already "
-        "in N(%r)" % (word, pos, word[pos], word[pos + 1:]))
+    with word[p:] not reduced, with alpha_(word[p]) in N(word[p + 1:]):
+    the first such p met reading the word from the right."""
+    ids = set()
+    for p in range(len(word) - 1, -1, -1):
+        if word[p] in ids:
+            return NonReducedInput(
+                "word %r is not reduced at position %d: alpha_%d is already "
+                "in N(%r)" % (word, p, word[p], word[p + 1:]))
+        ids = _left_multiply(rs, word[p], ids)
 
 
 def left_descents(rs, w, inv=None):
@@ -257,11 +252,13 @@ def is_low(rs, sigma, w):
     of the roots -w(alpha_t), t a right descent (Hohlweg-Labbe 2016), so w
     is low iff they are all small (Dyer-Hohlweg 2016).  Each w(alpha_t) is
     a signed root-table id: s alpha_s = -alpha_s, s(-beta) = -(s beta).
-    Any word will do, reduced or not: the answer is for its element.
+    Any word over range(rs.rank) will do, reduced or not: the answer is
+    for its element; another letter raises ValueError.
 
     Each step reads the table's column cols[s]; only an entry the table
     has not filled yet goes through reflect, and cols[s][s] is never
     filled, so the negation is found there too."""
+    _check_letters(rs, w.word)
     table = rs.root_table
     cols, reflect = table.cols, table.reflect
     rev = w.word[::-1]
@@ -473,7 +470,7 @@ def _low_search(rs, sigma, cap):
                     continue
                 y = Element((s,) + x.word)
                 if is_low(rs, sigma, y):
-                    inv_y = frozenset([s] + [reflect(i, s) for i in inv])
+                    inv_y = frozenset(_left_multiply(rs, s, inv))
                     masks[y] = small_inversion_mask(rs, sigma, y, inv=inv_y)
                     new_level.append((y, inv_y))
         level = new_level

@@ -245,9 +245,17 @@ def test_gbip_acyclic_and_sources_are_descents():
                     == left_descents(rs, elem, inv=inv), (name, backend, elem)
 
 
+def _graph_verdict(graph):
+    """The claim read off a BipGraph by Kahn's sort, whatever sort result
+    the graph arrived with: acyclic, and no root is a source."""
+    ok, _, srcs = _topological_sort(graph)
+    return ok and all(v < len(graph.gen_labels) for v in srcs)
+
+
 def test_gbip_sort_result_on_arbitrary_id_sets():
     # random sets of table ids, coclosed or not: supported and unsupported
-    # roots both occur, and the seeded sort result is still Kahn's
+    # roots both occur, the seeded sort result is still Kahn's, and
+    # check_gbip gives Kahn's verdict, naming a root source when it fails
     rng = random.Random(20)
     root_sources = supported = 0
     for name in ("hyperbolic-3-3-4", "universal", "affine-6-3-2", "H3"):
@@ -260,6 +268,11 @@ def test_gbip_sort_result_on_arbitrary_id_sets():
             inv |= set(rng.sample(range(3, n), rng.randrange(1, 8)))
             graph = build_gbip(rs, IDENTITY, inv=inv)    # w is not read
             assert graph._topo == _topological_sort(graph), (name, inv)
+            ok, witness = check_gbip(rs, inv)
+            assert ok == _graph_verdict(graph), (name, inv)
+            if not ok:
+                assert len(witness) == 1 and witness[0][0] == "r", (name, inv)
+                assert witness[0] in sources(graph), (name, inv)
             g = len(graph.gen_labels)
             n_src = sum(v >= g for v in graph._topo[2])
             root_sources += n_src > 0
@@ -287,13 +300,6 @@ def test_peeling_a_source_keeps_lowness(battery):
 
 
 # -- the mask check -----------------------------------------------------
-
-def _graph_verdict(graph):
-    """The claim read off a BipGraph by Kahn's sort, whatever sort result
-    the graph arrived with: acyclic, and no root is a source."""
-    ok, _, srcs = _topological_sort(graph)
-    return ok and all(v < len(graph.gen_labels) for v in srcs)
-
 
 def test_check_gbip_agrees_with_the_graph_check():
     cases = [(name, "float") for name, _, _ in BATTERY]
@@ -330,76 +336,6 @@ def test_check_gbip_flags_sets_that_are_not_coclosed():
             assert len(witness) == 1 and witness[0] in sources(graph), elem
             assert witness[0][0] == "r", elem
     assert cut_sets == 399      # elements of length 2 to 10
-
-
-def _mask_graph(labels, descents, supports, engaged):
-    """The BipGraph that the masks describe, for checking the verdict."""
-    blocks = [up & ~descents for up in engaged]
-    gens = descents
-    for mask in supports + blocks:
-        gens |= mask
-    gen_labels = [s for s in range(3) if gens >> s & 1]
-    g = len(gen_labels)
-    index = {s: n for n, s in enumerate(gen_labels)}
-    arcs = [(index[s], g + j) for j, mask in enumerate(supports)
-            for s in gen_labels if mask >> s & 1]
-    arcs += [(g + j, index[s]) for j, mask in enumerate(blocks)
-             for s in gen_labels if mask >> s & 1]
-    return BipGraph(gen_labels, labels, arcs)
-
-
-def test_mask_verdict_rejects_a_cycle_with_a_cycle_witness():
-    verdict = coxlow.conjecture._gbip_verdict
-    # 0 supports x, which blocks 1; 1 supports y, which blocks 0
-    pattern = (["x", "y"], 0, [0b001, 0b010], [0b010, 0b001])
-    ok, witness = verdict(*pattern)
-    assert not ok
-    assert witness == (("g", 0), ("r", "x"), ("g", 1), ("r", "y"))
-    assert _is_cycle_of(witness, _mask_graph(*pattern))
-    # the 3-cycle 0 -> 2 -> 1 -> 0, one root per arc
-    pattern = (["x", "y", "z"], 0, [0b001, 0b100, 0b010],
-               [0b100, 0b010, 0b001])
-    ok, witness = verdict(*pattern)
-    assert witness == (("g", 0), ("r", "x"), ("g", 2), ("r", "y"),
-                       ("g", 1), ("r", "z"))
-    assert _is_cycle_of(witness, _mask_graph(*pattern))
-    # x serves two arcs of the 3-cycle 0 -> 1 -> 2 -> 0: the witness is
-    # the shorter cycle through x, not a walk that meets x twice
-    pattern = (["x", "y"], 0, [0b101, 0b010], [0b011, 0b100])
-    ok, witness = verdict(*pattern)
-    assert witness == (("g", 0), ("r", "x"))
-    assert _is_cycle_of(witness, _mask_graph(*pattern))
-    # acyclic, with a root source, and a valid graph
-    assert verdict(["x"], 0b001, [0], [0b010]) == (False, (("r", "x"),))
-    assert verdict(["x"], 0b001, [0b001], [0b011]) == (True, None)
-    assert verdict([], 0, [], []) == (True, None)
-
-
-def test_mask_verdict_matches_the_graph_on_random_patterns():
-    # both branches of the verdict: supports inside the descents (no
-    # cycle search) and supports outside them (the search)
-    rng = random.Random(16)
-    verdict = coxlow.conjecture._gbip_verdict
-    inside = outside = 0
-    for _ in range(3000):
-        n = rng.randrange(4)
-        pattern = (["r%d" % j for j in range(n)], rng.randrange(8),
-                   [rng.randrange(8) for _ in range(n)],
-                   [rng.randrange(8) for _ in range(n)])
-        if any(reached & ~pattern[1] for reached in pattern[2]):
-            outside += 1
-        else:
-            inside += 1
-        graph = _mask_graph(*pattern)
-        ok, witness = verdict(*pattern)
-        assert ok == _graph_verdict(graph), pattern
-        if ok:
-            assert witness is None
-        elif check_acyclic(graph)[0]:
-            assert len(witness) == 1 and witness[0] in sources(graph)
-        else:
-            assert _is_cycle_of(witness, graph), pattern
-    assert inside >= 200 and outside >= 200, (inside, outside)
 
 
 # -- the check along the walk -------------------------------------------
@@ -640,7 +576,14 @@ def test_matrix_condition_implies_the_edge_condition():
     for bonds, overrides in groups + [(bonds, None) for bonds in triples]:
         rs = build_root_system(triangle_matrix(*bonds),
                                gram_overrides=overrides)
-        assert check_simplex_edge_condition(rs, small_roots(rs)), bonds
+        sigma = small_roots(rs)
+        assert check_simplex_edge_condition(rs, sigma), bonds
+        # and so the bijection and the polytope claim hold
+        lows, report, _ = enumerate_low_stable(rs, sigma)
+        assert report.bijective, bonds
+        rep = verify_inversion_polytopes(
+            rs, sigma, build_automaton(rs, sigma), lows)
+        assert rep.matched_all, bonds
 
 
 def test_polytopes_universal(battery):

@@ -85,6 +85,22 @@ def test_float_normalize_matches_rational():
                     == normalize(rs_exact, word)), (name, word)
 
 
+@pytest.mark.parametrize("word,letter", [
+    ((0, 3), 3), ((-1,), -1), ((3, 0), 3), ((1, 2, -2), -2)])
+def test_letters_outside_the_generators_are_rejected(battery, word, letter):
+    # unchecked, a letter past rank indexes the root table as a root id
+    # and a negative one wraps round: on A3, inversion_set((0, 3)) would
+    # be {0, 1} and is_low((-1,)) True
+    rs, sigma, _ = battery.get("A3")
+    message = re.escape("generator %r out of range" % (letter,))
+    for call in (lambda: normalize(rs, word),
+                 lambda: inversion_set(rs, Element(word)),
+                 lambda: left_descents(rs, Element(word)),
+                 lambda: is_low(rs, sigma, Element(word))):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 # -- inversion sets -----------------------------------------------------
 
 def test_inversion_set_examples():
