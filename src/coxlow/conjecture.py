@@ -49,7 +49,7 @@ from .elements import (
     small_inversion_mask,
 )
 from .errors import ConstructionFailed, CyclicGraph, RankNotThree
-from .projective import hulls_equal, projective_hull
+from .projective import chart_points, extreme_ids
 
 # Fixed, versioned battery of rank-3 groups used throughout the test suite.
 # Each entry: (name, (m12, m23, m13), gram overrides).
@@ -149,10 +149,10 @@ _GEN_INDEX = tuple(tuple(tuple(len(_BITS[gens & ((1 << s) - 1)])
 
 
 def _gbip_masks(rs, inv):
-    """(deep, descents, supports, engaged) for N(w) = ``inv``: the non-simple
+    """(deep, descents, supports) for N(w) = ``inv``: the non-simple
     inversions in (depth, key) order, the descents as a bitmask over the
     generators, and per deep root the bitmask of the descents that support
-    it and of the generators s with B(alpha_s, beta) > 0.
+    it.
 
     The supports come from one pass in (depth, key) order: a down step
     beta -> s beta lowers the depth by one, so the support of s beta is
@@ -171,7 +171,7 @@ def _gbip_masks(rs, inv):
     # simple root of N(w), a descent, supports itself.
     support = {s: 1 << s for s in range(3) if s in inv}
     descents = sum(support.values())      # the bits are distinct
-    supports, engaged = [], []
+    supports = []
     for i in deep:
         up = ups[i]
         reached = up & descents
@@ -182,8 +182,7 @@ def _gbip_masks(rs, inv):
             reached |= support.get(k, 0)
         support[i] = reached
         supports.append(reached)
-        engaged.append(up)
-    return deep, descents, supports, engaged
+    return deep, descents, supports
 
 
 def build_gbip(rs, w, inv=None):
@@ -197,7 +196,9 @@ def build_gbip(rs, w, inv=None):
     ``inv`` is N(w) when the caller already has it."""
     if inv is None:
         inv = inversion_set(rs, w)
-    deep, descents, supports, engaged = _gbip_masks(rs, inv)
+    deep, descents, supports = _gbip_masks(rs, inv)
+    ups = rs.root_table.ups
+    engaged = [ups[i] for i in deep]      # the s with B(alpha_s, beta) > 0
     gens = reduce(or_, engaged, descents)
     # the generators in a mask are the vertices index[mask]; root deep[j]
     # is vertex g + j
@@ -226,7 +227,7 @@ def check_gbip(rs, inv):
     the supports of ``_gbip_masks`` without building the graph: (True,
     None), or (False, (("r", key),)) for the first deep root, in (depth,
     key) order, that no descent supports."""
-    deep, _, supports, _ = _gbip_masks(rs, inv)
+    deep, _, supports = _gbip_masks(rs, inv)
     if 0 in supports:
         key = rs.root_table.roots[deep[supports.index(0)]].key
         return False, (("r", key),)
@@ -411,8 +412,10 @@ class PolytopeReport:
 def verify_inversion_polytopes(rs, sigma, aut, lows):
     """For each automaton state lam, look for a low element x among
     ``lows`` whose inversion polytope conv(N(x)) equals conv(lam) on the
-    projective chart; the first match in the order of ``lows`` is the
-    witness.
+    projective chart.  Two hulls are equal exactly when their sets of
+    extreme root ids are (see ``coxlow.projective``), so the witness is
+    the first low element, in the order of ``lows``, whose N(x) has lam's
+    extreme-root id set, or None; each root's chart point is computed once.
 
     The underlying claim is only asserted when all small roots lie on
     simplex edges; outside that hypothesis the check still runs and the
@@ -421,15 +424,12 @@ def verify_inversion_polytopes(rs, sigma, aut, lows):
         raise RankNotThree("inversion polytopes are checked on the rank-3 chart")
     report = PolytopeReport(
         hypothesis_met=check_simplex_edge_condition(rs, sigma))
-    roots = rs.root_table.roots
-    low_hulls = [(low, projective_hull(
-        rs, [roots[i] for i in inversion_set(rs, low)])) for low in lows]
+    invs = [(low, inversion_set(rs, low)) for low in lows]
+    points = chart_points(rs, set(sigma.ids).union(*[inv for _, inv in invs]))
+    first = {}
+    for low, inv in invs:
+        first.setdefault(extreme_ids(inv, points), low)
     for mask in aut.states:
-        target = projective_hull(rs, sigma.mask_to_roots(mask))
-        witness = None
-        for low, hull in low_hulls:
-            if hulls_equal(hull, target):
-                witness = low
-                break
-        report.witnesses[mask] = witness
+        report.witnesses[mask] = first.get(
+            extreme_ids(sigma.mask_to_ids(mask), points))
     return report

@@ -3,8 +3,13 @@
 Positive roots are normalized by their coordinate sum and drawn inside the
 simplex spanned by the simple roots; for rank 3 the chart is an
 equilateral triangle.  Convex hulls on the chart are computed with a small
-monotone-chain implementation that returns only extreme points, so that
-degenerate (collinear, single-point) inputs compare cleanly.
+monotone-chain implementation that keeps only extreme points.  Distinct
+positive roots are never proportional, so they are distinct chart points,
+and two sets of roots have the same hull exactly when they have the same
+extreme roots: ``chart_points`` and ``extreme_ids`` reduce a set of root
+ids to the frozenset of its extreme ids, which compare as plain sets.
+``convex_hull_2d`` and ``projective_hull`` take arbitrary points and
+roots, and merge points closer than EPS.
 """
 
 import math
@@ -53,6 +58,31 @@ def _cross(o, a, b):
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
+def _snap(point):
+    return (round(point[0], 9), round(point[1], 9))
+
+
+def _chain(pts):
+    """Indices of the extreme points of ``pts``, distinct points sorted
+    lexicographically, by Andrew's monotone chain: the lower hull, then
+    the upper one.  A turn of signed area at most EPS_AREA is no turn, so
+    collinear interior points are dropped."""
+    n = len(pts)
+    if n <= 2:
+        return range(n)
+    hull = []
+    for order in (range(n), range(n - 1, -1, -1)):
+        chain = []
+        for k in order:
+            p = pts[k]
+            while (len(chain) >= 2
+                   and _cross(pts[chain[-2]], pts[chain[-1]], p) <= EPS_AREA):
+                chain.pop()
+            chain.append(k)
+        hull += chain[:-1]
+    return hull
+
+
 def convex_hull_2d(points):
     """Extreme points of a planar point set, sorted lexicographically.
 
@@ -60,28 +90,36 @@ def convex_hull_2d(points):
     endpoints and a repeated point to a single vertex.  Coordinates are
     snapped to a 1e-9 grid first so that float jitter cannot scramble the
     sweep order of genuinely equal coordinates."""
-    pts = _dedupe([(round(p[0], 9), round(p[1], 9)) for p in points])
-    if len(pts) <= 2:
-        return tuple(pts)
-    lower = []
-    for p in pts:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= EPS_AREA:
-            lower.pop()
-        lower.append(p)
-    upper = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= EPS_AREA:
-            upper.pop()
-        upper.append(p)
-    hull = lower[:-1] + upper[:-1]
-    return tuple(sorted(hull))
+    pts = _dedupe([_snap(p) for p in points])
+    return tuple(sorted([pts[k] for k in _chain(pts)]))
+
+
+def chart_points(rs, ids):
+    """{id: chart point} for root ids of rs.root_table, each snapped to the
+    1e-9 grid as ``convex_hull_2d`` snaps it; one normalize_projective per
+    id."""
+    roots = rs.root_table.roots
+    return {i: _snap(normalize_projective(rs, roots[i].coords)) for i in ids}
+
+
+def extreme_ids(ids, points):
+    """The frozenset of the ids whose chart points, ``points[i]`` from
+    ``chart_points``, are extreme in the hull of the ids' points: the
+    sweep of ``convex_hull_2d``, in the same snapped order and with the same
+    turn test.  Distinct roots lie far apart on the chart, so no merging is
+    needed, and equal sets mean equal hulls."""
+    order = sorted(ids, key=points.__getitem__)
+    pts = [points[i] for i in order]
+    return frozenset([order[k] for k in _chain(pts)])
 
 
 def hulls_equal(h1, h2):
     """Vertex-set equality of two hulls, within EPS.
 
     Matched as sets (not positionally): nearly-equal coordinates can sort
-    in different orders across the two computations."""
+    in different orders across the two computations.  Nothing in the
+    package calls it: polytopes are matched by ``extreme_ids``.  It stays
+    for the tests' pairwise reference and for the benchmark's tracer."""
     if len(h1) != len(h2):
         return False
     unused = list(h2)

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 from .core import roots_up_to_depth
 from .errors import RankNotThree, ValidationError
-from .projective import chart_vertices, normalize_projective, projective_hull
+from .projective import (
+    chart_points, chart_vertices, extreme_ids, normalize_projective)
 
 
 @dataclass
@@ -53,7 +54,7 @@ def render_svg(rs, sigma, lambdas=(), opts=None):
     """Render the projective picture; returns SVG text.
 
     ``lambdas`` is an iterable of bitmasks over sigma's indexing whose
-    convex hulls are drawn."""
+    convex hulls are drawn, from Sigma's chart points, computed once."""
     if rs.rank != 3:
         raise RankNotThree("SVG rendering uses the rank-3 triangle chart")
     opts = opts or RenderOptions()
@@ -75,11 +76,12 @@ def render_svg(rs, sigma, lambdas=(), opts=None):
     max_depth = max(r.depth for r in roots)
     sigma_keys = {r.key for r in sigma}
 
+    points = chart_points(rs, sigma.ids)
     for mask in lambdas:
         if not mask:
             continue
-        hull = projective_hull(rs, sigma.mask_to_roots(mask))
-        px = [_to_px(p, size) for p in hull]
+        hull = extreme_ids(sigma.mask_to_ids(mask), points)
+        px = [_to_px(p, size) for p in sorted([points[i] for i in hull])]
         coords = " ".join("%s,%s" % (_fmt(x), _fmt(y)) for x, y in px)
         if len(px) == 1:
             x, y = px[0]

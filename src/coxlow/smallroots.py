@@ -36,6 +36,9 @@ class SmallRootSet:
     def __iter__(self):
         return iter(self.roots)
 
+    def mask_to_ids(self, mask):
+        return [self.ids[b] for b in range(len(self.ids)) if mask >> b & 1]
+
     def mask_to_roots(self, mask):
         return [self.roots[i] for i in range(len(self.roots)) if mask >> i & 1]
 

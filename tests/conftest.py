@@ -5,7 +5,7 @@ import pytest
 
 from coxlow import (
     INF, Root, battery_root_system, build_automaton, cone_membership,
-    inversion_set, small_roots)
+    hulls_equal, inversion_set, projective_hull, small_roots)
 from coxlow.elements import IDENTITY, Element
 
 # rational-form battery groups (all bond labels in {1, 2, 3, inf})
@@ -133,6 +133,22 @@ def cone_is_low(rs, sigma, w, memo):
         if not memo[key]:
             return False
     return True
+
+
+def pairwise_polytope_witnesses(rs, sigma, aut, lows):
+    """Test reference for verify_inversion_polytopes' witnesses: a float
+    hull by projective_hull for every low element and every lambda, and
+    per lambda the first low element, in the order of ``lows``, whose hull
+    hulls_equal matches (|lows| x |Lambda| comparisons), or None."""
+    roots = rs.root_table.roots
+    low_hulls = [(low, projective_hull(
+        rs, [roots[i] for i in inversion_set(rs, low)])) for low in lows]
+    witnesses = {}
+    for mask in aut.states:
+        target = projective_hull(rs, sigma.mask_to_roots(mask))
+        witnesses[mask] = next((low for low, hull in low_hulls
+                                if hulls_equal(hull, target)), None)
+    return witnesses
 
 
 def gbip_oracle(rs, word):

@@ -3,6 +3,7 @@ import itertools
 import random
 import re
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +29,8 @@ from coxlow import (
     enumerate_low,
     enumerate_low_stable,
     inversion_set,
+    load_root_system,
+    normalize_projective,
     inversion_walk,
     is_low,
     left_descents,
@@ -44,10 +47,14 @@ from coxlow import (
 from coxlow.conjecture import _topological_sort, check_gbip_walk
 from coxlow.core import RootTable
 from coxlow.errors import ConstructionFailed, CyclicGraph, RankNotThree
+from coxlow.projective import EPS, EPS_AREA, _cross, chart_points
 
-from conftest import RATIONAL_NAMES, gbip_oracle, matrix_edge_condition
+from conftest import (
+    RATIONAL_NAMES, gbip_oracle, matrix_edge_condition,
+    pairwise_polytope_witnesses)
 
 RANK3_SAMPLE = ("A3", "affine-3-3-3", "hyperbolic-3-3-4", "universal-override")
+DEMO_GROUPS = Path(__file__).resolve().parent.parent / "demos" / "groups"
 
 
 def test_battery_is_fixed():
@@ -581,9 +588,76 @@ def test_matrix_condition_implies_the_edge_condition():
         # and so the bijection and the polytope claim hold
         lows, report, _ = enumerate_low_stable(rs, sigma)
         assert report.bijective, bonds
-        rep = verify_inversion_polytopes(
-            rs, sigma, build_automaton(rs, sigma), lows)
+        aut = build_automaton(rs, sigma)
+        rep = verify_inversion_polytopes(rs, sigma, aut, lows)
         assert rep.matched_all, bonds
+        assert rep.witnesses == pairwise_polytope_witnesses(
+            rs, sigma, aut, lows), bonds
+
+
+def test_polytope_witnesses_match_the_pairwise_reference(battery):
+    # matching extreme-root id sets gives the witnesses that comparing
+    # every pair of float hulls gives, on the stable low elements and on
+    # their first half, which leaves some lambdas unmatched
+    unmatched = 0
+    for name, _, _ in BATTERY:
+        rs, sigma, aut = battery.get(name)
+        lows, _, _ = enumerate_low_stable(rs, sigma)
+        for some in (lows, lows[:len(lows) // 2]):
+            rep = verify_inversion_polytopes(rs, sigma, aut, some)
+            assert rep.witnesses == pairwise_polytope_witnesses(
+                rs, sigma, aut, some), name
+            unmatched += list(rep.witnesses.values()).count(None)
+    assert unmatched > 0
+
+
+def _det(u, v, w):
+    return (u[0] * (v[1] * w[2] - v[2] * w[1])
+            - u[1] * (v[0] * w[2] - v[2] * w[0])
+            + u[2] * (v[0] * w[1] - v[1] * w[0]))
+
+
+def test_chart_margins_dwarf_the_hull_tolerances(battery):
+    # Polytopes are matched on float chart points (snapped to the 1e-9
+    # grid) with EPS = 1e-6 and EPS_AREA = 1e-9.  Over every N(x) of a
+    # stable low element and every lambda, on the battery and the rank-3
+    # demo files: distinct roots lie far apart (measured 0.0107,
+    # affine-6-3-2), and triples are either collinear, with |cross| at
+    # rounding level (2.2e-16) before the snap and below EPS_AREA after it
+    # (6.1e-10, affine-6-3-2), or far from it (1.37e-4, affine-6-3-2)
+    systems = [battery.get(name)[:2] for name, _, _ in BATTERY]
+    for path in sorted(DEMO_GROUPS.glob("*.json")):
+        rs = load_root_system(path.read_text())
+        if rs.rank == 3:
+            systems.append((rs, small_roots(rs)))
+    counts = {"collinear": 0, "exact": 0, "turn": 0}
+    for rs, sigma in systems:
+        lows, _, _ = enumerate_low_stable(rs, sigma)
+        sets = {frozenset(inversion_set(rs, x)) for x in lows}
+        sets |= {frozenset(sigma.mask_to_ids(mask))
+                 for mask in build_automaton(rs, sigma).states}
+        roots = rs.root_table.roots
+        snapped = chart_points(rs, set().union(*sets))
+        raw = {i: normalize_projective(rs, roots[i].coords) for i in snapped}
+        for a, b in {p for ids in sets
+                     for p in itertools.combinations(sorted(ids), 2)}:
+            gap = max(abs(snapped[a][0] - snapped[b][0]),
+                      abs(snapped[a][1] - snapped[b][1]))
+            assert gap >= 1e-3 > EPS, (rs.matrix, a, b)
+        for t in {t for ids in sets
+                  for t in itertools.combinations(sorted(ids), 3)}:
+            cross = abs(_cross(*[raw[i] for i in t]))
+            on_grid = abs(_cross(*[snapped[i] for i in t]))
+            collinear = cross <= 1e-12
+            if collinear:
+                assert on_grid < EPS_AREA, (rs.matrix, t, on_grid)
+            else:
+                assert min(cross, on_grid) >= 1e-5, (rs.matrix, t, cross)
+            if rs.exact:
+                assert collinear == (_det(*[roots[i].coords for i in t]) == 0)
+                counts["exact"] += 1
+            counts["collinear" if collinear else "turn"] += 1
+    assert min(counts.values()) > 0, counts
 
 
 def test_polytopes_universal(battery):

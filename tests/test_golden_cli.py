@@ -14,6 +14,7 @@ import pytest
 import coxlow.cli
 import coxlow.conjecture
 import coxlow.elements
+import coxlow.projective
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -50,3 +51,24 @@ def test_verify_runs_one_low_element_search(monkeypatch):
     code, _ = run_cli(["verify", path, "--max-length", "6", "--polytopes"])
     assert code == 0
     assert calls == [6]
+
+
+def test_verify_polytopes_charts_each_root_once(monkeypatch):
+    calls = []
+    chart = coxlow.projective.normalize_projective
+
+    def counting(rs, v):
+        calls.append(rs.vec_key(v))
+        return chart(rs, v)
+
+    def never(*args):
+        raise AssertionError("hulls_equal called")
+
+    monkeypatch.setattr(coxlow.projective, "normalize_projective", counting)
+    for module in (coxlow.projective, coxlow.conjecture):
+        monkeypatch.setattr(module, "hulls_equal", never, raising=False)
+    path = str(ROOT / "demos" / "groups" / "hyperbolic-3-3-4.json")
+    code, out = run_cli(["verify", path, "--max-length", "12", "--polytopes"])
+    assert code == 0
+    assert "inversion polytopes: 18/18 matched" in out
+    assert calls and len(calls) == len(set(calls))
