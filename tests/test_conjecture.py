@@ -29,12 +29,12 @@ from coxlow import (
     enumerate_low,
     enumerate_low_stable,
     inversion_set,
-    load_root_system,
-    normalize_projective,
     inversion_walk,
     is_low,
     left_descents,
+    load_root_system,
     normalize,
+    normalize_projective,
     roots_up_to_depth,
     small_inversion_mask,
     small_roots,
