@@ -26,7 +26,9 @@ with ``check_gbip`` as its fallback and the tests' reference.  ``build_gbip``
 builds the graph as a ``BipGraph`` that arrives with its verdict, read
 off the construction; Kahn's sort, ``_topological_sort``, runs only for
 hand-built graphs and is the tests' reference for both.  The builder
-``construct_low_from_lambda`` peels left descents, the generator sources.
+``construct_low_from_lambda`` peels, off the shortest element realizing
+lambda, the letter of the automaton's first transition into lambda: a
+left descent, so a generator source.
 """
 
 from dataclasses import dataclass, field
@@ -41,11 +43,10 @@ from .elements import (
     _left_multiply,
     _low_search,
     _shortlex,
-    _word_inversions,
     bijection_report,
     inversion_set,
     is_low,
-    left_descents,
+    normalize,
     small_inversion_mask,
 )
 from .errors import ConstructionFailed, CyclicGraph, RankNotThree
@@ -342,18 +343,18 @@ def verify_bijection(rs, sigma, aut, max_len):
 def construct_low_from_lambda(rs, sigma, mask, _memo=None):
     """Build a low element whose small inversion set is ``mask``.
 
-    Take the shortest element realizing the mask, peel off one of its left
-    descents (in rank 3, the generator sources of its G_bip) and recurse;
-    the candidate is verified before being returned.
-    There is no other path: a mask that descent peeling cannot build raises
-    ConstructionFailed, naming the mask and its shortest element, since
-    that signals a bug in the construction, not a counterexample.
-    N(w_min) is the one inversion set built from a word; the others are
-    read off it, N(s w_min) = s (N(w_min) - {alpha_s}), or off the memo,
-    N(s x) = {alpha_s} u s N(x) for the element x built for the peeled
-    mask.  ``_memo`` also holds the automaton and, under
-    ("inversions", mask), the N(x) of each element built, so one memo
-    serves one (rs, sigma) only."""
+    The automaton numbers its states breadth first, so the first
+    in-transition (k', s) of the state lambda gives the shortest element
+    realizing lambda as s w', w' the shortest one realizing lambda' =
+    states[k'], and s as one of its left descents (in rank 3, a generator
+    source of its G_bip).  Build the element x for lambda' and take
+    s x, with N(s x) = {alpha_s} u s N(x) read off the memo; the candidate
+    is verified before being returned.  There is no other path: where
+    this peeling fails, ConstructionFailed names the mask it failed at and
+    that mask's shortest element, since a failure signals a bug in the
+    construction, not a counterexample.  ``_memo`` also holds the
+    automaton and, under ("inversions", mask), the N(x) of each element
+    built, so one memo serves one (rs, sigma) only."""
     if _memo is None:
         _memo = {}
     if mask in _memo:
@@ -364,30 +365,25 @@ def construct_low_from_lambda(rs, sigma, mask, _memo=None):
         _memo[0] = IDENTITY
         _memo["inversions", 0] = frozenset()
         return IDENTITY
-    letters = _shortest_state_word(_memo["automaton"], mask)
-    if letters is None:
+    aut = _memo["automaton"]
+    k = aut.state_index.get(mask)
+    if k is None:
         raise ConstructionFailed("mask %d is not a state of the automaton"
                                  % mask)
-    inv = _word_inversions(rs, tuple(reversed(letters)))
-    w_min = _shortlex(rs, inv)
-    for s in sorted(left_descents(rs, w_min, inv=inv)):
-        # N(s w_min) = s (N(w_min) - {alpha_s}), s being a left descent
-        sub_mask = small_inversion_mask(
-            rs, sigma, None, inv=_left_multiply(rs, s, inv))
-        try:
-            x_sub = construct_low_from_lambda(rs, sigma, sub_mask, _memo)
-        except ConstructionFailed:
-            continue
-        inv_c = _left_multiply(rs, s, _memo["inversions", sub_mask])
-        candidate = _shortlex(rs, inv_c)
-        if (small_inversion_mask(rs, sigma, candidate, inv=inv_c) == mask
-                and is_low(rs, sigma, candidate)):
-            _memo[mask] = candidate
-            _memo["inversions", mask] = inv_c
-            return candidate
-    raise ConstructionFailed(
-        "no low element realizing mask %d found (descent peeling from its "
-        "shortest element %r failed)" % (mask, w_min))
+    parent, s = aut.first_in[k]
+    sub_mask = aut.states[parent]
+    construct_low_from_lambda(rs, sigma, sub_mask, _memo)
+    inv = _left_multiply(rs, s, _memo["inversions", sub_mask])
+    candidate = _shortlex(rs, inv)
+    if (small_inversion_mask(rs, sigma, candidate, inv=inv) != mask
+            or not is_low(rs, sigma, candidate)):
+        w_min = normalize(rs, _shortest_state_word(aut, mask)[::-1])
+        raise ConstructionFailed(
+            "no low element realizing mask %d found (descent peeling from "
+            "its shortest element %r failed)" % (mask, w_min))
+    _memo[mask] = candidate
+    _memo["inversions", mask] = inv
+    return candidate
 
 
 def check_simplex_edge_condition(rs, sigma):

@@ -117,17 +117,17 @@ class RootTable:
     ``ids`` maps a root key to its id.  The simple root alpha_s has id s.
     ``add`` computes each root's form values once, and these id-indexed
     lists keep them and what is derived from them: ``forms[i][t]`` is
-    B(alpha_t, root i); ``signs[i][t]`` its sign (+1, 0 or -1, within
-    eps); ``ups[i]`` the bitmask of the generators t with
-    B(alpha_t, root i) > 0, the s for which s . root i is shallower; and
+    B(alpha_t, root i); ``ups[i]`` the bitmask of the generators t with
+    B(alpha_t, root i) > eps, the s for which s . root i is shallower; and
     ``sort_keys[i]`` is (depth, key), the order in which roots are listed.
     ``cols[s]`` is one id-indexed column per generator: ``cols[s][i]`` is the
     id of s . root i, or None until ``reflect(i, s)`` fills it (and
     ``cols[s][s]`` stays None, since s negates alpha_s).  Every list has
     one entry per root.  ``reflect`` never peels: depth(s beta) is
-    depth(beta) - sign, and an orthogonal s fixes the root.  Past the
-    simple roots, the package adds roots only through ``reflect``;
-    BasedRootSystem.root_depth stays for a caller that holds a raw vector.
+    depth(beta) - 1 if B(alpha_s, beta) > eps, depth(beta) + 1 if it is
+    < -eps, and otherwise s fixes the root.  Past the simple roots, the
+    package adds roots only through ``reflect``; BasedRootSystem.root_depth
+    stays for a caller that holds a raw vector.
     The table holds no reference to its root system, so the two form no
     cycle."""
 
@@ -138,7 +138,6 @@ class RootTable:
         self.roots = []
         self.ids = {}
         self.forms = []
-        self.signs = []
         self.ups = []
         self.sort_keys = []
         self.cols = tuple([] for _ in gram)
@@ -153,8 +152,6 @@ class RootTable:
         eps = self.eps
         forms = tuple([sum(map(mul, row, coords)) for row in self.gram])
         self.forms.append(forms)
-        # bools subtract to 1, 0 or -1
-        self.signs.append(tuple([(b > eps) - (b < -eps) for b in forms]))
         self.ups.append(sum([1 << t for t, b in enumerate(forms) if b > eps]))
         self.sort_keys.append((depth, key))
         for col in self.cols:
@@ -168,18 +165,18 @@ class RootTable:
         if j is None:
             if i == s:
                 raise ValueError("s%d negates alpha_%d" % (s, s))
-            sign = self.signs[i][s]
-            if sign == 0:
+            b = self.forms[i][s]
+            if -self.eps <= b <= self.eps:
                 j = i
             else:
                 beta = self.roots[i]
                 v = list(beta.coords)
-                v[s] -= 2 * self.forms[i][s]
+                v[s] -= 2 * b
                 v = tuple(v)
                 key = self.vec_key(v)
                 j = self.ids.get(key)
                 if j is None:
-                    j = self.add(v, key, beta.depth - sign)
+                    j = self.add(v, key, beta.depth - (1 if b > 0 else -1))
                 col[j] = i
             col[i] = j
         return j
@@ -368,6 +365,6 @@ def roots_up_to_depth(rs, d):
     for _ in range(d - 1):
         frontier = list(dict.fromkeys(
             table.reflect(i, s) for i in frontier for s in range(rs.rank)
-            if table.signs[i][s] < 0))
+            if table.forms[i][s] < -rs.eps))
         found = found + frontier
     return sorted((table.roots[i] for i in found), key=Root.sort_key)

@@ -248,10 +248,15 @@ def cone_membership(rs, generators, gamma):
 # -- low elements -------------------------------------------------------
 
 def is_low(rs, sigma, w):
-    """Does N(w) lie in the cone of Sigma cap N(w)?  It is the cone closure
-    of the roots -w(alpha_t), t a right descent (Hohlweg-Labbe 2016), so w
-    is low iff they are all small (Dyer-Hohlweg 2016).  Each w(alpha_t) is
-    a signed root-table id: s alpha_s = -alpha_s, s(-beta) = -(s beta).
+    """Does N(w) lie in the cone of Sigma cap N(w)?  Decided by the roots
+    -w(alpha_t), t a right descent: w is low iff they are all small.  Each
+    is an extreme ray of cone(N(w)), since N(w s_t) = N(w) - {-w(alpha_t)}
+    is an inversion set, which holds every positive root in its cone; so a
+    low w has them all small.  The tests check the converse against a cone
+    solve (``cone_is_low``).  N(w) need not be the cone closure of these
+    roots: on A3, N(s0 s1) = {alpha_0, s0 alpha_1} has the one s0 alpha_1.
+    Each w(alpha_t) is a signed root-table id: s alpha_s = -alpha_s,
+    s(-beta) = -(s beta).
     Any word over range(rs.rank) will do, reduced or not: the answer is
     for its element; another letter raises ValueError.
 

@@ -64,9 +64,9 @@ def _snap(point):
 
 def _chain(pts):
     """Indices of the extreme points of ``pts``, distinct points sorted
-    lexicographically, by Andrew's monotone chain: the lower hull, then
-    the upper one.  A turn of signed area at most EPS_AREA is no turn, so
-    collinear interior points are dropped."""
+    lexicographically on the 1e-9 grid, by Andrew's monotone chain: the
+    lower hull, then the upper one.  A turn of signed area at most EPS_AREA
+    is no turn, so collinear interior points are dropped."""
     n = len(pts)
     if n <= 2:
         return range(n)
@@ -95,21 +95,23 @@ def convex_hull_2d(points):
 
 
 def chart_points(rs, ids):
-    """{id: chart point} for root ids of rs.root_table, each snapped to the
-    1e-9 grid as ``convex_hull_2d`` snaps it; one normalize_projective per
-    id."""
+    """{id: (chart point on the 1e-9 grid, chart point as computed)} for
+    root ids of rs.root_table; one normalize_projective per id."""
     roots = rs.root_table.roots
-    return {i: _snap(normalize_projective(rs, roots[i].coords)) for i in ids}
+    points = {i: normalize_projective(rs, roots[i].coords) for i in ids}
+    return {i: (_snap(p), p) for i, p in points.items()}
 
 
 def extreme_ids(ids, points):
     """The frozenset of the ids whose chart points, ``points[i]`` from
     ``chart_points``, are extreme in the hull of the ids' points: the
     sweep of ``convex_hull_2d``, in the same snapped order and with the same
-    turn test.  Distinct roots lie far apart on the chart, so no merging is
+    turn test, but with the turns taken on the points as computed, where a
+    collinear triple's cross is at rounding level rather than at the
+    grid's.  Distinct roots lie far apart on the chart, so no merging is
     needed, and equal sets mean equal hulls."""
     order = sorted(ids, key=points.__getitem__)
-    pts = [points[i] for i in order]
+    pts = [points[i][1] for i in order]
     return frozenset([order[k] for k in _chain(pts)])
 
 

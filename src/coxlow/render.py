@@ -81,7 +81,8 @@ def render_svg(rs, sigma, lambdas=(), opts=None):
         if not mask:
             continue
         hull = extreme_ids(sigma.mask_to_ids(mask), points)
-        px = [_to_px(p, size) for p in sorted([points[i] for i in hull])]
+        px = [_to_px(points[i][0], size)
+              for i in sorted(hull, key=points.__getitem__)]
         coords = " ".join("%s,%s" % (_fmt(x), _fmt(y)) for x, y in px)
         if len(px) == 1:
             x, y = px[0]

@@ -136,21 +136,16 @@ def small_roots_by_dominance(rs, depth_bound, lcap=10):
 
 
 def is_bipodal(rs, roots):
-    """Bipodality of a set of positive roots, given as Roots.
+    """Bipodality of a set of positive roots, given as Roots of
+    rs.root_table (as for SmallRootSet, they must be in the table already).
 
     Every non-simple member beta must stand on two feet inside the set:
     for each s with B(alpha_s, beta) > 0 (so that s lowers beta's depth,
     and beta is a positive combination of alpha_s and s beta), both
-    alpha_s and s beta must belong to the set."""
-    keys = {root.key for root in roots}
-    simple_keys = [rs.vec_key(rs.simple_roots[s]) for s in range(rs.rank)]
-    for root in roots:
-        if root.key in simple_keys:
-            continue
-        for s in range(rs.rank):
-            if rs.is_pos(rs.form_simple(s, root.coords)):
-                if simple_keys[s] not in keys:
-                    return False
-                if rs.vec_key(rs.reflect(s, root.coords)) not in keys:
-                    return False
-    return True
+    alpha_s and s beta must belong to the set.  Membership is by table id,
+    and alpha_s has id s."""
+    table = rs.root_table
+    ids = {table.ids[root.key] for root in roots}
+    return all(s in ids and table.reflect(i, s) in ids
+               for i in ids if i >= rs.rank
+               for s in range(rs.rank) if table.ups[i] >> s & 1)

@@ -34,7 +34,6 @@ from coxlow import (
     left_descents,
     load_root_system,
     normalize,
-    normalize_projective,
     roots_up_to_depth,
     small_inversion_mask,
     small_roots,
@@ -464,19 +463,22 @@ def test_construct_rank2():
 
 
 def test_construct_failure_names_the_shortest_element(battery, monkeypatch):
-    # no descent to peel: the error names the mask and its shortest
-    # element, in ShortLex normal form
-    monkeypatch.setattr(coxlow.conjecture, "left_descents",
-                        lambda rs, w, inv=None: set())
+    # a candidate that fails its check: the error names the mask and its
+    # shortest element, in ShortLex normal form
     rs, sigma, aut = battery.get("B3")
     shortest = {}
     for elem, _, _ in elements_up_to_length(rs, 9):     # B3 has length 9
         shortest.setdefault(small_inversion_mask(rs, sigma, elem), elem.length)
-    for mask in aut.states:
+    for k, mask in enumerate(aut.states):
         if not mask:
             continue
-        with pytest.raises(ConstructionFailed) as info:
-            construct_low_from_lambda(rs, sigma, mask)
+        memo = {"automaton": aut}
+        parent = aut.states[aut.first_in[k][0]]
+        construct_low_from_lambda(rs, sigma, parent, _memo=memo)
+        with monkeypatch.context() as patch:
+            patch.setattr(coxlow.conjecture, "is_low", lambda *args: False)
+            with pytest.raises(ConstructionFailed) as info:
+                construct_low_from_lambda(rs, sigma, mask, _memo=memo)
         message = str(info.value)
         assert "realizing mask %d " % mask in message
         named = re.findall(r"Element\((\d+)\)", message)
@@ -487,17 +489,22 @@ def test_construct_failure_names_the_shortest_element(battery, monkeypatch):
         assert w_min.length == shortest[mask]
 
 
-def test_construct_computes_two_inversion_sets_per_mask(battery, monkeypatch):
-    # each non-zero mask builds N(.) from a word once, for its shortest
-    # element, and reads the candidate's N(s x) = {alpha_s} u s N(x) off the
-    # memo; both normal forms are read off those sets
+def test_construct_computes_one_inversion_set_per_mask(battery, monkeypatch):
+    # each non-zero mask reads its candidate's N(s x) = {alpha_s} u s N(x)
+    # off the memo, x the element built for the state the automaton first
+    # reaches it from, with one left multiplication, builds no N(.) from a
+    # word, and reads the one normal form off that set
     calls = dict.fromkeys(
-        ["normalize", "inversion_set", "_word_inversions", "_shortlex"], 0)
+        ["normalize", "inversion_set", "_word_inversions", "_shortlex",
+         "_left_multiply"], 0)
     for name in calls:
         def counted(*args, fn=getattr(coxlow.elements, name), name=name):
             calls[name] += 1
             return fn(*args)
-        for mod in (coxlow.elements, coxlow.conjecture):
+        # the builder's own _left_multiply; _shortlex calls it per letter
+        mods = ((coxlow.conjecture,) if name == "_left_multiply"
+                else (coxlow.elements, coxlow.conjecture))
+        for mod in mods:
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, counted)
     rs, sigma, aut = battery.get("B3")
@@ -506,7 +513,8 @@ def test_construct_computes_two_inversion_sets_per_mask(battery, monkeypatch):
         construct_low_from_lambda(rs, sigma, mask, _memo=memo)
     nonzero = len(aut.states) - 1
     assert calls == {"normalize": 0, "inversion_set": 0,
-                     "_word_inversions": nonzero, "_shortlex": 2 * nonzero}
+                     "_word_inversions": 0, "_shortlex": nonzero,
+                     "_left_multiply": nonzero}
 
 
 def test_construct_all_lambdas(battery):
@@ -541,7 +549,8 @@ def test_construct_all_lambdas_rank4(bonds, n_lambda):
 
 
 def test_low_search_and_builder_solve_no_cone(monkeypatch):
-    # lowness is read off root-table ids; no cone is solved on the way
+    # lowness is read off root-table ids; no cone is solved on the way; and
+    # the builder gives each lambda the low element the search finds for it
     def refuse(*args):
         raise AssertionError("cone_membership called")
 
@@ -574,7 +583,8 @@ def test_simplex_edge_condition(battery):
 def test_matrix_condition_implies_the_edge_condition():
     # on the 9 battery groups that meet the matrix condition (the edge
     # condition also holds on 3-2-2, which does not), and on every bond
-    # triple from {2, ..., 8, inf} that meets it, up to order
+    # triple from {2, ..., 8, inf} that meets it, up to order; the builder
+    # gives each lambda the low element the search finds for it
     groups = [(bonds, overrides) for _, bonds, overrides in BATTERY
               if matrix_edge_condition(bonds)]
     triples = [bonds for bonds in itertools.combinations_with_replacement(
@@ -593,6 +603,11 @@ def test_matrix_condition_implies_the_edge_condition():
         assert rep.matched_all, bonds
         assert rep.witnesses == pairwise_polytope_witnesses(
             rs, sigma, aut, lows), bonds
+        low_for = {mask: x for x, mask in report.mapping.items()}
+        memo = {"automaton": aut}
+        for mask in aut.states:
+            assert construct_low_from_lambda(
+                rs, sigma, mask, _memo=memo) == low_for[mask], (bonds, mask)
 
 
 def test_polytope_witnesses_match_the_pairwise_reference(battery):
@@ -618,13 +633,14 @@ def _det(u, v, w):
 
 
 def test_chart_margins_dwarf_the_hull_tolerances(battery):
-    # Polytopes are matched on float chart points (snapped to the 1e-9
-    # grid) with EPS = 1e-6 and EPS_AREA = 1e-9.  Over every N(x) of a
-    # stable low element and every lambda, on the battery and the rank-3
-    # demo files: distinct roots lie far apart (measured 0.0107,
-    # affine-6-3-2), and triples are either collinear, with |cross| at
-    # rounding level (2.2e-16) before the snap and below EPS_AREA after it
-    # (6.1e-10, affine-6-3-2), or far from it (1.37e-4, affine-6-3-2)
+    # Polytopes are matched on float chart points with EPS = 1e-6 and
+    # EPS_AREA = 1e-9: the chain sorts the points on the 1e-9 grid and
+    # takes its turns on the points as charted.  Over every N(x) of a stable
+    # low element and every lambda, on the battery and the rank-3 demo
+    # files: distinct roots lie far apart (measured 0.0107, affine-6-3-2),
+    # and on the points the chain crosses, triples are either collinear,
+    # with |cross| at rounding level (2.2e-16), or far from it (1.37e-4,
+    # affine-6-3-2)
     systems = [battery.get(name)[:2] for name, _, _ in BATTERY]
     for path in sorted(DEMO_GROUPS.glob("*.json")):
         rs = load_root_system(path.read_text())
@@ -637,22 +653,19 @@ def test_chart_margins_dwarf_the_hull_tolerances(battery):
         sets |= {frozenset(sigma.mask_to_ids(mask))
                  for mask in build_automaton(rs, sigma).states}
         roots = rs.root_table.roots
-        snapped = chart_points(rs, set().union(*sets))
-        raw = {i: normalize_projective(rs, roots[i].coords) for i in snapped}
+        points = {i: p for i, (_, p) in
+                  chart_points(rs, set().union(*sets)).items()}
         for a, b in {p for ids in sets
                      for p in itertools.combinations(sorted(ids), 2)}:
-            gap = max(abs(snapped[a][0] - snapped[b][0]),
-                      abs(snapped[a][1] - snapped[b][1]))
+            gap = max(abs(points[a][0] - points[b][0]),
+                      abs(points[a][1] - points[b][1]))
             assert gap >= 1e-3 > EPS, (rs.matrix, a, b)
         for t in {t for ids in sets
                   for t in itertools.combinations(sorted(ids), 3)}:
-            cross = abs(_cross(*[raw[i] for i in t]))
-            on_grid = abs(_cross(*[snapped[i] for i in t]))
+            cross = abs(_cross(*[points[i] for i in t]))
             collinear = cross <= 1e-12
-            if collinear:
-                assert on_grid < EPS_AREA, (rs.matrix, t, on_grid)
-            else:
-                assert min(cross, on_grid) >= 1e-5, (rs.matrix, t, cross)
+            if not collinear:
+                assert cross >= 1e-5 > EPS_AREA, (rs.matrix, t, cross)
             if rs.exact:
                 assert collinear == (_det(*[roots[i].coords for i in t]) == 0)
                 counts["exact"] += 1

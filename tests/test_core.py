@@ -179,8 +179,9 @@ def test_root_depths_are_correct():
 @pytest.mark.parametrize("backend", ["float", "rational"])
 def test_root_table_per_root_data(backend):
     # each root's stored form values are the form recomputed, bit for bit;
-    # its signs, up mask and sort key follow from them; and each root that
-    # reflect added has exactly the coordinates rs.reflect gives its parent
+    # its up mask and sort key follow from them; and each root that
+    # reflect added has exactly the coordinates rs.reflect gives its parent,
+    # and its parent's depth stepped by the sign of the parent's form value
     names = ([name for name, _, _ in BATTERY] if backend == "float"
              else RATIONAL_NAMES)
     for name in names:
@@ -201,27 +202,30 @@ def test_root_table_per_root_data(backend):
                 assert inversion_set(rs, elem) == inv, (name, elem)
         n = len(table.roots)
         assert set(parents) == set(range(rs.rank, n)), name
-        assert (len(table.forms) == len(table.signs) == len(table.ups)
-                == len(table.sort_keys) == n), name
+        assert (len(table.forms) == len(table.ups) == len(table.sort_keys)
+                == n), name
         for i, root in enumerate(table.roots):
             forms = tuple(rs.form_simple(t, root.coords)
                           for t in range(rs.rank))
             assert table.forms[i] == forms, (name, i)
-            assert table.signs[i] == tuple(
-                1 if rs.is_pos(b) else -1 if rs.is_neg(b) else 0
-                for b in forms), (name, i)
             assert table.ups[i] == sum(
                 1 << t for t, b in enumerate(forms) if rs.is_pos(b)), (name, i)
             assert table.sort_keys[i] == (root.depth, root.key), (name, i)
         for j, (i, s) in parents.items():
             assert table.roots[j].coords == rs.reflect(
                 s, table.roots[i].coords), (name, i, s)
+            # a root s fixes adds nothing; otherwise the form's sign steps
+            # the depth
+            b = table.forms[i][s]
+            assert not rs.is_zero(b), (name, i, s)
+            assert table.roots[j].depth == table.roots[i].depth - (
+                1 if rs.is_pos(b) else -1), (name, i, s)
 
 
 def test_root_table_reflections_match_peeling_oracle():
     # the deepest roots enter by root_depth, which records only their
     # peeling paths; reflect(i, s) fills in the rest, up and down, with
-    # depths from the signs alone
+    # depths from the signs of the stored form values alone
     for name, _, _ in BATTERY:
         rs = _battery(name)
         table = rs.root_table
@@ -235,7 +239,7 @@ def test_root_table_reflections_match_peeling_oracle():
         while i < len(table.roots):
             for s in range(rs.rank):
                 if i != s and (table.roots[i].depth < 8
-                               or table.signs[i][s] > 0):
+                               or rs.is_pos(table.forms[i][s])):
                     j = table.reflect(i, s)
                     assert table.roots[j].key == rs.vec_key(
                         rs.reflect(s, table.roots[i].coords)), (name, i, s)

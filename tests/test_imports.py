@@ -1,4 +1,6 @@
 import ast
+import importlib
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -60,3 +62,50 @@ def test_every_private_name_in_the_package_is_read():
              for name, line in sorted(private_definitions(tree).items())
              if name not in read]
     assert found == []
+
+
+def coxlow_reads(tree):
+    """The dotted names coxlow.a.b... that a module reads, prefixes
+    included."""
+    return {text for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and re.fullmatch(r"coxlow(\.\w+)+", text := ast.unparse(node))}
+
+
+def resolve(dotted):
+    """The object a dotted name names, importing submodules on the way."""
+    parts = dotted.split(".")
+    obj = importlib.import_module(parts[0])
+    for k, part in enumerate(parts[1:], 2):
+        if not hasattr(obj, part):
+            importlib.import_module(".".join(parts[:k]))
+        obj = getattr(obj, part)
+    return obj
+
+
+def test_every_name_the_benchmark_pins_resolves():
+    # the benchmark's tracer wraps the (module, name) pairs of its FUNCTIONS
+    # and BasedRootSystem.root_depth, and walks elements_by_length; its
+    # workloads read coxlow.<name>.  A name that src/ drops would otherwise
+    # show only as a failed benchmark run
+    tracer = ast.parse((ROOT / "bench/tracer.py").read_text())
+    pinned = {}
+    for node in tracer.body:
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0],
+                                                       ast.Name):
+            pinned[node.targets[0].id] = node.value
+    functions = ast.literal_eval(pinned["FUNCTIONS"])
+    modules = ast.literal_eval(pinned["MODULES"])
+    names = {"coxlow.%s.%s" % pair for pair in functions}
+    names |= {"coxlow." + m for m in modules}
+    names |= {"coxlow.core.BasedRootSystem.root_depth",
+              "coxlow.elements.elements_by_length"}
+    for path in sorted((ROOT / "bench").glob("*.py")):
+        names |= coxlow_reads(ast.parse(path.read_text()))
+    assert len(functions) > 20 and len(names) > 40
+    missing = []
+    for name in sorted(names):
+        try:
+            resolve(name)
+        except (AttributeError, ImportError):
+            missing.append(name)
+    assert missing == []
