@@ -45,7 +45,7 @@ def _reflection_table(rs, sigma):
             for i in sigma.ids]
 
 
-def _close(rs, sigma, delta):
+def _close(rs, delta):
     """Number the states reachable from the empty set breadth first, trying
     letters in increasing order; returns (states, transitions, first_in)
     for Automaton.  The transition that numbers a state is its first
@@ -113,7 +113,7 @@ def _reduced_word_delta(rs, sigma):
 
 def build_automaton(rs, sigma):
     """Build the automaton with delta(A, s) = {alpha_s} u (s A cap Sigma)."""
-    return Automaton(sigma, *_close(rs, sigma, _reduced_word_delta(rs, sigma)))
+    return Automaton(sigma, *_close(rs, _reduced_word_delta(rs, sigma)))
 
 
 def build_shortlex_automaton(rs, sigma):
@@ -136,7 +136,7 @@ def build_shortlex_automaton(rs, sigma):
         new = reduced(mask, s)
         return None if new is None else new | poison[s]
 
-    return Automaton(sigma, *_close(rs, sigma, delta))
+    return Automaton(sigma, *_close(rs, delta))
 
 
 def is_reduced(aut, word):

@@ -9,31 +9,27 @@ vertices and root vertices, the non-simple inversions of w:
 * a non-simple inversion points to every engaged non-descent s (one with
   B(alpha_s, beta) > 0), blocking it.
 
-The claim checked on every battery group is that G_bip is acyclic and no
-root vertex is a source, so that its sources are exactly the left
-descents of w.  Every support is built from descent bits, so arcs run
-descent -> root -> non-descent, and acyclicity and "the generator sources
-are the descents" hold by construction; the claim fails only at a root
-that no descent supports, which coclosedness of N(w) rules out and a set
-that is not coclosed can show.  A generator is a vertex only if it is a
-descent or blocked: in a graph with every generator as a vertex, a
-non-descent that no root blocks would be one more source, not a descent.
+A generator is a vertex only if it is a descent or blocked.  The claim
+checked on every battery group is that G_bip is acyclic and no root vertex
+is a source, so that its sources are exactly the left descents of w.  Arcs
+run descent -> root -> non-descent, so the claim fails only at a root that
+no descent supports.  It is decided by one rule: a deep root beta stands in
+N(w) when it has a foot there, alpha_s or s beta for an engaged s.  A foot
+is one step shallower, so the (depth, key)-least unsupported root is the
+least root that does not stand; coclosedness of N(w) gives every root a
+foot (Dyer-Hohlweg 2016), and a set that is not coclosed can lack one.
 
-``check_gbip`` decides the claim for one N(w) by that root-source rule,
-from per-root support bitmasks, and ``verify`` decides it along the walk
-with ``check_gbip_walk``, by induction on N(us) = N(u) u {u(alpha_s)},
-with ``check_gbip`` as its fallback and the tests' reference.  ``build_gbip``
-builds the graph as a ``BipGraph`` that arrives with its verdict, read
-off the construction; Kahn's sort, ``_topological_sort``, runs only for
-hand-built graphs and is the tests' reference for both.  The builder
-``construct_low_from_lambda`` peels, off the shortest element realizing
-lambda, the letter of the automaton's first transition into lambda: a
-left descent, so a generator source.
+``check_gbip`` applies the rule to one N(w), and ``verify``'s
+``check_gbip_walk`` along the walk, by induction on N(us) = N(u) u
+{u(alpha_s)}.  ``build_gbip`` builds the graph, supports included, as a
+``BipGraph`` that arrives with its verdict; Kahn's sort,
+``_topological_sort``, runs only for hand-built graphs and is the tests'
+reference.  The builder ``construct_low_from_lambda`` peels, off the
+shortest element realizing lambda, the letter of the automaton's first
+transition into lambda: a left descent, so a generator source.
 """
 
 from dataclasses import dataclass, field
-from functools import reduce
-from operator import or_
 
 from .automaton import _shortest_state_word, build_automaton
 from .core import INF, triangle_matrix, build_root_system
@@ -149,41 +145,14 @@ _GEN_INDEX = tuple(tuple(tuple(len(_BITS[gens & ((1 << s) - 1)])
                    for gens in range(8))
 
 
-def _gbip_masks(rs, inv):
-    """(deep, descents, supports) for N(w) = ``inv``: the non-simple
-    inversions in (depth, key) order, the descents as a bitmask over the
-    generators, and per deep root the bitmask of the descents that support
-    it.
-
-    The supports come from one pass in (depth, key) order: a down step
-    beta -> s beta lowers the depth by one, so the support of s beta is
-    known before that of beta."""
-    if rs.rank != 3:
-        raise RankNotThree("the graph construction requires rank 3")
-    table = rs.root_table
-    ups, cols = table.ups, table.cols
-    # ids 0, 1, 2 are the simple roots; the others in (depth, key) order
-    deep = sorted([i for i in inv if i >= 3], key=table.sort_keys.__getitem__)
-    # support[i]: the descents reachable from root i by depth-decreasing
-    # peeling inside N(w).  Each step beta -> s beta with
-    # B(alpha_s, beta) > 0 (a down edge of the table) writes beta as a
-    # positive combination of alpha_s and s beta, and coclosedness of N(w)
-    # puts at least one of the two feet inside N(w); a foot that is a
-    # simple root of N(w), a descent, supports itself.
-    support = {s: 1 << s for s in range(3) if s in inv}
-    descents = sum(support.values())      # the bits are distinct
-    supports = []
-    for i in deep:
-        up = ups[i]
-        reached = up & descents
-        for s in _BITS[up]:
-            k = cols[s][i]
-            if k is None:
-                k = table.reflect(i, s)
-            reached |= support.get(k, 0)
-        support[i] = reached
-        supports.append(reached)
-    return deep, descents, supports
+def _stands(table, g, inv):
+    """Does the deep root g have a foot in ``inv``: some s in ups[g] that is
+    a descent (alpha_s in inv) or has s g in inv?"""
+    for s in _BITS[table.ups[g]]:
+        k = table.cols[s][g]
+        if s in inv or (table.reflect(g, s) if k is None else k) in inv:
+            return True
+    return False
 
 
 def build_gbip(rs, w, inv=None):
@@ -197,10 +166,30 @@ def build_gbip(rs, w, inv=None):
     ``inv`` is N(w) when the caller already has it."""
     if inv is None:
         inv = inversion_set(rs, w)
-    deep, descents, supports = _gbip_masks(rs, inv)
-    ups = rs.root_table.ups
-    engaged = [ups[i] for i in deep]      # the s with B(alpha_s, beta) > 0
-    gens = reduce(or_, engaged, descents)
+    if rs.rank != 3:
+        raise RankNotThree("the graph construction requires rank 3")
+    table = rs.root_table
+    ups, cols = table.ups, table.cols
+    # ids 0, 1, 2 are the simple roots; the others in (depth, key) order
+    deep = sorted([i for i in inv if i >= 3], key=table.sort_keys.__getitem__)
+    # supports[j]: the bitmask of the descents reachable from root deep[j]
+    # by depth-decreasing peeling inside N(w), one step beta -> s beta per s
+    # in ups; a step lowers the depth by one, so the support of s beta is
+    # known before that of beta, and a descent supports itself
+    support = {s: 1 << s for s in range(3) if s in inv}
+    descents = gens = sum(support.values())      # the bits are distinct
+    supports = []
+    for i in deep:
+        up = ups[i]                 # the s with B(alpha_s, beta) > 0
+        gens |= up
+        reached = up & descents
+        for s in _BITS[up]:
+            k = cols[s][i]
+            if k is None:
+                k = table.reflect(i, s)
+            reached |= support.get(k, 0)
+        support[i] = reached
+        supports.append(reached)
     # the generators in a mask are the vertices index[mask]; root deep[j]
     # is vertex g + j
     gen_labels = _BITS[gens]
@@ -208,10 +197,9 @@ def build_gbip(rs, w, inv=None):
     index = _GEN_INDEX[gens]
     arcs = [(k, g + j) for j, reached in enumerate(supports)
             for k in index[reached]]
-    arcs += [(g + j, k) for j, up in enumerate(engaged)
-             for k in index[up & ~descents]]
-    roots = rs.root_table.roots
-    graph = BipGraph(gen_labels, [roots[i].key for i in deep], arcs)
+    arcs += [(g + j, k) for j, i in enumerate(deep)
+             for k in index[ups[i] & ~descents]]
+    graph = BipGraph(gen_labels, [table.roots[i].key for i in deep], arcs)
     # supports hold descent bits only and blocks are up & ~descents, so no
     # generator has arcs both in and out (no cycle), every blocked
     # non-descent has an in-arc, and a root is a source iff unsupported
@@ -224,14 +212,17 @@ def build_gbip(rs, w, inv=None):
 
 
 def check_gbip(rs, inv):
-    """The claim of the module docstring for N(w) = ``inv``, decided from
-    the supports of ``_gbip_masks`` without building the graph: (True,
-    None), or (False, (("r", key),)) for the first deep root, in (depth,
-    key) order, that no descent supports."""
-    deep, _, supports = _gbip_masks(rs, inv)
-    if 0 in supports:
-        key = rs.root_table.roots[deep[supports.index(0)]].key
-        return False, (("r", key),)
+    """The claim of the module docstring for N(w) = ``inv``, decided by the
+    standing rule without building the graph: (True, None), or (False,
+    (("r", key),)) for the (depth, key)-least deep root that does not
+    stand, which is the first one that no descent supports."""
+    if rs.rank != 3:
+        raise RankNotThree("the graph construction requires rank 3")
+    table = rs.root_table
+    fallen = [table.sort_keys[i] for i in inv
+              if i >= 3 and not _stands(table, i, inv)]
+    if fallen:
+        return False, (("r", min(fallen)[1]),)
     return True, None
 
 
@@ -245,21 +236,18 @@ def _gbip_walk_failures(rs, max_len):
     """Per level of the walk, a bytearray flagging what check_gbip fails."""
     if rs.rank != 3:
         raise RankNotThree("the graph construction requires rank 3")
-    ups, reflect = rs.root_table.ups, rs.root_table.reflect
-    # N(us) = N(u) u {g}.  If N(u) has no root source, N(us) has none but
-    # perhaps g: supports only grow as roots are added, and the descents of
-    # us include u's.  A deep g is supported iff some s in ups[g] is a
-    # descent of us or has s g != g in N(us), so in N(u), where it is a
-    # descent or a supported deep root.  So r lookups give check_gbip's
-    # verdict exactly; an entry whose parent failed gets the full check.
+    table = rs.root_table
+    # N(us) = N(u) u {g}, and a root that stands in N(u) stands in N(us):
+    # if N(u) passes, N(us) passes iff g is simple or stands, in at most r
+    # lookups.  An entry whose parent failed gets the full check.
     failed = bytearray(1)       # N(e) is empty
     for length, level, invs in _inversion_levels(rs, max_len):
         if length:
             prev, failed = failed, bytearray()
             for inv, p in zip(invs, level.parents):
                 g = inv[-1]
-                ok = (check_gbip(rs, inv)[0] if prev[p] else g < 3 or any(
-                    s in inv or reflect(g, s) in inv for s in _BITS[ups[g]]))
+                ok = (check_gbip(rs, inv)[0] if prev[p]
+                      else g < 3 or _stands(table, g, inv))
                 failed.append(not ok)
         yield failed
 
@@ -352,19 +340,16 @@ def construct_low_from_lambda(rs, sigma, mask, _memo=None):
     is verified before being returned.  There is no other path: where
     this peeling fails, ConstructionFailed names the mask it failed at and
     that mask's shortest element, since a failure signals a bug in the
-    construction, not a counterexample.  ``_memo`` also holds the
-    automaton and, under ("inversions", mask), the N(x) of each element
-    built, so one memo serves one (rs, sigma) only."""
+    construction, not a counterexample.  ``_memo`` holds the automaton
+    and, under each mask built, the pair (x, N(x)), so one memo serves one
+    (rs, sigma) only."""
     if _memo is None:
         _memo = {}
-    if mask in _memo:
-        return _memo[mask]
     if "automaton" not in _memo:
         _memo["automaton"] = build_automaton(rs, sigma)
-    if mask == 0:
-        _memo[0] = IDENTITY
-        _memo["inversions", 0] = frozenset()
-        return IDENTITY
+    _memo.setdefault(0, (IDENTITY, frozenset()))  # the caller may seed aut
+    if mask in _memo:
+        return _memo[mask][0]
     aut = _memo["automaton"]
     k = aut.state_index.get(mask)
     if k is None:
@@ -373,7 +358,7 @@ def construct_low_from_lambda(rs, sigma, mask, _memo=None):
     parent, s = aut.first_in[k]
     sub_mask = aut.states[parent]
     construct_low_from_lambda(rs, sigma, sub_mask, _memo)
-    inv = _left_multiply(rs, s, _memo["inversions", sub_mask])
+    inv = _left_multiply(rs, s, _memo[sub_mask][1])
     candidate = _shortlex(rs, inv)
     if (small_inversion_mask(rs, sigma, candidate, inv=inv) != mask
             or not is_low(rs, sigma, candidate)):
@@ -381,8 +366,7 @@ def construct_low_from_lambda(rs, sigma, mask, _memo=None):
         raise ConstructionFailed(
             "no low element realizing mask %d found (descent peeling from "
             "its shortest element %r failed)" % (mask, w_min))
-    _memo[mask] = candidate
-    _memo["inversions", mask] = inv
+    _memo[mask] = candidate, inv
     return candidate
 
 

@@ -40,7 +40,7 @@ def parse_group_file(text):
         raise ValidationError("top-level document must be a JSON object")
 
     rank = doc.get("rank")
-    if not isinstance(rank, int) or rank < 1:
+    if isinstance(rank, bool) or not isinstance(rank, int) or rank < 1:
         raise ValidationError('field "rank": must be a positive integer')
 
     coxeter = doc.get("coxeter")
@@ -63,8 +63,11 @@ def parse_group_file(text):
                 raise ValidationError('field "coxeter"[%d][%d]: off-diagonal '
                                       'labels must be >= 2 or "inf"' % (i, j))
 
+    items = doc.get("gram_overrides", [])
+    if not isinstance(items, list):
+        raise ValidationError('field "gram_overrides": must be a list')
     overrides = {}
-    for k, item in enumerate(doc.get("gram_overrides", [])):
+    for k, item in enumerate(items):
         where = 'field "gram_overrides"[%d]' % k
         if (not isinstance(item, dict) or "pair" not in item
                 or "value" not in item):
@@ -72,8 +75,9 @@ def parse_group_file(text):
                                   % where)
         pair = item["pair"]
         if (not isinstance(pair, list) or len(pair) != 2
-                or any(not isinstance(i, int) or not 0 <= i < rank
-                       for i in pair) or pair[0] == pair[1]):
+                or any(isinstance(i, bool) or not isinstance(i, int)
+                       or not 0 <= i < rank for i in pair)
+                or pair[0] == pair[1]):
             raise ValidationError('%s.pair: must be two distinct generator '
                                   'indices in [0, %d)' % (where, rank))
         i, j = pair

@@ -110,9 +110,17 @@ def extreme_ids(ids, points):
     collinear triple's cross is at rounding level rather than at the
     grid's.  Distinct roots lie far apart on the chart, so no merging is
     needed, and equal sets mean equal hulls."""
+    return frozenset(_hull_cycle(ids, points))
+
+
+def _hull_cycle(ids, points):
+    """The extreme ids of ``extreme_ids`` in order around the hull: from the
+    lexicographically least, toward the lesser of its two neighbours."""
     order = sorted(ids, key=points.__getitem__)
-    pts = [points[i][1] for i in order]
-    return frozenset([order[k] for k in _chain(pts)])
+    chain = _chain([points[i][1] for i in order])
+    if len(chain) > 2 and chain[-1] < chain[1]:
+        chain = chain[:1] + chain[:0:-1]
+    return [order[k] for k in chain]
 
 
 def hulls_equal(h1, h2):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from .core import roots_up_to_depth
 from .errors import RankNotThree, ValidationError
 from .projective import (
-    chart_points, chart_vertices, extreme_ids, normalize_projective)
+    _hull_cycle, chart_points, chart_vertices, normalize_projective)
 
 
 @dataclass
@@ -54,7 +54,8 @@ def render_svg(rs, sigma, lambdas=(), opts=None):
     """Render the projective picture; returns SVG text.
 
     ``lambdas`` is an iterable of bitmasks over sigma's indexing whose
-    convex hulls are drawn, from Sigma's chart points, computed once."""
+    convex hulls are drawn, around their boundary, from Sigma's chart
+    points, computed once."""
     if rs.rank != 3:
         raise RankNotThree("SVG rendering uses the rank-3 triangle chart")
     opts = opts or RenderOptions()
@@ -80,9 +81,8 @@ def render_svg(rs, sigma, lambdas=(), opts=None):
     for mask in lambdas:
         if not mask:
             continue
-        hull = extreme_ids(sigma.mask_to_ids(mask), points)
         px = [_to_px(points[i][0], size)
-              for i in sorted(hull, key=points.__getitem__)]
+              for i in _hull_cycle(sigma.mask_to_ids(mask), points)]
         coords = " ".join("%s,%s" % (_fmt(x), _fmt(y)) for x, y in px)
         if len(px) == 1:
             x, y = px[0]

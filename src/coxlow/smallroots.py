@@ -73,7 +73,7 @@ def small_roots(rs, cap=10000):
     return SmallRootSet(rs, [table.roots[i] for i in found])
 
 
-def default_lcap(rs, beta, alpha):
+def default_lcap(beta, alpha):
     return 2 * (beta.depth + alpha.depth) + 4
 
 
@@ -89,7 +89,7 @@ def dominates(rs, beta, alpha, lcap=None):
     if rs.bilinear(beta.coords, alpha.coords) < 1 - rs.eps:
         return DominanceVerdict(False, True)
     if lcap is None:
-        lcap = default_lcap(rs, beta, alpha)
+        lcap = default_lcap(beta, alpha)
     start = (beta.coords, alpha.coords)
     seen = {(rs.vec_key(beta.coords), rs.vec_key(alpha.coords))}
     frontier = [start]

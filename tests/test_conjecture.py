@@ -251,6 +251,16 @@ def test_gbip_acyclic_and_sources_are_descents():
                     == left_descents(rs, elem, inv=inv), (name, backend, elem)
 
 
+def _kahn_witness(graph):
+    """The witness check_gbip must give for ``graph``'s N(w): the first root
+    vertex among the sources Kahn's sort finds on a hand-built copy of the
+    graph, or None when no root is a source."""
+    copy = BipGraph(graph.gen_labels, graph.root_labels, graph.arcs)
+    _, _, srcs = _topological_sort(copy)
+    roots = [v for v in srcs if v >= len(copy.gen_labels)]
+    return (copy.vertices[roots[0]],) if roots else None
+
+
 def _graph_verdict(graph):
     """The claim read off a BipGraph by Kahn's sort, whatever sort result
     the graph arrived with: acyclic, and no root is a source."""
@@ -261,7 +271,8 @@ def _graph_verdict(graph):
 def test_gbip_sort_result_on_arbitrary_id_sets():
     # random sets of table ids, coclosed or not: supported and unsupported
     # roots both occur, the seeded sort result is still Kahn's, and
-    # check_gbip gives Kahn's verdict, naming a root source when it fails
+    # check_gbip gives Kahn's verdict, naming Kahn's first root source when
+    # it fails
     rng = random.Random(20)
     root_sources = supported = 0
     for name in ("hyperbolic-3-3-4", "universal", "affine-6-3-2", "H3"):
@@ -276,9 +287,7 @@ def test_gbip_sort_result_on_arbitrary_id_sets():
             assert graph._topo == _topological_sort(graph), (name, inv)
             ok, witness = check_gbip(rs, inv)
             assert ok == _graph_verdict(graph), (name, inv)
-            if not ok:
-                assert len(witness) == 1 and witness[0][0] == "r", (name, inv)
-                assert witness[0] in sources(graph), (name, inv)
+            assert witness == _kahn_witness(graph), (name, inv)
             g = len(graph.gen_labels)
             n_src = sum(v >= g for v in graph._topo[2])
             root_sources += n_src > 0
@@ -322,8 +331,8 @@ def test_check_gbip_agrees_with_the_graph_check():
 
 def test_check_gbip_flags_sets_that_are_not_coclosed():
     # N(w) without its simple roots: no deep root has a supporting
-    # descent.  The graph check passes every such set; the mask check must
-    # flag each one, naming a root that is a source.
+    # descent.  The graph check passes every such set; check_gbip must
+    # flag each one, naming Kahn's first root source.
     rs = battery_root_system("hyperbolic-3-3-4")
     cut_sets = 0
     for _, entries in inversion_walk(rs, 10):
@@ -339,8 +348,7 @@ def test_check_gbip_flags_sets_that_are_not_coclosed():
                 left_descents(rs, elem, inv=cut)
             ok, witness = check_gbip(rs, cut)
             assert not ok, elem
-            assert len(witness) == 1 and witness[0] in sources(graph), elem
-            assert witness[0][0] == "r", elem
+            assert witness == _kahn_witness(graph), elem
     assert cut_sets == 399      # elements of length 2 to 10
 
 
@@ -386,7 +394,8 @@ def test_check_gbip_walk_matches_check_gbip_per_element(monkeypatch):
 def test_check_gbip_walk_matches_check_gbip_under_mutation(monkeypatch):
     # clearing ups for 2 random deep roots leaves roots unsupported; the
     # induction must flag exactly the elements the full check flags, and
-    # falls back to it below every element that fails
+    # falls back to it below every element that fails; the full check
+    # names Kahn's first root source of the graph built on the same ups
     fallbacks = _count_fallbacks(monkeypatch)
     rng = random.Random(21)
     violations = 0
@@ -403,6 +412,11 @@ def test_check_gbip_walk_matches_check_gbip_under_mutation(monkeypatch):
             assert flags == _full_flags(rs, 8), name
             assert check_gbip_walk(rs, 8) == (len(flags), flags.count(1))
             violations += flags.count(1)
+            for _, entries in inversion_walk(rs, 8):
+                for elem, inv in entries:
+                    graph = build_gbip(rs, elem, inv=inv)
+                    assert check_gbip(rs, inv)[1] == _kahn_witness(graph), \
+                        (name, elem)
     assert violations > 0 and fallbacks
 
 

@@ -109,3 +109,31 @@ def test_every_name_the_benchmark_pins_resolves():
         except (AttributeError, ImportError):
             missing.append(name)
     assert missing == []
+
+
+def unused_parameters(tree):
+    """(line, function, parameter) for each parameter of a function or
+    lambda that its body never reads; self and cls are exempt."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs
+            params += [a for a in (args.vararg, args.kwarg) if a]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {name.id for stmt in body for name in ast.walk(stmt)
+                    if isinstance(name, ast.Name)
+                    and isinstance(name.ctx, ast.Load)}
+            found += [(node.lineno, getattr(node, "name", "<lambda>"), a.arg)
+                      for a in params
+                      if a.arg not in read and a.arg not in ("self", "cls")]
+    return found
+
+
+def test_no_function_in_the_package_has_an_unused_parameter():
+    paths = sorted((ROOT / "src/coxlow").glob("*.py"))
+    found = ["%s:%d %s(%s)" % (p.relative_to(ROOT), line, fn, arg)
+             for p in paths
+             for line, fn, arg in unused_parameters(ast.parse(p.read_text()))]
+    assert found == []

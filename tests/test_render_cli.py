@@ -1,4 +1,5 @@
 import argparse
+import itertools
 import json
 import math
 import re
@@ -9,6 +10,7 @@ import pytest
 import coxlow.cli
 import coxlow.conjecture
 from coxlow import (
+    BATTERY,
     IDENTITY,
     INF,
     RenderOptions,
@@ -32,6 +34,7 @@ from coxlow.errors import (
     ValidationError,
     ZeroSum,
 )
+from coxlow.projective import _cross
 
 UNIVERSAL_JSON = """{
   "rank": 3,
@@ -151,6 +154,32 @@ def test_sigma_points_on_triangle_edges(battery):
         d = min(_point_segment_dist(p, tri[i], tri[(i + 1) % 3])
                 for i in range(3))
         assert d <= 0.5, p
+
+
+def _crosses(a, b, c, d):
+    """Do the segments ab and cd cross at a point inside both?"""
+    return (_cross(a, b, c) * _cross(a, b, d) < 0
+            and _cross(c, d, a) * _cross(c, d, b) < 0)
+
+
+def test_overlays_do_not_cross_themselves(battery):
+    # each lambda hull is drawn around its boundary, so no two edges of an
+    # overlay that share no vertex cross; the overlays do not depend on
+    # the depth of the dots
+    large = 0
+    for name, _, _ in BATTERY:
+        rs, sigma, aut = battery.get(name)
+        svg = render_svg(rs, sigma, aut.states, RenderOptions(depth=1))
+        for points in re.findall(r'<polygon points="([^"]+)" fill="#3366cc"',
+                                 svg):
+            poly = [tuple(map(float, xy.split(","))) for xy in points.split()]
+            n = len(poly)
+            large += n >= 4
+            edges = [(poly[k], poly[(k + 1) % n]) for k in range(n)]
+            for i, j in itertools.combinations(range(n), 2):
+                if (j - i) % n not in (1, n - 1):
+                    assert not _crosses(*edges[i], *edges[j]), (name, points)
+    assert large == 86
 
 
 # -- group files --------------------------------------------------------
@@ -329,6 +358,36 @@ def test_cli_rejects_non_finite_override(tmp_path, capsys, literal, command):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == 'error: field "gram_overrides"[0].value: must be finite\n'
+
+
+def _with_overrides(value):
+    return UNIVERSAL_JSON.replace(
+        '"backend"', '"gram_overrides": %s,\n  "backend"' % value)
+
+
+NOT_A_LIST = 'field "gram_overrides": must be a list'
+
+
+@pytest.mark.parametrize("text,message", [
+    (_with_overrides("5"), NOT_A_LIST),
+    (_with_overrides("null"), NOT_A_LIST),
+    (_with_overrides('{"pair": [0, 1], "value": -1.5}'), NOT_A_LIST),
+    (_with_overrides('"[]"'), NOT_A_LIST),
+    ('{"rank": true, "coxeter": [[1]]}',
+     'field "rank": must be a positive integer'),
+    (_with_overrides('[{"pair": [false, true], "value": -1.5}]'),
+     'field "gram_overrides"[0].pair: must be two distinct generator '
+     'indices in [0, 3)'),
+], ids=["number", "null", "dict", "string", "bool-rank", "bool-pair"])
+def test_cli_rejects_malformed_group_fields(tmp_path, capsys, text, message):
+    # each names its field and exits 2: none may crash, and no dict or
+    # string is read as the list, no bool as an integer
+    path = tmp_path / "group.json"
+    path.write_text(text)
+    assert main(["small-roots", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: %s\n" % message
 
 
 @pytest.mark.parametrize("option", ["--out", "--dot"])
