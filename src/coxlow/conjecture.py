@@ -199,7 +199,7 @@ def build_gbip(rs, w, inv=None):
             for k in index[reached]]
     arcs += [(g + j, k) for j, i in enumerate(deep)
              for k in index[ups[i] & ~descents]]
-    graph = BipGraph(gen_labels, [table.roots[i].key for i in deep], arcs)
+    graph = BipGraph(gen_labels, [table.sort_keys[i][1] for i in deep], arcs)
     # supports hold descent bits only and blocks are up & ~descents, so no
     # generator has arcs both in and out (no cycle), every blocked
     # non-descent has an in-arc, and a root is a source iff unsupported

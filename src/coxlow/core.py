@@ -107,35 +107,34 @@ class Root:
 
 
 def _float_key(v):
-    return tuple([int(round(float(c) * _KEY_SCALE)) for c in v])
+    return tuple([round(float(c) * _KEY_SCALE) for c in v])
 
 
 class RootTable:
     """The positive roots met so far, each under an integer id.
 
-    ``roots[i]`` is root i, with the coordinates it was first found with;
-    ``ids`` maps a root key to its id.  The simple root alpha_s has id s.
-    ``add`` computes each root's form values once, and these id-indexed
-    lists keep them and what is derived from them: ``forms[i][t]`` is
-    B(alpha_t, root i); ``ups[i]`` the bitmask of the generators t with
-    B(alpha_t, root i) > eps, the s for which s . root i is shallower; and
-    ``sort_keys[i]`` is (depth, key), the order in which roots are listed.
-    ``cols[s]`` is one id-indexed column per generator: ``cols[s][i]`` is the
-    id of s . root i, or None until ``reflect(i, s)`` fills it (and
-    ``cols[s][s]`` stays None, since s negates alpha_s).  Every list has
-    one entry per root.  ``reflect`` never peels: depth(s beta) is
-    depth(beta) - 1 if B(alpha_s, beta) > eps, depth(beta) + 1 if it is
-    < -eps, and otherwise s fixes the root.  Past the simple roots, the
-    package adds roots only through ``reflect``; BasedRootSystem.root_depth
-    stays for a caller that holds a raw vector.
-    The table holds no reference to its root system, so the two form no
-    cycle."""
+    ``ids`` maps a root key to its id; the simple root alpha_s has id s.
+    Id-indexed lists keep each root, with its form values computed once by
+    ``add``: ``coords[i]`` are root i's first-found coordinates;
+    ``forms[i][t]`` is B(alpha_t, root i); ``ups[i]`` the bitmask of the
+    generators t with B(alpha_t, root i) > eps, the s for which s . root i
+    is shallower; and ``sort_keys[i]`` is (depth, key), the order in which
+    roots are listed.  ``cols[s]`` is one id-indexed column per generator:
+    ``cols[s][i]`` is the id of s . root i, or None until ``reflect(i, s)``
+    fills it (and ``cols[s][s]`` stays None, since s negates alpha_s).
+    Every list has one entry per root, and ``root(i)`` builds root i as a
+    Root.  ``reflect`` never peels: depth(s beta) is depth(beta) - 1 if
+    B(alpha_s, beta) > eps, depth(beta) + 1 if it is < -eps, and otherwise
+    s fixes the root.  Past the simple roots, the package adds roots only
+    through ``reflect``; BasedRootSystem.root_depth stays for a caller that
+    holds a raw vector.  The table holds no reference to its root system,
+    so the two form no cycle."""
 
     def __init__(self, simple_roots, gram, eps, vec_key):
         self.gram = gram
         self.eps = eps
         self.vec_key = vec_key
-        self.roots = []
+        self.coords = []
         self.ids = {}
         self.forms = []
         self.ups = []
@@ -146,17 +145,24 @@ class RootTable:
 
     def add(self, coords, key, depth):
         """Record a positive root the table does not hold; returns its id."""
-        i = len(self.roots)
-        self.roots.append(Root(coords, depth, key))
+        i = len(self.coords)
+        self.coords.append(coords)
         self.ids[key] = i
         eps = self.eps
-        forms = tuple([sum(map(mul, row, coords)) for row in self.gram])
-        self.forms.append(forms)
-        self.ups.append(sum([1 << t for t, b in enumerate(forms) if b > eps]))
+        forms, up = [], 0
+        for t, row in enumerate(self.gram):
+            forms.append(b := sum(map(mul, row, coords)))
+            if b > eps:
+                up |= 1 << t
+        self.forms.append(tuple(forms))
+        self.ups.append(up)
         self.sort_keys.append((depth, key))
         for col in self.cols:
             col.append(None)
         return i
+
+    def root(self, i):
+        return Root(self.coords[i], *self.sort_keys[i])
 
     def reflect(self, i, s):
         """Id of s . root i; root i must not be alpha_s, which s negates."""
@@ -169,14 +175,14 @@ class RootTable:
             if -self.eps <= b <= self.eps:
                 j = i
             else:
-                beta = self.roots[i]
-                v = list(beta.coords)
+                v = list(self.coords[i])
                 v[s] -= 2 * b
                 v = tuple(v)
                 key = self.vec_key(v)
                 j = self.ids.get(key)
                 if j is None:
-                    j = self.add(v, key, beta.depth - (1 if b > 0 else -1))
+                    j = self.add(v, key, self.sort_keys[i][0]
+                                 - (1 if b > 0 else -1))
                 col[j] = i
             col[i] = j
         return j
@@ -275,7 +281,7 @@ class BasedRootSystem:
                     break
             else:
                 raise ValueError("not a positive root: %r" % (start,))
-        depth = table.roots[table.ids[key]].depth
+        depth = table.sort_keys[table.ids[key]][0]
         for u, k in reversed(path):
             depth += 1
             table.add(u, k, depth)
@@ -367,4 +373,4 @@ def roots_up_to_depth(rs, d):
             table.reflect(i, s) for i in frontier for s in range(rs.rank)
             if table.forms[i][s] < -rs.eps))
         found = found + frontier
-    return sorted((table.roots[i] for i in found), key=Root.sort_key)
+    return sorted(map(table.root, found), key=Root.sort_key)

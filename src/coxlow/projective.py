@@ -97,8 +97,8 @@ def convex_hull_2d(points):
 def chart_points(rs, ids):
     """{id: (chart point on the 1e-9 grid, chart point as computed)} for
     root ids of rs.root_table; one normalize_projective per id."""
-    roots = rs.root_table.roots
-    points = {i: normalize_projective(rs, roots[i].coords) for i in ids}
+    coords = rs.root_table.coords
+    points = {i: normalize_projective(rs, coords[i]) for i in ids}
     return {i: (_snap(p), p) for i, p in points.items()}
 
 

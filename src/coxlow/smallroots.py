@@ -8,6 +8,7 @@ simple roots, apply s whenever -1 < B(alpha_s, beta) < 0.
 """
 
 from collections import deque, namedtuple
+from functools import cached_property
 
 from .errors import ClosureCapExceeded
 
@@ -17,21 +18,23 @@ DominanceVerdict = namedtuple("DominanceVerdict", ["value", "decisive"])
 class SmallRootSet:
     """The small roots with a frozen 0-based indexing.
 
-    ``ids`` are the roots' ids in rs.root_table, in (depth, key) order;
-    ``bit`` maps an id to its index in that order, and ``roots`` are the
-    table's own Root objects.  Downstream code stores subsets of the small
-    roots as integer bitmasks over this indexing, so the ordering must never
-    change once built.  The given roots must be in the table already."""
+    ``ids`` are the given ids of rs.root_table in (depth, key) order, and
+    ``bit`` maps an id to its index in that order; ``roots`` are the
+    table's roots as Roots, built when first read.  Downstream code stores
+    subsets of the small roots as integer bitmasks over this indexing, so
+    the ordering must never change once built."""
 
-    def __init__(self, rs, roots):
-        table = rs.root_table
-        self.ids = tuple(sorted({table.ids[root.key] for root in roots},
-                                key=table.sort_keys.__getitem__))
+    def __init__(self, rs, ids):
+        self.table = table = rs.root_table
+        self.ids = tuple(sorted(set(ids), key=table.sort_keys.__getitem__))
         self.bit = {i: b for b, i in enumerate(self.ids)}
-        self.roots = tuple(table.roots[i] for i in self.ids)
+
+    @cached_property
+    def roots(self):
+        return tuple(map(self.table.root, self.ids))
 
     def __len__(self):
-        return len(self.roots)
+        return len(self.ids)
 
     def __iter__(self):
         return iter(self.roots)
@@ -67,10 +70,11 @@ def small_roots(rs, cap=10000):
                 if j not in found:
                     if len(found) >= cap:
                         raise ClosureCapExceeded(
-                            "small-root closure exceeded cap %d" % cap)
+                            "small-root closure exceeded cap %d at root %d, %r"
+                            % (cap, j, table.root(j)))
                     found.add(j)
                     queue.append(j)
-    return SmallRootSet(rs, [table.roots[i] for i in found])
+    return SmallRootSet(rs, found)
 
 
 def default_lcap(beta, alpha):
@@ -131,13 +135,13 @@ def small_roots_by_dominance(rs, depth_bound, lcap=10):
                 dominated = True
                 break
         if not dominated:
-            small.append(beta)
+            small.append(rs.root_table.ids[beta.key])
     return SmallRootSet(rs, small)
 
 
 def is_bipodal(rs, roots):
     """Bipodality of a set of positive roots, given as Roots of
-    rs.root_table (as for SmallRootSet, they must be in the table already).
+    rs.root_table (they must be in the table already).
 
     Every non-simple member beta must stand on two feet inside the set:
     for each s with B(alpha_s, beta) > 0 (so that s lowers beta's depth,

@@ -119,17 +119,17 @@ def cone_is_low(rs, sigma, w, memo):
     with a gray zone in float).  ``memo`` is a dict the caller keeps for one
     root system: it holds the verdicts by (lambda ids, root id), and ids
     mean something only within one root table."""
-    roots = rs.root_table.roots
-    order = sorted(inversion_set(rs, w), key=lambda i: roots[i].sort_key())
+    table = rs.root_table
+    order = sorted(inversion_set(rs, w), key=table.sort_keys.__getitem__)
     lam = [i for i in order if i in sigma.bit]
     lam_ids = frozenset(lam)
-    lam_coords = tuple(roots[i].coords for i in lam)
+    lam_coords = tuple(table.coords[i] for i in lam)
     for i in order:
         if i in lam_ids:
             continue
         key = (lam_ids, i)
         if key not in memo:
-            memo[key] = cone_membership(rs, lam_coords, roots[i])
+            memo[key] = cone_membership(rs, lam_coords, table.coords[i])
         if not memo[key]:
             return False
     return True
@@ -140,9 +140,9 @@ def pairwise_polytope_witnesses(rs, sigma, aut, lows):
     hull by projective_hull for every low element and every lambda, and
     per lambda the first low element, in the order of ``lows``, whose hull
     hulls_equal matches (|lows| x |Lambda| comparisons), or None."""
-    roots = rs.root_table.roots
+    table = rs.root_table
     low_hulls = [(low, projective_hull(
-        rs, [roots[i] for i in inversion_set(rs, low)])) for low in lows]
+        rs, [table.root(i) for i in inversion_set(rs, low)])) for low in lows]
     witnesses = {}
     for mask in aut.states:
         target = projective_hull(rs, sigma.mask_to_roots(mask))

@@ -165,8 +165,7 @@ def test_count_elements_keys_automata_by_sigma_content():
     # A2, and the simple roots alone (whose acceptor only forbids "ss")
     rs = build_root_system(dihedral_matrix(3))
     for _ in range(20):
-        simple_only = SmallRootSet(
-            rs, [rs.root_table.roots[s] for s in range(2)])
+        simple_only = SmallRootSet(rs, range(2))
         assert count_elements(rs, simple_only, 4) == [1, 2, 2, 2, 2]
         del simple_only
         # a new set may be given the id of the one just freed

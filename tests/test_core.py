@@ -190,9 +190,9 @@ def test_root_table_per_root_data(backend):
         parents = {}
 
         def recording(i, s, reflect=table.reflect):
-            n = len(table.roots)
+            n = len(table.coords)
             j = reflect(i, s)
-            if len(table.roots) > n:
+            if len(table.coords) > n:
                 parents[j] = (i, s)
             return j
 
@@ -200,25 +200,26 @@ def test_root_table_per_root_data(backend):
         for _, entries in inversion_walk(rs, 8):
             for elem, inv in entries:
                 assert inversion_set(rs, elem) == inv, (name, elem)
-        n = len(table.roots)
+        n = len(table.coords)
         assert set(parents) == set(range(rs.rank, n)), name
         assert (len(table.forms) == len(table.ups) == len(table.sort_keys)
                 == n), name
-        for i, root in enumerate(table.roots):
-            forms = tuple(rs.form_simple(t, root.coords)
-                          for t in range(rs.rank))
+        for i, coords in enumerate(table.coords):
+            forms = tuple(rs.form_simple(t, coords) for t in range(rs.rank))
             assert table.forms[i] == forms, (name, i)
             assert table.ups[i] == sum(
                 1 << t for t, b in enumerate(forms) if rs.is_pos(b)), (name, i)
-            assert table.sort_keys[i] == (root.depth, root.key), (name, i)
+            assert table.sort_keys[i][1] == rs.vec_key(coords), (name, i)
+            assert table.ids[table.sort_keys[i][1]] == i, (name, i)
+        # each depth, sort_keys[j][0], is checked against its parent's
         for j, (i, s) in parents.items():
-            assert table.roots[j].coords == rs.reflect(
-                s, table.roots[i].coords), (name, i, s)
+            assert table.coords[j] == rs.reflect(
+                s, table.coords[i]), (name, i, s)
             # a root s fixes adds nothing; otherwise the form's sign steps
             # the depth
             b = table.forms[i][s]
             assert not rs.is_zero(b), (name, i, s)
-            assert table.roots[j].depth == table.roots[i].depth - (
+            assert table.sort_keys[j][0] == table.sort_keys[i][0] - (
                 1 if rs.is_pos(b) else -1), (name, i, s)
 
 
@@ -230,36 +231,37 @@ def test_root_table_reflections_match_peeling_oracle():
         rs = _battery(name)
         table = rs.root_table
         for i in range(rs.rank):
-            assert table.roots[i].key == rs.vec_key(rs.simple_roots[i])
+            assert table.sort_keys[i] == (1, rs.vec_key(rs.simple_roots[i]))
         roots = roots_up_to_depth(_battery(name), 8)
         for root in roots:
             if root.depth == roots[-1].depth:
                 rs.root_depth(root.coords)
         i = 0
-        while i < len(table.roots):
+        while i < len(table.coords):
             for s in range(rs.rank):
-                if i != s and (table.roots[i].depth < 8
+                if i != s and (table.sort_keys[i][0] < 8
                                or rs.is_pos(table.forms[i][s])):
                     j = table.reflect(i, s)
-                    assert table.roots[j].key == rs.vec_key(
-                        rs.reflect(s, table.roots[i].coords)), (name, i, s)
+                    assert table.sort_keys[j][1] == rs.vec_key(
+                        rs.reflect(s, table.coords[i])), (name, i, s)
                     assert table.reflect(j, s) == i, (name, i, s)
             i += 1
-        for root in table.roots:
+        held = [table.root(i) for i in range(len(table.coords))]
+        for root in held:
             assert root.depth == peel_depth(rs, root.coords), (name, root)
-            assert table.ids[root.key] == table.roots.index(root)
-        assert ({r.key: r.depth for r in table.roots}
+            assert table.ids[root.key] == held.index(root)
+        assert ({r.key: r.depth for r in held}
                 == {r.key: r.depth for r in roots}), name
         # one id-indexed column per generator, agreeing with reflect
         assert len(table.cols) == rs.rank
         for s, col in enumerate(table.cols):
-            assert len(col) == len(table.roots), (name, s)
+            assert len(col) == len(table.coords), (name, s)
             assert col[s] is None, (name, s)
             for i, j in enumerate(col):
                 if j is not None:
                     assert j == table.reflect(i, s), (name, i, s)
-                    assert table.roots[j].key == rs.vec_key(
-                        rs.reflect(s, table.roots[i].coords)), (name, i, s)
+                    assert table.sort_keys[j][1] == rs.vec_key(
+                        rs.reflect(s, table.coords[i])), (name, i, s)
                     assert col[j] == i, (name, i, s)
 
 

@@ -105,12 +105,12 @@ def test_letters_outside_the_generators_are_rejected(battery, word, letter):
 
 def test_inversion_set_examples():
     rs = dihedral(INF)
-    roots = rs.root_table.roots
+    coords = rs.root_table.coords
     assert len(inversion_set(rs, IDENTITY)) == 0
     n_s = inversion_set(rs, Element((0,)))
-    assert [roots[i].coords for i in n_s] == [(1.0, 0.0)]
+    assert [coords[i] for i in n_s] == [(1.0, 0.0)]
     n_st = inversion_set(rs, Element((0, 1)))
-    assert sorted(tuple(round(c, 9) for c in roots[i].coords) for i in n_st) == [(1.0, 0.0), (2.0, 1.0)]
+    assert sorted(tuple(round(c, 9) for c in coords[i]) for i in n_st) == [(1.0, 0.0), (2.0, 1.0)]
 
 
 def test_inversion_set_rejects_nonreduced():
@@ -169,7 +169,7 @@ def test_two_closure(battery):
     rs, _, _ = battery.get("A3")
     roots = {r.key: r for r in roots_up_to_depth(rs, 8)}
     for elem, _, _ in elements_up_to_length(rs, 6):
-        pairs = [rs.root_table.roots[i] for i in inversion_set(rs, elem)]
+        pairs = [rs.root_table.root(i) for i in inversion_set(rs, elem)]
         for i, a in enumerate(pairs):
             for b in pairs[i + 1:]:
                 summed = tuple(x + y for x, y in zip(a.coords, b.coords))
@@ -184,8 +184,9 @@ def assert_matches_oracle(rs, inv, word, where):
     and to 1e-9 in float, where the root table keeps the coordinates it
     found first."""
     ref = prefix_inversion_roots(rs, word)
-    table = rs.root_table.roots
-    roots = [table[i] for i in sorted(inv, key=lambda i: table[i].sort_key())]
+    table = rs.root_table
+    roots = [table.root(i)
+             for i in sorted(inv, key=table.sort_keys.__getitem__)]
     assert ([(r.key, r.depth) for r in roots]
             == [(r.key, r.depth) for r in ref]), where
     assert len(inv) == len(word), where
@@ -220,8 +221,8 @@ def test_inversion_walk_matches_inversion_set(battery, backend):
                 assert_matches_oracle(rs, inv, elem.word, (name, elem))
                 assert inversion_set(rs, elem) == inv, (name, elem)
                 assert bare_elem == elem, name
-                assert ({bare.root_table.roots[i].key for i in bare_inv}
-                        == {rs.root_table.roots[i].key for i in inv}), \
+                assert ({bare.root_table.sort_keys[i][1] for i in bare_inv}
+                        == {rs.root_table.sort_keys[i][1] for i in inv}), \
                     (name, elem)
                 walked.append(elem)
         assert walked == [e for e, _, _ in elements_up_to_length(rs, 8)], name
@@ -249,7 +250,7 @@ def test_small_inversion_mask():
     assert small_inversion_mask(rs, sigma, IDENTITY) == 0
     # lambda(st) = {alpha_s}: the deep inversion is not small
     lam = small_inversion_mask(rs, sigma, Element((0, 1)))
-    assert sigma.mask_to_roots(lam) == [rs.root_table.roots[0]]
+    assert sigma.mask_to_roots(lam) == [rs.root_table.root(0)]
     rs3 = dihedral(3)
     sigma3 = small_roots(rs3)
     lam3 = small_inversion_mask(rs3, sigma3, Element((0, 1, 0)))
@@ -261,7 +262,7 @@ def test_small_inversion_mask():
 
 def test_cone_membership_basics():
     rs = dihedral(INF)
-    a = [rs.root_table.roots[0], rs.root_table.roots[1]]
+    a = [rs.root_table.root(0), rs.root_table.root(1)]
     gamma = rs.make_root((2, 1), 2)
     assert cone_membership(rs, a, gamma)
     assert cone_membership(rs, a, a[0])
@@ -271,11 +272,11 @@ def test_cone_membership_basics():
 
 def test_cone_membership_exact_backend():
     rs = dihedral(INF, backend="rational")
-    a = [rs.root_table.roots[0]]
+    a = [rs.root_table.root(0)]
     gamma = rs.make_root((Fraction(2), Fraction(1)), 2)
     assert not cone_membership(rs, a, gamma)
     assert cone_membership(
-        rs, [rs.root_table.roots[0], rs.root_table.roots[1]], gamma)
+        rs, [rs.root_table.root(0), rs.root_table.root(1)], gamma)
 
 
 def test_cone_gray_zone():

@@ -13,8 +13,11 @@ import pytest
 
 import coxlow.cli
 import coxlow.conjecture
+import coxlow.core
 import coxlow.elements
+import coxlow.groupfile
 import coxlow.projective
+import coxlow.smallroots
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -72,3 +75,29 @@ def test_verify_polytopes_charts_each_root_once(monkeypatch):
     assert code == 0
     assert "inversion polytopes: 18/18 matched" in out
     assert calls and len(calls) == len(set(calls))
+
+
+@pytest.mark.parametrize("polytopes", [False, True])
+def test_verify_builds_no_root_past_sigma(polytopes, monkeypatch):
+    # the root table keeps each root's data in id-indexed lists: the G_bip
+    # walk builds no Root, and a whole verify builds only Sigma's, once each,
+    # where --polytopes reads them
+    path = ROOT / "demos" / "groups" / "universal.json"
+    rs = coxlow.groupfile.load_root_system(path.read_text())
+    sigma = sorted(r.key for r in coxlow.smallroots.small_roots(rs))
+    made = []
+    init = coxlow.core.Root.__init__
+
+    def counting(self, *args):
+        init(self, *args)
+        made.append(self.key)
+
+    monkeypatch.setattr(coxlow.core.Root, "__init__", counting)
+    rs = coxlow.groupfile.load_root_system(path.read_text())
+    assert coxlow.conjecture.check_gbip_walk(rs, 8) == (766, 0)
+    assert made == []
+    argv = ["verify", str(path), "--max-length", "12"]
+    code, out = run_cli(argv + ["--polytopes"] * polytopes)
+    assert code == 0
+    assert "graph checks (length <= 8): 766 elements, 0 violations" in out
+    assert sorted(made) == (sigma if polytopes else [])

@@ -42,7 +42,9 @@ def test_sigma_contains_simples(battery):
 
 def test_closure_cap():
     rs = build_root_system(dihedral_matrix(3))
-    with pytest.raises(ClosureCapExceeded):
+    # alpha_0 + alpha_1 (id 2, depth 2) would be the third small root
+    named = r"cap 2 at root 2, Root\(\[1\.0, 1\.0\d*\], depth=2\)$"
+    with pytest.raises(ClosureCapExceeded, match=named):
         small_roots(rs, cap=2)
     with pytest.raises(ValueError):
         small_roots(rs, cap=1)
@@ -67,7 +69,7 @@ def test_dominance_reflexive():
 def test_dominance_infinite_dihedral():
     rs = build_root_system(dihedral_matrix(INF))
     beta = rs.make_root((2, 1), 2)       # alpha_t + 2 alpha_s with s=0
-    alpha = rs.root_table.roots[0]
+    alpha = rs.root_table.root(0)
     assert dominates(rs, beta, alpha, lcap=10).value
     # but not the other simple root's deep partner
     assert not dominates(rs, alpha, beta, lcap=10).value
@@ -76,7 +78,7 @@ def test_dominance_infinite_dihedral():
 def test_dominance_fast_path():
     rs = build_root_system(dihedral_matrix(3))
     beta = rs.make_root((1, 1), 2)
-    v = dominates(rs, beta, rs.root_table.roots[0])
+    v = dominates(rs, beta, rs.root_table.root(0))
     assert v == (False, True)
 
 
@@ -84,7 +86,7 @@ def test_is_small():
     rs = build_root_system(dihedral_matrix(INF))
     sigma = small_roots(rs)
     keys = {r.key for r in sigma}
-    assert rs.root_table.roots[0].key in keys
+    assert rs.root_table.root(0).key in keys
     assert rs.make_root((2, 1), 2).key not in keys
     rs3 = build_root_system(dihedral_matrix(3))
     sigma3 = small_roots(rs3)
@@ -92,13 +94,15 @@ def test_is_small():
 
 
 def test_sigma_holds_the_root_table_roots(battery):
-    # Sigma's roots are the table's own objects, under the table's ids
+    # Sigma's roots are the table's roots, under the table's ids
     for name in ("B3", "hyperbolic-2-3-7", "universal-override"):
         rs, sigma, _ = battery.get(name)
         table = rs.root_table
         assert list(sigma.ids) == [table.ids[r.key] for r in sigma], name
         for b, root in enumerate(sigma.roots):
-            assert root is table.roots[sigma.ids[b]], name
+            i = sigma.ids[b]
+            assert root.coords == table.coords[i], name
+            assert (root.depth, root.key) == table.sort_keys[i], name
             assert sigma.bit[sigma.ids[b]] == b, name
 
 
@@ -115,7 +119,7 @@ def test_oracle_agreement_sample(battery):
 def test_bipodal_trivial_cases(battery):
     rs, sigma, _ = battery.get("B3")
     assert is_bipodal(rs, [])
-    assert is_bipodal(rs, [rs.root_table.roots[s] for s in range(rs.rank)])
+    assert is_bipodal(rs, [rs.root_table.root(s) for s in range(rs.rank)])
     assert is_bipodal(rs, sigma)
 
 
