@@ -194,9 +194,9 @@ class BasedRootSystem:
     The form, the simple roots and ``generators`` (the frozenset
     range(rank)) are fixed at construction.  What grows is ``root_table``
     (a RootTable): every positive root that the small roots, an inversion
-    set, the element walk or a peeling graph has met, with its depth and
-    its reflections, so that each (root, s) pair is computed once per root
-    system.  ``root_depth`` also adds roots, for a caller that holds a raw
+    set, the element walk or a peeling graph has met, kept by id in lists
+    (no Root objects) with its depth and its reflections, each computed
+    once.  ``root_depth`` also adds roots, for a caller that holds a raw
     vector.  Derived data such as automata is passed explicitly."""
 
     def __init__(self, matrix, gram, backend, eps):
