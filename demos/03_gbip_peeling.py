@@ -1,22 +1,22 @@
 """The bipartite graph behind the rank-3 proof machinery.
 
-Sweeps all short elements of a rank-3 group, checks that the graph is
-acyclic and its sources are left descents, then walks one concrete
-peeling chain step by step.
+Sweeps all short elements of a rank-3 group, checking with check_gbip that
+each graph is acyclic with no root source, so that its sources are exactly
+the left descents, then walks one concrete peeling chain step by step.
 """
 
 from pathlib import Path
 
 from coxlow import (
-    build_gbip,
-    check_acyclic,
+    check_gbip,
     elements_up_to_length,
+    enumerate_low_stable,
+    inversion_set,
     is_low,
     left_descents,
     load_root_system,
     normalize,
     small_roots,
-    source_generators,
 )
 
 rs = load_root_system(Path("demos/groups/hyperbolic-3-3-4.json").read_text())
@@ -24,23 +24,21 @@ sigma = small_roots(rs)
 
 checked = 0
 for elem, _, _ in elements_up_to_length(rs, 8):
-    graph = build_gbip(rs, elem)
-    ok, witness = check_acyclic(graph)
+    ok, witness = check_gbip(rs, inversion_set(rs, elem))
     assert ok, (elem, witness)
-    assert set(source_generators(graph)) <= left_descents(rs, elem)
     checked += 1
 print("checked %d elements (length <= 8): all graphs acyclic, "
       "all sources are descents" % checked)
 
-# peel the longest low element down to the identity along graph sources
-from coxlow import enumerate_low_stable
-
+# peel the longest low element down to the identity along graph sources,
+# which are its left descents wherever check_gbip passes
 lows, _, _ = enumerate_low_stable(rs, sigma)
 w = lows[-1]
 print("\npeeling w = %r (low: %s)" % (w, is_low(rs, sigma, w)))
 while w.length:
-    srcs = source_generators(build_gbip(rs, w))
+    assert check_gbip(rs, inversion_set(rs, w))[0], w
+    srcs = sorted(left_descents(rs, w))
     s = srcs[0]
-    print("  sources %s -> peel s%d" % (list(srcs), s))
+    print("  sources %s -> peel s%d" % (srcs, s))
     w = normalize(rs, (s,) + w.word)
     print("  now w = %r, still low: %s" % (w, is_low(rs, sigma, w)))

@@ -35,10 +35,9 @@ for name, depth in [("affine-3-3-3", 4), ("hyperbolic-3-3-4", 5)]:
     if check_simplex_edge_condition(rs, sigma):
         lows, _ = enumerate_low(rs, sigma, 12)
         rep = verify_inversion_polytopes(rs, sigma, aut, lows)
-        matched = sum(1 for v in rep.witnesses.values() if v is not None)
         print("  small roots lie on simplex edges; conv(lambda) matched "
               "an inversion polytope for %d/%d lambdas"
-              % (matched, len(rep.witnesses)))
+              % (rep.matched, len(rep.witnesses)))
     else:
         print("  small roots leave the simplex edges; polytope claim "
               "not asserted here")

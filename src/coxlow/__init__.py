@@ -49,7 +49,6 @@ from .elements import (
     enumerate_low,
     enumerate_low_stable,
     inversion_set,
-    inversion_walk,
     is_low,
     left_descents,
     normalize,

@@ -74,20 +74,6 @@ def _close(rs, delta):
     return states, transitions, first_in
 
 
-def _shortest_state_word(aut, mask):
-    """Letters of a shortest path from the start to the state ``mask``, or
-    None when it is no state.  _close numbers the states breadth first, so
-    a state's first in-transition is the last step of such a path."""
-    target = aut.state_index.get(mask)
-    if target is None:
-        return None
-    letters = []
-    while target:
-        target, s = aut.first_in[target]
-        letters.append(s)
-    return tuple(reversed(letters))
-
-
 def _reduced_word_delta(rs, sigma):
     """The transition of build_automaton; None when alpha_s is in A."""
     table = _reflection_table(rs, sigma)

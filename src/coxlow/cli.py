@@ -168,11 +168,10 @@ def cmd_verify(args):
         if not rep.hypothesis_met:
             print("note: small roots leave the simplex edges; the polytope "
                   "claim is outside its stated hypothesis")
-        matched = sum(1 for w in rep.witnesses.values() if w is not None)
         poly_summary = {"hypothesis_met": rep.hypothesis_met,
-                        "matched": matched, "total": len(rep.witnesses)}
+                        "matched": rep.matched, "total": len(rep.witnesses)}
         print("inversion polytopes: %d/%d matched (hypothesis %s)"
-              % (matched, len(rep.witnesses),
+              % (rep.matched, len(rep.witnesses),
                  "met" if rep.hypothesis_met else "not met"))
 
     report = {

@@ -31,7 +31,7 @@ transition into lambda: a left descent, so a generator source.
 
 from dataclasses import dataclass, field
 
-from .automaton import _shortest_state_word, build_automaton
+from .automaton import build_automaton
 from .core import INF, triangle_matrix, build_root_system
 from .elements import (
     IDENTITY,
@@ -42,7 +42,6 @@ from .elements import (
     bijection_report,
     inversion_set,
     is_low,
-    normalize,
     small_inversion_mask,
 )
 from .errors import ConstructionFailed, CyclicGraph, RankNotThree
@@ -167,7 +166,8 @@ def build_gbip(rs, w, inv=None):
     if inv is None:
         inv = inversion_set(rs, w)
     if rs.rank != 3:
-        raise RankNotThree("the graph construction requires rank 3")
+        raise RankNotThree("the graph construction requires rank 3, not "
+                           "rank %d" % rs.rank)
     table = rs.root_table
     ups, cols = table.ups, table.cols
     # ids 0, 1, 2 are the simple roots; the others in (depth, key) order
@@ -217,7 +217,8 @@ def check_gbip(rs, inv):
     (("r", key),)) for the (depth, key)-least deep root that does not
     stand, which is the first one that no descent supports."""
     if rs.rank != 3:
-        raise RankNotThree("the graph construction requires rank 3")
+        raise RankNotThree("the graph construction requires rank 3, not "
+                           "rank %d" % rs.rank)
     table = rs.root_table
     fallen = [table.sort_keys[i] for i in inv
               if i >= 3 and not _stands(table, i, inv)]
@@ -235,7 +236,8 @@ def check_gbip_walk(rs, max_len):
 def _gbip_walk_failures(rs, max_len):
     """Per level of the walk, a bytearray flagging what check_gbip fails."""
     if rs.rank != 3:
-        raise RankNotThree("the graph construction requires rank 3")
+        raise RankNotThree("the graph construction requires rank 3, not "
+                           "rank %d" % rs.rank)
     table = rs.root_table
     # N(us) = N(u) u {g}, and a root that stands in N(u) stands in N(us):
     # if N(u) passes, N(us) passes iff g is simple or stands, in at most r
@@ -336,13 +338,13 @@ def construct_low_from_lambda(rs, sigma, mask, _memo=None):
     realizing lambda as s w', w' the shortest one realizing lambda' =
     states[k'], and s as one of its left descents (in rank 3, a generator
     source of its G_bip).  Build the element x for lambda' and take
-    s x, with N(s x) = {alpha_s} u s N(x) read off the memo; the candidate
-    is verified before being returned.  There is no other path: where
-    this peeling fails, ConstructionFailed names the mask it failed at and
-    that mask's shortest element, since a failure signals a bug in the
-    construction, not a counterexample.  ``_memo`` holds the automaton
-    and, under each mask built, the pair (x, N(x)), so one memo serves one
-    (rs, sigma) only."""
+    s x, with N(s x) = {alpha_s} u s N(x) read off the memo: by induction
+    this candidate is the shortest element realizing lambda, and it is
+    verified before being returned.  There is no other path: where this
+    peeling fails, ConstructionFailed names the mask and the candidate,
+    since a failure signals a bug in the construction, not a
+    counterexample.  ``_memo`` holds the automaton and, under each mask
+    built, the pair (x, N(x)), so one memo serves one (rs, sigma) only."""
     if _memo is None:
         _memo = {}
     if "automaton" not in _memo:
@@ -362,21 +364,18 @@ def construct_low_from_lambda(rs, sigma, mask, _memo=None):
     candidate = _shortlex(rs, inv)
     if (small_inversion_mask(rs, sigma, candidate, inv=inv) != mask
             or not is_low(rs, sigma, candidate)):
-        w_min = normalize(rs, _shortest_state_word(aut, mask)[::-1])
         raise ConstructionFailed(
             "no low element realizing mask %d found (descent peeling from "
-            "its shortest element %r failed)" % (mask, w_min))
+            "its shortest element %r failed)" % (mask, candidate))
     _memo[mask] = candidate, inv
     return candidate
 
 
 def check_simplex_edge_condition(rs, sigma):
     """Do all small roots lie on edges of the simplex (<= 2 nonzero coords)?"""
-    for root in sigma:
-        nonzero = sum(1 for c in root.coords if not rs.is_zero(c))
-        if nonzero > 2:
-            return False
-    return True
+    coords = rs.root_table.coords
+    return all(sum(not rs.is_zero(c) for c in coords[i]) <= 2
+               for i in sigma.ids)
 
 
 @dataclass
@@ -385,8 +384,8 @@ class PolytopeReport:
     witnesses: dict = field(default_factory=dict)   # mask -> Element or None
 
     @property
-    def matched_all(self):
-        return all(w is not None for w in self.witnesses.values())
+    def matched(self):       # the number of lambdas with a witness
+        return sum(w is not None for w in self.witnesses.values())
 
 
 def verify_inversion_polytopes(rs, sigma, aut, lows):
@@ -401,7 +400,8 @@ def verify_inversion_polytopes(rs, sigma, aut, lows):
     simplex edges; outside that hypothesis the check still runs and the
     report flags it."""
     if rs.rank != 3:
-        raise RankNotThree("inversion polytopes are checked on the rank-3 chart")
+        raise RankNotThree("inversion polytopes are checked on the rank-3 "
+                           "chart, not rank %d" % rs.rank)
     report = PolytopeReport(
         hypothesis_met=check_simplex_edge_condition(rs, sigma))
     invs = [(low, inversion_set(rs, low)) for low in lows]

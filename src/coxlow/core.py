@@ -258,9 +258,6 @@ class BasedRootSystem:
         return (any(self.is_neg(c) for c in v)
                 and not any(self.is_pos(c) for c in v))
 
-    def make_root(self, coords, depth):
-        return Root(tuple(coords), depth, self.vec_key(coords))
-
     def root_depth(self, v):
         """Depth of a positive root, read from root_table.
 

@@ -19,7 +19,7 @@ letter.  ``normalize`` builds N(w) of any word by left extension,
 N(s x) = {alpha_s} u s N(x) (or s (N(x) - {alpha_s}) when s x is
 shorter); left descents are the generators whose simple root lies in N(w),
 and ``normalize`` peels the least of them off N(w) until it is empty.
-``inversion_walk`` carries N(w) along the element walk instead, as
+``_inversion_levels`` carries N(w) along the element walk instead, as
 N(ws) = N(w) u {w(alpha_s)}, and reads w(alpha_s) off the table's
 reflections too: no routine here keeps a matrix or keys a vector, so root
 identity is decided in ``RootTable.reflect`` alone.
@@ -380,25 +380,10 @@ def elements_up_to_length(rs, max_len):
     return [e for _, entries in elements_by_length(rs, max_len) for e in entries]
 
 
-def inversion_walk(rs, max_len=None):
-    """Yield (length, entries) level by level, like elements_by_length, but
-    each entry is (Element, N(w)), N(w) the frozenset of its roots' ids.
-
-    N(us) = N(u) u {u(alpha_s)} when us is longer than u (Bjorner-Brenti,
-    Combinatorics of Coxeter Groups), and u(alpha_s) is the id reached from
-    alpha_s by u's letters, right to left, through the table's columns.
-    Every root on the way is u'(alpha_s) for a suffix u' of u, so positive,
-    and a root the table lacks enters it through reflect.  Only two levels
-    of ids are kept, and entries is a generator, so each Element and set is
-    built when drawn and freed after."""
-    for length, level, invs in _inversion_levels(rs, max_len):
-        yield length, ((elem, frozenset(inv))
-                       for (elem, _, _), inv in zip(level, invs))
-
-
 def _inversion_levels(rs, max_len):
     """Yield (length, Level, invs): invs[k] is N(us) for entry k = us, the
-    tuple of its parent's ids (level.parents[k]) and then u(alpha_s)."""
+    tuple of its parent's ids (level.parents[k]) and then the positive root
+    u(alpha_s), read off the table's columns for u's letters in turn."""
     table = rs.root_table
     cols, reflect = table.cols, table.reflect
     invs = [()]

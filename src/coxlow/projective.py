@@ -30,14 +30,16 @@ def chart_vertices(rank):
         return _TRIANGLE
     if rank == 2:
         return _SEGMENT
-    raise RankNotThree("projective chart only defined for rank 2 or 3")
+    raise RankNotThree("projective chart only defined for rank 2 or 3, "
+                       "not rank %d" % rank)
 
 
 def normalize_projective(rs, v):
     """Map a vector with positive coordinate sum to the 2D chart."""
     total = sum(v)
     if rs.is_zero(total):
-        raise ZeroSum("coordinate sum vanishes: direction at infinity")
+        raise ZeroSum("coordinate sum of %r vanishes: direction at infinity"
+                      % (v,))
     bary = [c / total for c in v]
     chart = chart_vertices(rs.rank)
     x = sum(float(b) * p[0] for b, p in zip(bary, chart))

@@ -57,7 +57,8 @@ def render_svg(rs, sigma, lambdas=(), opts=None):
     convex hulls are drawn, around their boundary, from Sigma's chart
     points, computed once."""
     if rs.rank != 3:
-        raise RankNotThree("SVG rendering uses the rank-3 triangle chart")
+        raise RankNotThree("SVG rendering uses the rank-3 triangle chart, "
+                           "not rank %d" % rs.rank)
     opts = opts or RenderOptions()
     opts.validate()
     size = opts.size

@@ -42,9 +42,6 @@ class SmallRootSet:
     def mask_to_ids(self, mask):
         return [self.ids[b] for b in range(len(self.ids)) if mask >> b & 1]
 
-    def mask_to_roots(self, mask):
-        return [self.roots[i] for i in range(len(self.roots)) if mask >> i & 1]
-
     def max_depth(self):
         return max(root.depth for root in self.roots)
 

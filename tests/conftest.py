@@ -106,7 +106,7 @@ def prefix_inversion_roots(rs, word):
         key = rs.vec_key(v)
         if key not in depths:
             depths[key] = peel_depth(rs, v)
-        roots.append(rs.make_root(v, depths[key]))
+        roots.append(Root(v, depths[key], key))
         if word[:k + 1] not in prefixes:
             prefixes[word[:k + 1]] = mat_mul(prefix, reflection_matrix(rs, s))
     return sorted(roots, key=Root.sort_key)
@@ -145,7 +145,8 @@ def pairwise_polytope_witnesses(rs, sigma, aut, lows):
         rs, [table.root(i) for i in inversion_set(rs, low)])) for low in lows]
     witnesses = {}
     for mask in aut.states:
-        target = projective_hull(rs, sigma.mask_to_roots(mask))
+        target = projective_hull(
+            rs, [table.root(i) for i in sigma.mask_to_ids(mask)])
         witnesses[mask] = next((low for low, hull in low_hulls
                                 if hulls_equal(hull, target)), None)
     return witnesses

@@ -15,7 +15,6 @@ from coxlow import (
     count_elements,
     dihedral_matrix,
     enumerate_low_stable,
-    inversion_walk,
     is_bipodal,
     is_low,
     small_inversion_mask,
@@ -25,6 +24,7 @@ from coxlow import (
     verify_inversion_polytopes,
 )
 from coxlow.conjecture import FINITE_BATTERY_ORDERS, check_gbip
+from coxlow.elements import _inversion_levels
 
 from conftest import (
     RATIONAL_NAMES, identity_matrix, mat_column, mat_mul, matrix_bfs_levels,
@@ -176,8 +176,8 @@ def test_criterion_5_gbip_checks():
     violations = []
     for name in NAMES:
         rs, _, _ = group(name)
-        for _, entries in inversion_walk(rs, 12):
-            for elem, inv in entries:
+        for _, level, invs in _inversion_levels(rs, 12):
+            for (elem, _, _), inv in zip(level, map(frozenset, invs)):
                 ok, witness = check_gbip(rs, inv)
                 if not ok:
                     violations.append((name, elem, witness))
@@ -220,7 +220,7 @@ def test_criterion_8_inversion_polytopes():
         eligible.append(name)
         lows, _, _ = stable_lows(name)
         rep = verify_inversion_polytopes(rs, sigma, aut, lows)
-        if not rep.matched_all:
+        if rep.matched < len(rep.witnesses):
             bad.append(name)
     # the matrix condition of PAPER.md implies the edge condition, so no
     # group that meets it may be skipped

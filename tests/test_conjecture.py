@@ -29,7 +29,6 @@ from coxlow import (
     enumerate_low,
     enumerate_low_stable,
     inversion_set,
-    inversion_walk,
     is_low,
     left_descents,
     load_root_system,
@@ -45,6 +44,7 @@ from coxlow import (
 )
 from coxlow.conjecture import _topological_sort, check_gbip_walk
 from coxlow.core import RootTable
+from coxlow.elements import _inversion_levels
 from coxlow.errors import ConstructionFailed, CyclicGraph, RankNotThree
 from coxlow.projective import EPS, EPS_AREA, _cross, chart_points
 
@@ -240,8 +240,8 @@ def test_gbip_acyclic_and_sources_are_descents():
     cases += [(name, "rational") for name in RATIONAL_NAMES]
     for name, backend in cases:
         rs = battery_root_system(name, backend)
-        for _, entries in inversion_walk(rs, 8):
-            for elem, inv in entries:
+        for _, level, invs in _inversion_levels(rs, 8):
+            for (elem, _, _), inv in zip(level, map(frozenset, invs)):
                 graph = build_gbip(rs, elem, inv=inv)
                 assert graph._topo == _topological_sort(graph), \
                     (name, backend, elem)
@@ -277,7 +277,7 @@ def test_gbip_sort_result_on_arbitrary_id_sets():
     root_sources = supported = 0
     for name in ("hyperbolic-3-3-4", "universal", "affine-6-3-2", "H3"):
         rs = battery_root_system(name)
-        for _ in inversion_walk(rs, 8):
+        for _ in _inversion_levels(rs, 8):
             pass
         n = len(rs.root_table.coords)
         for _ in range(500):
@@ -321,8 +321,8 @@ def test_check_gbip_agrees_with_the_graph_check():
     cases += [(name, "rational") for name in RATIONAL_NAMES]
     for name, backend in cases:
         rs = battery_root_system(name, backend)
-        for _, entries in inversion_walk(rs, 8):
-            for elem, inv in entries:
+        for _, level, invs in _inversion_levels(rs, 8):
+            for (elem, _, _), inv in zip(level, map(frozenset, invs)):
                 graph = build_gbip(rs, elem, inv=inv)
                 ok, witness = check_gbip(rs, inv)
                 assert ok == _graph_verdict(graph), (name, backend, elem)
@@ -335,8 +335,8 @@ def test_check_gbip_flags_sets_that_are_not_coclosed():
     # flag each one, naming Kahn's first root source.
     rs = battery_root_system("hyperbolic-3-3-4")
     cut_sets = 0
-    for _, entries in inversion_walk(rs, 10):
-        for elem, inv in entries:
+    for _, level, invs in _inversion_levels(rs, 10):
+        for (elem, _, _), inv in zip(level, map(frozenset, invs)):
             cut = inv - {0, 1, 2}
             if not cut:
                 continue
@@ -361,9 +361,9 @@ def _walk_flags(rs, max_len):
 
 def _full_flags(rs, max_len):
     """The same flags from the full check_gbip on every N(w) of the walk."""
-    return bytes(not check_gbip(rs, inv)[0]
-                 for _, entries in inversion_walk(rs, max_len)
-                 for _, inv in entries)
+    return bytes(not check_gbip(rs, frozenset(inv))[0]
+                 for _, _, invs in _inversion_levels(rs, max_len)
+                 for inv in invs)
 
 
 def _count_fallbacks(monkeypatch):
@@ -403,7 +403,7 @@ def test_check_gbip_walk_matches_check_gbip_under_mutation(monkeypatch):
                  "inf-3-3"):
         for _ in range(6):
             rs = battery_root_system(name)
-            for _ in inversion_walk(rs, 8):
+            for _ in _inversion_levels(rs, 8):
                 pass
             ups = rs.root_table.ups
             for i in rng.sample(range(3, len(ups)), 2):
@@ -412,8 +412,8 @@ def test_check_gbip_walk_matches_check_gbip_under_mutation(monkeypatch):
             assert flags == _full_flags(rs, 8), name
             assert check_gbip_walk(rs, 8) == (len(flags), flags.count(1))
             violations += flags.count(1)
-            for _, entries in inversion_walk(rs, 8):
-                for elem, inv in entries:
+            for _, level, invs in _inversion_levels(rs, 8):
+                for (elem, _, _), inv in zip(level, map(frozenset, invs)):
                     graph = build_gbip(rs, elem, inv=inv)
                     assert check_gbip(rs, inv)[1] == _kahn_witness(graph), \
                         (name, elem)
@@ -614,7 +614,7 @@ def test_matrix_condition_implies_the_edge_condition():
         assert report.bijective, bonds
         aut = build_automaton(rs, sigma)
         rep = verify_inversion_polytopes(rs, sigma, aut, lows)
-        assert rep.matched_all, bonds
+        assert rep.matched == len(rep.witnesses), bonds
         assert rep.witnesses == pairwise_polytope_witnesses(
             rs, sigma, aut, lows), bonds
         low_for = {mask: x for x, mask in report.mapping.items()}
@@ -691,8 +691,7 @@ def test_polytopes_universal(battery):
     rs, sigma, aut = battery.get("universal")
     lows, _ = enumerate_low(rs, sigma, 4)
     rep = verify_inversion_polytopes(rs, sigma, aut, lows)
-    assert rep.hypothesis_met and rep.matched_all
-    assert len(rep.witnesses) == 4
+    assert rep.hypothesis_met and rep.matched == len(rep.witnesses) == 4
 
 
 def test_polytopes_edge_groups(battery):
@@ -701,7 +700,8 @@ def test_polytopes_edge_groups(battery):
         assert check_simplex_edge_condition(rs, sigma)
         lows, _ = enumerate_low(rs, sigma, bound)
         rep = verify_inversion_polytopes(rs, sigma, aut, lows)
-        assert rep.hypothesis_met and rep.matched_all, name
+        assert rep.hypothesis_met, name
+        assert rep.matched == len(rep.witnesses), name
 
 
 def test_polytope_symmetry_3_3_3(battery):
@@ -709,16 +709,19 @@ def test_polytope_symmetry_3_3_3(battery):
     # must be invariant under cyclically relabeling the generators
     rs, sigma, aut = battery.get("affine-3-3-3")
     from coxlow import projective_hull
+    table = rs.root_table
     sizes = {}
     for mask in aut.states:
-        hull = projective_hull(rs, sigma.mask_to_roots(mask))
+        hull = projective_hull(
+            rs, [table.root(i) for i in sigma.mask_to_ids(mask)])
         sizes[len(hull)] = sizes.get(len(hull), 0) + 1
-    # relabeled system is the same matrix, so the multiset must reproduce
+    # relabeled system is the same matrix, so the multiset must reproduce;
+    # a rolled small root is a root the table already holds
     sizes2 = {}
     for mask in aut.states:
-        roots = sigma.mask_to_roots(mask)
-        rolled = [rs.make_root(r.coords[1:] + r.coords[:1], r.depth)
-                  for r in roots]
+        rolled = [table.root(table.ids[rs.vec_key(c[1:] + c[:1])])
+                  for c in map(table.coords.__getitem__,
+                               sigma.mask_to_ids(mask))]
         hull = projective_hull(rs, rolled)
         sizes2[len(hull)] = sizes2.get(len(hull), 0) + 1
     assert sizes == sizes2

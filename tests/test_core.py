@@ -12,10 +12,10 @@ from coxlow import (
     build_root_system,
     dihedral_matrix,
     inversion_set,
-    inversion_walk,
     roots_up_to_depth,
     triangle_matrix,
 )
+from coxlow.elements import _inversion_levels
 from coxlow.errors import (
     DimensionMismatch,
     InvalidBondLabel,
@@ -197,8 +197,8 @@ def test_root_table_per_root_data(backend):
             return j
 
         table.reflect = recording
-        for _, entries in inversion_walk(rs, 8):
-            for elem, inv in entries:
+        for _, level, invs in _inversion_levels(rs, 8):
+            for (elem, _, _), inv in zip(level, map(frozenset, invs)):
                 assert inversion_set(rs, elem) == inv, (name, elem)
         n = len(table.coords)
         assert set(parents) == set(range(rs.rank, n)), name

@@ -25,7 +25,6 @@ from coxlow import (
     enumerate_low,
     enumerate_low_stable,
     inversion_set,
-    inversion_walk,
     is_bipodal,
     is_low,
     left_descents,
@@ -34,6 +33,7 @@ from coxlow import (
     small_roots,
     triangle_matrix,
 )
+from coxlow.elements import _inversion_levels
 from coxlow.errors import NonReducedInput, NumericallyAmbiguous
 
 from conftest import (
@@ -213,10 +213,12 @@ def test_inversion_walk_matches_inversion_set(battery, backend):
         bare = battery_root_system(name, backend=backend)
         bare.vec_key = bare.root_depth = refuse
         walked = []
-        for (length, entries), (_, bare_entries) in zip(
-                inversion_walk(rs, 8), inversion_walk(bare, 8), strict=True):
-            for (elem, inv), (bare_elem, bare_inv) in zip(
-                    entries, bare_entries, strict=True):
+        for (length, level, invs), (_, bare_level, bare_invs) in zip(
+                _inversion_levels(rs, 8), _inversion_levels(bare, 8),
+                strict=True):
+            for (elem, _, _), inv, (bare_elem, _, _), bare_inv in zip(
+                    level, map(frozenset, invs), bare_level, bare_invs,
+                    strict=True):
                 assert elem.length == length
                 assert_matches_oracle(rs, inv, elem.word, (name, elem))
                 assert inversion_set(rs, elem) == inv, (name, elem)
@@ -250,12 +252,12 @@ def test_small_inversion_mask():
     assert small_inversion_mask(rs, sigma, IDENTITY) == 0
     # lambda(st) = {alpha_s}: the deep inversion is not small
     lam = small_inversion_mask(rs, sigma, Element((0, 1)))
-    assert sigma.mask_to_roots(lam) == [rs.root_table.root(0)]
+    assert sigma.mask_to_ids(lam) == [0]
     rs3 = dihedral(3)
     sigma3 = small_roots(rs3)
     lam3 = small_inversion_mask(rs3, sigma3, Element((0, 1, 0)))
     # the longest element inverts all of Sigma
-    assert len(sigma3.mask_to_roots(lam3)) == 3
+    assert len(sigma3.mask_to_ids(lam3)) == 3
 
 
 # -- cone membership ----------------------------------------------------
@@ -263,7 +265,7 @@ def test_small_inversion_mask():
 def test_cone_membership_basics():
     rs = dihedral(INF)
     a = [rs.root_table.root(0), rs.root_table.root(1)]
-    gamma = rs.make_root((2, 1), 2)
+    gamma = rs.root_table.root(rs.root_table.reflect(1, 0))     # (2, 1)
     assert cone_membership(rs, a, gamma)
     assert cone_membership(rs, a, a[0])
     assert not cone_membership(rs, [], gamma)
@@ -273,7 +275,8 @@ def test_cone_membership_basics():
 def test_cone_membership_exact_backend():
     rs = dihedral(INF, backend="rational")
     a = [rs.root_table.root(0)]
-    gamma = rs.make_root((Fraction(2), Fraction(1)), 2)
+    gamma = rs.root_table.root(rs.root_table.reflect(1, 0))     # (2, 1)
+    assert gamma.coords == (Fraction(2), Fraction(1))
     assert not cone_membership(rs, a, gamma)
     assert cone_membership(
         rs, [rs.root_table.root(0), rs.root_table.root(1)], gamma)
@@ -323,13 +326,14 @@ def test_is_low_matches_cone_oracle_on_random_triangles(bonds):
     # order, as low elements are closed under suffixes (Dyer-Hohlweg 2016);
     # the last id of each entry's tuple is the one root N(us) adds to N(u)
     rs = build_root_system(triangle_matrix(*bonds))
-    walked = [entry for _, entries in inversion_walk(rs, 6)
-              for entry in entries]
+    walked = []
     invs = None
-    for length, level, next_invs in coxlow.elements._inversion_levels(rs, 6):
+    for length, level, next_invs in _inversion_levels(rs, 6):
         for inv, p in zip(next_invs, level.parents) if length else ():
             assert set(inv) - set(invs[p]) == {inv[-1]}, (bonds, inv)
             assert len(set(inv)) == len(invs[p]) + 1 == length, (bonds, inv)
+        walked += [(elem, frozenset(inv))
+                   for (elem, _, _), inv in zip(level, next_invs)]
         invs = next_invs
     sigma = small_roots(rs)
     assert is_bipodal(rs, sigma.roots), bonds

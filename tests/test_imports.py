@@ -33,10 +33,9 @@ def test_no_module_imports_a_name_it_never_uses():
     assert found == []
 
 
-def private_definitions(tree):
-    """The private names that a module binds at module level, a function,
-    class or constant named _x (dunders are not private), with their
-    lines."""
+def definitions(tree):
+    """The names that a module binds at module level, a function, class or
+    constant, with their lines."""
     defined = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -46,7 +45,13 @@ def private_definitions(tree):
                 for name in ast.walk(target):
                     if isinstance(name, ast.Name):
                         defined.setdefault(name.id, node.lineno)
-    return {name: line for name, line in defined.items()
+    return defined
+
+
+def private_definitions(tree):
+    """The private names of ``definitions``, named _x (dunders are not
+    private)."""
+    return {name: line for name, line in definitions(tree).items()
             if name.startswith("_") and not name.endswith("__")}
 
 
@@ -62,6 +67,83 @@ def test_every_private_name_in_the_package_is_read():
              for name, line in sorted(private_definitions(tree).items())
              if name not in read]
     assert found == []
+
+
+def public_definitions(tree):
+    """The public names of ``definitions``, and the public methods and
+    properties of the module's classes as Class.name, with their lines."""
+    defined = {name: line for name, line in definitions(tree).items()
+               if not name.startswith("_")}
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("_")):
+                    defined["%s.%s" % (node.name, item.name)] = item.lineno
+    return defined
+
+
+# The public names that nothing in src/coxlow/ (outside __init__.py) or
+# demos/ reads, each with the reason it stays in src/.  A bench pin is read
+# by a file under bench/, which src/ must keep working until the benchmark
+# stops reading it; a test reference is an oracle or a view only the tests
+# read.  ROADMAP item 2 moves what is not the checker out of src/.
+UNREAD_PUBLIC = {
+    "FINITE_BATTERY_ORDERS": "test reference: |W| of the finite battery "
+                             "groups (criteria 3 and 4)",
+    "battery_root_system": "bench pin: every battery workload builds its "
+                           "groups with it",
+    "BipGraph.edges": "test reference: the graph's arcs as tagged vertices",
+    "build_gbip": "bench pin: battery-proof's G_bip job",
+    "check_acyclic": "bench pin: battery-proof's G_bip job",
+    "source_generators": "bench pin: battery-proof's G_bip job",
+    "sources": "test reference: the sources of hand-built graphs",
+    "dihedral_matrix": "public constructor: the rank-2 Coxeter matrix",
+    "BasedRootSystem.root_depth": "bench pin: the tracer wraps it",
+    "cone_membership": "bench pin, and test reference: the cone oracle "
+                       "is_low is checked against",
+    "Level.letters": "test reference: the walk's letters against the "
+                     "growth oracle",
+    "group_to_json": "bench pin: the workloads write group files with it",
+    "hulls_equal": "bench pin, and test reference: the pairwise hull "
+                   "matching polytopes are checked against",
+    "projective_hull": "bench pin, and test reference: the pairwise hull "
+                       "matching polytopes are checked against",
+    "SmallRootSet.max_depth": "bench pin, and test reference: the "
+                              "dominance oracle's depth bound",
+    "small_roots_by_dominance": "bench pin, and test reference: the "
+                                "dominance oracle of the small roots",
+    "is_bipodal": "the paper's bipodality: the proof rests on Sigma being "
+                  "bipodal (criterion 7)",
+}
+
+
+def test_every_public_name_in_the_package_is_read():
+    # the public counterpart of the private-name test: a public name must
+    # be read as a name or attribute, and a public method or property as
+    # an attribute, by the package or a demo, or be on UNREAD_PUBLIC with
+    # its reason; an entry that is read again, or gone, leaves the list
+    paths = [p for p in sorted((ROOT / "src/coxlow").glob("*.py"))
+             if p.name != "__init__.py"]
+    names, attrs = set(), set()
+    for path in paths + sorted((ROOT / "demos").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)):
+                attrs.add(node.attr)
+    unread = {}
+    for path in paths:
+        tree = ast.parse(path.read_text(), str(path))
+        for name, line in public_definitions(tree).items():
+            cls, _, attr = name.rpartition(".")
+            if attr not in attrs and (cls or attr not in names):
+                unread[name] = "%s:%d" % (path.relative_to(ROOT), line)
+    assert all(UNREAD_PUBLIC.values())
+    assert sorted("%s %s" % (unread[name], name) for name in unread
+                  if name not in UNREAD_PUBLIC) == []
+    assert sorted(set(UNREAD_PUBLIC) - set(unread)) == []
 
 
 def coxlow_reads(tree):

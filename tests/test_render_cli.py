@@ -70,7 +70,7 @@ def test_normalize_projective_scale_invariant(battery):
 
 def test_normalize_projective_zero_sum():
     rs = build_root_system(dihedral_matrix(INF))
-    with pytest.raises(ZeroSum):
+    with pytest.raises(ZeroSum, match=r"^coordinate sum of \(1\.0, -1\.0\) "):
         normalize_projective(rs, (1.0, -1.0))
 
 
@@ -78,6 +78,29 @@ def test_chart_rank_guard(battery):
     from coxlow.projective import chart_vertices
     with pytest.raises(RankNotThree):
         chart_vertices(4)
+
+
+RANK_GUARDS = {
+    "build_gbip": lambda rs: coxlow.conjecture.build_gbip(rs, IDENTITY),
+    "check_gbip": lambda rs: coxlow.conjecture.check_gbip(rs, frozenset()),
+    "check_gbip_walk": lambda rs: coxlow.conjecture.check_gbip_walk(rs, 2),
+    "verify_inversion_polytopes": lambda rs: (
+        coxlow.conjecture.verify_inversion_polytopes(rs, small_roots(rs),
+                                                     None, ())),
+    "render_svg": lambda rs: render_svg(rs, small_roots(rs)),
+    "chart": lambda rs: normalize_projective(rs, rs.simple_roots[0]),
+}
+
+
+@pytest.mark.parametrize("site, rank", [
+    (site, rank) for site in RANK_GUARDS for rank in (2, 4)
+    if (site, rank) != ("chart", 2)])      # rank 2 has a chart, a segment
+def test_rank_errors_name_the_rank(site, rank):
+    matrix = (dihedral_matrix(3) if rank == 2 else
+              [[1, 3, 2, 2], [3, 1, 3, 2], [2, 3, 1, 3], [2, 2, 3, 1]])  # A4
+    rs = build_root_system(matrix)
+    with pytest.raises(RankNotThree, match=r", not rank %d$" % rank):
+        RANK_GUARDS[site](rs)
 
 
 # -- hulls --------------------------------------------------------------

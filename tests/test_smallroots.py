@@ -61,14 +61,15 @@ def test_frozen_indexing(battery):
 
 def test_dominance_reflexive():
     rs = build_root_system(dihedral_matrix(INF))
-    beta = rs.make_root((2, 1), 2)
+    beta = rs.root_table.root(rs.root_table.reflect(1, 0))     # (2, 1)
     v = dominates(rs, beta, beta)
     assert v.value and v.decisive
 
 
 def test_dominance_infinite_dihedral():
     rs = build_root_system(dihedral_matrix(INF))
-    beta = rs.make_root((2, 1), 2)       # alpha_t + 2 alpha_s with s=0
+    # s0 alpha_1 = alpha_t + 2 alpha_s with s=0, t=1
+    beta = rs.root_table.root(rs.root_table.reflect(1, 0))
     alpha = rs.root_table.root(0)
     assert dominates(rs, beta, alpha, lcap=10).value
     # but not the other simple root's deep partner
@@ -77,7 +78,7 @@ def test_dominance_infinite_dihedral():
 
 def test_dominance_fast_path():
     rs = build_root_system(dihedral_matrix(3))
-    beta = rs.make_root((1, 1), 2)
+    beta = rs.root_table.root(rs.root_table.reflect(1, 0))     # (1, 1)
     v = dominates(rs, beta, rs.root_table.root(0))
     assert v == (False, True)
 
@@ -87,10 +88,11 @@ def test_is_small():
     sigma = small_roots(rs)
     keys = {r.key for r in sigma}
     assert rs.root_table.root(0).key in keys
-    assert rs.make_root((2, 1), 2).key not in keys
+    assert rs.root_table.root(rs.root_table.reflect(1, 0)).key not in keys
     rs3 = build_root_system(dihedral_matrix(3))
     sigma3 = small_roots(rs3)
-    assert rs3.make_root((1, 1), 2).key in {r.key for r in sigma3}
+    assert (rs3.root_table.root(rs3.root_table.reflect(1, 0)).key
+            in {r.key for r in sigma3})
 
 
 def test_sigma_holds_the_root_table_roots(battery):
@@ -140,9 +142,7 @@ def test_removing_root_breaks_bipodality(battery):
 def test_small_root_set_masks(battery):
     rs, sigma, _ = battery.get("A3")
     mask = (1 << 0) | (1 << 3)
-    roots = sigma.mask_to_roots(mask)
-    table = rs.root_table
-    assert [sigma.bit[table.ids[r.key]] for r in roots] == [0, 3]
+    assert [sigma.bit[i] for i in sigma.mask_to_ids(mask)] == [0, 3]
 
 
 def test_short_edge_closure_property(battery):
