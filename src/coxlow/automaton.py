@@ -133,7 +133,9 @@ def is_reduced(aut, word):
 def growth_series(aut, k):
     """Number of accepted words of each length 0..k (exact big integers):
     the reduced words for build_automaton, the elements for
-    build_shortlex_automaton."""
+    build_shortlex_automaton.  Counts are non-negative, so the first zero
+    term leaves every count zero: the steps stop there and the rest of the
+    series is padded with zeros (a finite group's series ends early)."""
     counts = [0] * len(aut.states)
     counts[0] = 1
     series = [1]
@@ -147,7 +149,9 @@ def growth_series(aut, k):
                         new[t] += c
         counts = new
         series.append(sum(counts))
-    return series
+        if not series[-1]:
+            break
+    return series + [0] * (k + 1 - len(series))
 
 
 def count_elements(rs, sigma, k):

@@ -21,8 +21,10 @@ foot (Dyer-Hohlweg 2016), and a set that is not coclosed can lack one.
 
 ``check_gbip`` applies the rule to one N(w), and ``verify``'s
 ``check_gbip_walk`` along the walk, by induction on N(us) = N(u) u
-{u(alpha_s)}.  ``build_gbip`` builds the graph, supports included, as a
-``BipGraph`` that arrives with its verdict; Kahn's sort,
+{u(alpha_s)}.  ``build_gbip`` builds the graph as a ``BipGraph`` of two
+bitmasks per root vertex, its supports and the generators it blocks,
+filled straight from the support pass; the graph arrives with its
+verdict, and its arc list is a view derived only when read.  Kahn's sort,
 ``_topological_sort``, runs only for hand-built graphs and is the tests'
 reference.  The builder ``construct_low_from_lambda`` peels, off the
 shortest element realizing lambda, the letter of the automaton's first
@@ -83,33 +85,62 @@ def battery_root_system(name, backend="float"):
 
 class BipGraph:
     """Bipartite digraph on generator vertices and root vertices, held as
-    integer indices.
+    integer indices and one pair of bitmasks per root.
 
     Vertex k is the generator ``gen_labels[k]`` for k < g =
-    len(gen_labels), and the root ``root_labels[k - g]`` after that; each
-    of the ``arcs``, (tail, head) index pairs, must be in range and join
-    the two classes.  The read-only views ``gen_vertices``,
+    len(gen_labels), and the root ``root_labels[k - g]`` after that.  For
+    root vertex g + j, bit k of ``ins[j]`` is an arc from generator k into
+    the root (k supports it), and bit k of ``outs[j]`` an arc from the root
+    to generator k (the root blocks k).  A hand-built graph is given by its
+    ``arcs``, (tail, head) index pairs, which must be in range and join the
+    two classes; they are converted into the masks.  ``build_gbip`` passes
+    the masks instead (``arcs`` None), each a subset of its generator
+    vertices by construction, so they are not checked.
+
+    The read-only view ``arcs`` is derived from the masks on first read and
+    kept: the supporting arcs root by root, then the blocking arcs root by
+    root, generator indices increasing within a root.  ``gen_vertices``,
     ``root_vertices``, ``vertices`` and ``edges`` give the same graph with
-    tagged vertices ('g', label) and ('r', label), built only when read.
-    Synthetic graphs (for testing the checks) can be built directly, with
-    any labels.  A graph is not changed after construction: one from
+    tagged vertices ('g', label) and ('r', label), built when read.
+    Synthetic graphs (for testing the checks) can be built with any
+    labels.  A graph is not changed after construction: one from
     ``build_gbip`` arrives with its sort result, and a hand-built one is
     topologically sorted once, on the first check."""
 
-    def __init__(self, gen_labels, root_labels, arcs):
+    def __init__(self, gen_labels, root_labels, arcs, ins=None, outs=None):
         self.gen_labels = tuple(gen_labels)
         self.root_labels = tuple(root_labels)
-        self.arcs = tuple(arcs)
+        self._arcs = None     # derived from the masks when first read
+        self._topo = None     # _topological_sort(self), once known
+        if arcs is None:
+            self.ins, self.outs = ins, outs
+            return
         g = len(self.gen_labels)
         n = g + len(self.root_labels)
-        for u, v in self.arcs:
-            if not (0 <= u < g <= v < n or 0 <= v < g <= u < n):
-                if not (0 <= u < n and 0 <= v < n):
-                    raise ValueError("arc %r has an endpoint out of range(%d)"
-                                     % ((u, v), n))
+        ins, outs = [0] * (n - g), [0] * (n - g)
+        for u, v in arcs:
+            if 0 <= u < g <= v < n:
+                ins[v - g] |= 1 << u
+            elif 0 <= v < g <= u < n:
+                outs[u - g] |= 1 << v
+            elif not (0 <= u < n and 0 <= v < n):
+                raise ValueError("arc %r has an endpoint out of range(%d)"
+                                 % ((u, v), n))
+            else:
                 raise ValueError("arc %r does not join the two classes"
                                  % ((u, v),))
-        self._topo = None     # _topological_sort(self), once known
+        self.ins, self.outs = tuple(ins), tuple(outs)
+
+    @property
+    def arcs(self):
+        if self._arcs is None:
+            g = len(self.gen_labels)
+            self._arcs = tuple(
+                [(k, g + j) for j, mask in enumerate(self.ins)
+                 for k in range(g) if mask >> k & 1]
+                + [(g + j, k) for j, mask in enumerate(self.outs)
+                   for k in range(g) if mask >> k & 1])
+        return self._arcs
 
     @property
     def gen_vertices(self):
@@ -137,11 +168,12 @@ def _sorted(graph):
 
 # _BITS[mask]: the generators in a bitmask over {0, 1, 2}, in increasing order
 _BITS = tuple(tuple(s for s in range(3) if mask >> s & 1) for mask in range(8))
-# _GEN_INDEX[gens][mask]: the vertex indices of the generators in mask (a
-# subset of gens) when the generator vertices are _BITS[gens]
-_GEN_INDEX = tuple(tuple(tuple(len(_BITS[gens & ((1 << s) - 1)])
+# _VERTEX_MASK[gens][mask]: mask (a subset of gens) as a bitmask over the
+# vertex indices of its generators when the generator vertices are
+# _BITS[gens]
+_VERTEX_MASK = tuple(tuple(sum(1 << len(_BITS[gens & ((1 << s) - 1)])
                                for s in _BITS[mask]) for mask in range(8))
-                   for gens in range(8))
+                     for gens in range(8))
 
 
 def _stands(table, g, inv):
@@ -158,9 +190,9 @@ def build_gbip(rs, w, inv=None):
     """The bipartite digraph described in the module docstring, as a
     BipGraph: the generator vertices are the descents and the engaged
     non-descents in increasing order, the root vertices the non-simple
-    inversions in (depth, key) order, labelled by key, and the arcs are
-    the supporting ones (root by root, descents in increasing order)
-    followed by the blocking ones (likewise).
+    inversions in (depth, key) order, labelled by key.  Each root's masks
+    are its supports and the engaged non-descents it blocks; no arc list
+    is built (see BipGraph.arcs).
 
     ``inv`` is N(w) when the caller already has it."""
     if inv is None:
@@ -172,12 +204,13 @@ def build_gbip(rs, w, inv=None):
     ups, cols = table.ups, table.cols
     # ids 0, 1, 2 are the simple roots; the others in (depth, key) order
     deep = sorted([i for i in inv if i >= 3], key=table.sort_keys.__getitem__)
+    descents = (0 in inv) | (1 in inv) << 1 | (2 in inv) << 2
     # supports[j]: the bitmask of the descents reachable from root deep[j]
     # by depth-decreasing peeling inside N(w), one step beta -> s beta per s
     # in ups; a step lowers the depth by one, so the support of s beta is
     # known before that of beta, and a descent supports itself
-    support = {s: 1 << s for s in range(3) if s in inv}
-    descents = gens = sum(support.values())      # the bits are distinct
+    support = {s: 1 << s for s in _BITS[descents]}
+    gens = descents
     supports = []
     for i in deep:
         up = ups[i]                 # the s with B(alpha_s, beta) > 0
@@ -190,21 +223,18 @@ def build_gbip(rs, w, inv=None):
             reached |= support.get(k, 0)
         support[i] = reached
         supports.append(reached)
-    # the generators in a mask are the vertices index[mask]; root deep[j]
-    # is vertex g + j
-    gen_labels = _BITS[gens]
-    g = len(gen_labels)
-    index = _GEN_INDEX[gens]
-    arcs = [(k, g + j) for j, reached in enumerate(supports)
-            for k in index[reached]]
-    arcs += [(g + j, k) for j, i in enumerate(deep)
-             for k in index[ups[i] & ~descents]]
-    graph = BipGraph(gen_labels, [table.sort_keys[i][1] for i in deep], arcs)
+    # label masks become vertex masks; every mask is a subset of gens
+    vertex = _VERTEX_MASK[gens]
+    non_descents = ~descents
+    graph = BipGraph(_BITS[gens], [table.sort_keys[i][1] for i in deep],
+                     None, tuple([vertex[m] for m in supports]),
+                     tuple([vertex[ups[i] & non_descents] for i in deep]))
     # supports hold descent bits only and blocks are up & ~descents, so no
     # generator has arcs both in and out (no cycle), every blocked
     # non-descent has an in-arc, and a root is a source iff unsupported
-    srcs = index[descents]
+    srcs = _BITS[vertex[descents]]
     if 0 in supports:
+        g = len(graph.gen_labels)
         srcs += tuple(g + j for j, reached in enumerate(supports)
                       if not reached)
     graph._topo = (True, None, srcs)

@@ -1,4 +1,5 @@
 import itertools
+from types import SimpleNamespace
 
 from coxlow import (
     INF,
@@ -17,6 +18,7 @@ from coxlow import (
     small_inversion_mask,
     small_roots,
 )
+from coxlow.conjecture import FINITE_BATTERY_ORDERS
 
 from conftest import matrix_bfs_levels
 
@@ -109,6 +111,49 @@ def test_growth_series_examples():
     assert growth_series(aut, 5) == [1, 2, 2, 2, 2, 2]
     _, _, aut3 = make(dihedral_matrix(3))
     assert growth_series(aut3, 3) == [1, 2, 2, 2]  # reduced WORDS: sts and tst
+
+
+def _every_step(aut, k):
+    """The growth DP with all k steps, never stopping early."""
+    counts = [1] + [0] * (len(aut.states) - 1)
+    series = [1]
+    for _ in range(k):
+        new = [0] * len(counts)
+        for i, row in enumerate(aut.transitions):
+            for t in row:
+                if t is not None:
+                    new[t] += counts[i]
+        counts = new
+        series.append(sum(counts))
+    return series
+
+
+class _CountedRows(tuple):
+    """Transition rows that count the DP steps iterating over them."""
+
+    steps = 0
+
+    def __iter__(self):
+        type(self).steps += 1
+        return super().__iter__()
+
+
+def test_finite_growth_series_stop_at_the_first_zero_term(battery):
+    for name, order in FINITE_BATTERY_ORDERS.items():
+        rs, sigma, aut = battery.get(name)
+        shortlex = build_shortlex_automaton(rs, sigma)
+        assert growth_series(aut, 200) == _every_step(aut, 200), name
+        elements = growth_series(shortlex, 200)
+        assert elements == _every_step(shortlex, 200), name
+        assert count_elements(rs, sigma, 200) == elements, name
+        assert sum(elements) == order, name
+        # the longest element has length elements.index(0) - 1, and the
+        # step that reaches the first zero term is the last one taken
+        _CountedRows.steps = 0
+        counted = SimpleNamespace(states=shortlex.states,
+                                  transitions=_CountedRows(shortlex.transitions))
+        assert growth_series(counted, 200) == elements, name
+        assert _CountedRows.steps == elements.index(0), name
 
 
 def test_count_elements_examples(battery):

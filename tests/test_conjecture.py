@@ -82,8 +82,10 @@ def test_check_acyclic_synthetic():
     assert not ok
     assert set(witness) == {("g", "a"), ("r", "x")}
     assert _is_cycle_of(witness, two_cycle)
-    # the least vertex, ("g", "0"), is a sink downstream of the cycle
+    # the least vertex, ("g", "0"), is a sink downstream of the cycle; the
+    # arcs come back supporting first, then blocking, generators in order
     sink_below_cycle = BipGraph(["0", "a"], ["x"], [(1, 2), (2, 1), (2, 0)])
+    assert sink_below_cycle.arcs == ((1, 2), (2, 0), (2, 1))
     ok, witness = check_acyclic(sink_below_cycle)
     assert not ok
     assert _is_cycle_of(witness, sink_below_cycle)
@@ -100,6 +102,20 @@ def test_sources_synthetic():
     cyclic = BipGraph(["a"], ["x"], [(0, 1), (1, 0)])
     with pytest.raises(CyclicGraph):
         sources(cyclic)
+
+
+def test_bipgraph_holds_two_masks_per_root():
+    # arcs given in any order, repeats included, become per-root masks;
+    # the arcs are read back supporting then blocking, root by root, with
+    # generator indices increasing, and kept after the first read
+    graph = BipGraph(["a", "b", "c"], ["x", "y"],
+                     [(4, 2), (1, 3), (3, 0), (0, 4), (1, 4), (4, 2), (3, 2)])
+    assert graph.ins == (0b010, 0b011)
+    assert graph.outs == (0b101, 0b100)
+    assert graph._arcs is None
+    arcs = graph.arcs
+    assert arcs == ((1, 3), (0, 4), (1, 4), (3, 0), (3, 2), (4, 2))
+    assert graph.arcs is arcs
 
 
 def test_bipgraph_rejects_same_class_edges():
@@ -192,7 +208,8 @@ def test_gbip_supports_do_not_depend_on_id_order():
 
 def test_each_graph_is_sorted_once(monkeypatch):
     # a graph from build_gbip arrives with its sort result, so the checks
-    # sort none; a hand-built graph is sorted on the first check only
+    # sort none and derive no arcs from its masks; a hand-built graph is
+    # sorted on the first check only
     calls = []
     monkeypatch.setattr(coxlow.conjecture, "_topological_sort",
                         lambda graph: calls.append(graph)
@@ -203,12 +220,32 @@ def test_each_graph_is_sorted_once(monkeypatch):
         assert check_acyclic(graph) == (True, None)
         assert sources(graph) or not elem.length
         assert set(source_generators(graph)) == left_descents(rs, elem)
+        assert graph._arcs is None, elem
     assert calls == []
     chain = BipGraph(["a", "c"], ["b"], [(0, 2), (2, 1)])
     assert check_acyclic(chain) == (True, None)
     assert sources(chain) == (("g", "a"),)
     assert source_generators(chain) == ("a",)
     assert calls == [chain]
+
+
+def test_gbip_and_descents_compute_one_inversion_set(monkeypatch):
+    # the bench's per-element pattern: build_gbip computes N(w) once, and
+    # left_descents reads the descents off signed traces, building none
+    calls = []
+
+    def counted(rs, w):
+        calls.append(w)
+        return inversion_set(rs, w)
+    monkeypatch.setattr(coxlow.conjecture, "inversion_set", counted)
+    monkeypatch.setattr(coxlow.elements, "inversion_set", counted)
+    for name, _, _ in BATTERY:
+        rs = battery_root_system(name)
+        for elem, _, _ in elements_up_to_length(rs, 6):
+            del calls[:]
+            graph = build_gbip(rs, elem)
+            assert set(source_generators(graph)) == left_descents(rs, elem)
+            assert calls == [elem], (name, elem)
 
 
 def test_root_table_keeps_no_cycle_with_its_root_system():

@@ -246,6 +246,35 @@ def test_descents_agree_with_length_drop(battery):
         assert via_inv == via_len
 
 
+def test_descents_from_traces_match_the_inversion_set():
+    # without inv, left_descents reads the descents off signed traces and
+    # builds no N(w); with it, off N(w): the two must agree everywhere
+    cases = [(name, "float") for name, _, _ in BATTERY]
+    cases += [(name, "rational") for name in RATIONAL_NAMES]
+    for name, backend in cases:
+        rs = battery_root_system(name, backend)
+        for elem, _, _ in elements_up_to_length(rs, 8):
+            assert left_descents(rs, elem) == left_descents(
+                rs, elem, inv=inversion_set(rs, elem)), (name, backend, elem)
+
+
+@pytest.mark.parametrize("name,backend", [
+    ("A3", "float"), ("H3", "float"), ("hyperbolic-3-3-4", "float"),
+    ("universal", "float"), ("affine-3-3-3", "rational")])
+def test_descents_of_a_non_reduced_word_are_its_elements(name, backend):
+    # any word answers for its element, as is_low does
+    rs = battery_root_system(name, backend=backend)
+    rng = random.Random(2800)
+    non_reduced = 0
+    for _ in range(400):
+        word = tuple(rng.randrange(3) for _ in range(rng.randrange(16)))
+        elem = normalize(rs, word)
+        non_reduced += elem.length < len(word)
+        assert left_descents(rs, Element(word)) == left_descents(
+            rs, elem, inv=inversion_set(rs, elem)), (name, word)
+    assert non_reduced > 100, non_reduced
+
+
 def test_small_inversion_mask():
     rs = dihedral(INF)
     sigma = small_roots(rs)
