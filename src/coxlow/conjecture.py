@@ -21,14 +21,14 @@ foot (Dyer-Hohlweg 2016), and a set that is not coclosed can lack one.
 
 ``check_gbip`` applies the rule to one N(w), and ``verify``'s
 ``check_gbip_walk`` along the walk, by induction on N(us) = N(u) u
-{u(alpha_s)}.  ``build_gbip`` builds the graph as a ``BipGraph`` of two
-bitmasks per root vertex, its supports and the generators it blocks,
-filled straight from the support pass; the graph arrives with its
-verdict, and its arc list is a view derived only when read.  Kahn's sort,
-``_topological_sort``, runs only for hand-built graphs and is the tests'
-reference.  The builder ``construct_low_from_lambda`` peels, off the
-shortest element realizing lambda, the letter of the automaton's first
-transition into lambda: a left descent, so a generator source.
+{u(alpha_s)}.  ``build_gbip`` builds a ``BipGraph``'s generator side,
+acyclic by construction; its root side, two bitmasks per root (supports
+and blocked generators), comes from a support pass on first read.  Sources
+are read off the masks; Kahn's sort, ``_topological_sort``, decides only
+whether a hand-built graph is acyclic, and is the tests' reference.  The
+builder ``construct_low_from_lambda`` peels, off the shortest element
+realizing lambda, the letter of the automaton's first transition into
+lambda: a left descent, so a generator source.
 """
 
 from dataclasses import dataclass, field
@@ -85,51 +85,58 @@ def battery_root_system(name, backend="float"):
 
 class BipGraph:
     """Bipartite digraph on generator vertices and root vertices, held as
-    integer indices and one pair of bitmasks per root.
+    integer indices and bitmasks over the generator vertices.
 
     Vertex k is the generator ``gen_labels[k]`` for k < g =
-    len(gen_labels), and the root ``root_labels[k - g]`` after that.  For
+    len(gen_labels), and the root ``root_labels[k - g]`` after that.
+    ``blocked`` has bit k when some root has an arc into generator k.  For
     root vertex g + j, bit k of ``ins[j]`` is an arc from generator k into
     the root (k supports it), and bit k of ``outs[j]`` an arc from the root
     to generator k (the root blocks k).  A hand-built graph is given by its
     ``arcs``, (tail, head) index pairs, which must be in range and join the
-    two classes; they are converted into the masks.  ``build_gbip`` passes
-    the masks instead (``arcs`` None), each a subset of its generator
-    vertices by construction, so they are not checked.
+    two classes.  ``build_gbip`` passes None for both, sets ``blocked``,
+    and leaves ``root_labels``, ``ins`` and ``outs`` to one support pass
+    over N(w) on first read.
 
     The read-only view ``arcs`` is derived from the masks on first read and
     kept: the supporting arcs root by root, then the blocking arcs root by
     root, generator indices increasing within a root.  ``gen_vertices``,
-    ``root_vertices``, ``vertices`` and ``edges`` give the same graph with
-    tagged vertices ('g', label) and ('r', label), built when read.
-    Synthetic graphs (for testing the checks) can be built with any
-    labels.  A graph is not changed after construction: one from
-    ``build_gbip`` arrives with its sort result, and a hand-built one is
-    topologically sorted once, on the first check."""
+    ``root_vertices``, ``vertices`` and ``edges`` tag the vertices ('g',
+    label) and ('r', label) when read; synthetic graphs (for testing the
+    checks) can have any labels.  A hand-built graph is topologically
+    sorted once, on the first check; one from ``build_gbip`` is acyclic by
+    construction."""
 
-    def __init__(self, gen_labels, root_labels, arcs, ins=None, outs=None):
+    def __init__(self, gen_labels, root_labels, arcs):
         self.gen_labels = tuple(gen_labels)
-        self.root_labels = tuple(root_labels)
-        self._arcs = None     # derived from the masks when first read
-        self._topo = None     # _topological_sort(self), once known
-        if arcs is None:
-            self.ins, self.outs = ins, outs
+        self._arcs = None       # derived from the masks when first read
+        self._verdict = None    # check_acyclic's answer, once known
+        if root_labels is None:
             return
+        self.root_labels = tuple(root_labels)
         g = len(self.gen_labels)
         n = g + len(self.root_labels)
-        ins, outs = [0] * (n - g), [0] * (n - g)
+        ins, outs, blocked = [0] * (n - g), [0] * (n - g), 0
         for u, v in arcs:
             if 0 <= u < g <= v < n:
                 ins[v - g] |= 1 << u
             elif 0 <= v < g <= u < n:
                 outs[u - g] |= 1 << v
+                blocked |= 1 << v
             elif not (0 <= u < n and 0 <= v < n):
                 raise ValueError("arc %r has an endpoint out of range(%d)"
                                  % ((u, v), n))
             else:
                 raise ValueError("arc %r does not join the two classes"
                                  % ((u, v),))
-        self.ins, self.outs = tuple(ins), tuple(outs)
+        self.ins, self.outs, self.blocked = tuple(ins), tuple(outs), blocked
+
+    def __getattr__(self, name):
+        # only for a graph from build_gbip, whose root side is not set yet
+        if name not in ("root_labels", "ins", "outs"):
+            raise AttributeError(name)
+        self.root_labels, self.ins, self.outs = _support_pass(*self._support)
+        return getattr(self, name)
 
     @property
     def arcs(self):
@@ -160,12 +167,6 @@ class BipGraph:
         return tuple((vertices[u], vertices[v]) for u, v in self.arcs)
 
 
-def _sorted(graph):
-    if graph._topo is None:
-        graph._topo = _topological_sort(graph)
-    return graph._topo
-
-
 # _BITS[mask]: the generators in a bitmask over {0, 1, 2}, in increasing order
 _BITS = tuple(tuple(s for s in range(3) if mask >> s & 1) for mask in range(8))
 # _VERTEX_MASK[gens][mask]: mask (a subset of gens) as a bitmask over the
@@ -190,31 +191,39 @@ def build_gbip(rs, w, inv=None):
     """The bipartite digraph described in the module docstring, as a
     BipGraph: the generator vertices are the descents and the engaged
     non-descents in increasing order, the root vertices the non-simple
-    inversions in (depth, key) order, labelled by key.  Each root's masks
-    are its supports and the engaged non-descents it blocks; no arc list
-    is built (see BipGraph.arcs).
+    inversions in (depth, key) order, labelled by key.  Only the generator
+    side is built here, acyclic as descents have only out-arcs and
+    non-descents only in-arcs; the root side waits for its first read.
 
     ``inv`` is N(w) when the caller already has it."""
-    if inv is None:
-        inv = inversion_set(rs, w)
     if rs.rank != 3:
         raise RankNotThree("the graph construction requires rank 3, not "
                            "rank %d" % rs.rank)
+    if inv is None:
+        inv = inversion_set(rs, w)
     table = rs.root_table
+    descents = gens = (0 in inv) | (1 in inv) << 1 | (2 in inv) << 2
+    for i in inv:               # a simple root adds its descent, a deep
+        gens |= table.ups[i]    # root the non-descents it blocks
+    graph = BipGraph(_BITS[gens], None, None)
+    graph.blocked = _VERTEX_MASK[gens][gens & ~descents]
+    graph._verdict, graph._support = (True, None), (table, inv, descents, gens)
+    return graph
+
+
+def _support_pass(table, inv, descents, gens):
+    """build_gbip's root side for N(w) = ``inv``: (root_labels, ins, outs)."""
     ups, cols = table.ups, table.cols
     # ids 0, 1, 2 are the simple roots; the others in (depth, key) order
     deep = sorted([i for i in inv if i >= 3], key=table.sort_keys.__getitem__)
-    descents = (0 in inv) | (1 in inv) << 1 | (2 in inv) << 2
     # supports[j]: the bitmask of the descents reachable from root deep[j]
     # by depth-decreasing peeling inside N(w), one step beta -> s beta per s
     # in ups; a step lowers the depth by one, so the support of s beta is
     # known before that of beta, and a descent supports itself
     support = {s: 1 << s for s in _BITS[descents]}
-    gens = descents
     supports = []
     for i in deep:
         up = ups[i]                 # the s with B(alpha_s, beta) > 0
-        gens |= up
         reached = up & descents
         for s in _BITS[up]:
             k = cols[s][i]
@@ -225,20 +234,9 @@ def build_gbip(rs, w, inv=None):
         supports.append(reached)
     # label masks become vertex masks; every mask is a subset of gens
     vertex = _VERTEX_MASK[gens]
-    non_descents = ~descents
-    graph = BipGraph(_BITS[gens], [table.sort_keys[i][1] for i in deep],
-                     None, tuple([vertex[m] for m in supports]),
-                     tuple([vertex[ups[i] & non_descents] for i in deep]))
-    # supports hold descent bits only and blocks are up & ~descents, so no
-    # generator has arcs both in and out (no cycle), every blocked
-    # non-descent has an in-arc, and a root is a source iff unsupported
-    srcs = _BITS[vertex[descents]]
-    if 0 in supports:
-        g = len(graph.gen_labels)
-        srcs += tuple(g + j for j, reached in enumerate(supports)
-                      if not reached)
-    graph._topo = (True, None, srcs)
-    return graph
+    return (tuple([table.sort_keys[i][1] for i in deep]),
+            tuple([vertex[m] for m in supports]),
+            tuple([vertex[ups[i] & ~descents] for i in deep]))
 
 
 def check_gbip(rs, inv):
@@ -326,30 +324,32 @@ def _topological_sort(graph):
 
 def check_acyclic(graph):
     """(acyclic, witness cycle or None), the cycle listed in edge
-    direction.  A graph from ``build_gbip`` arrives with its verdict;
-    Kahn's sort runs only for a hand-built graph."""
-    ok, cycle, _ = _sorted(graph)
-    return ok, cycle
+    direction.  A graph from ``build_gbip`` is acyclic by construction;
+    Kahn's sort runs once, only for a hand-built graph."""
+    if graph._verdict is None:
+        graph._verdict = _topological_sort(graph)[:2]
+    return graph._verdict
 
 
 def _source_indices(graph):
-    ok, cycle, srcs = _sorted(graph)
+    """Acyclic graphs only: unblocked generators, then roots with no ins."""
+    ok, cycle = check_acyclic(graph)
     if not ok:
         raise CyclicGraph("graph has a cycle: %r" % (cycle,))
-    return srcs
+    g = len(graph.gen_labels)
+    return tuple([k for k in range(g) if not graph.blocked >> k & 1]
+                 + [g + j for j, mask in enumerate(graph.ins) if not mask])
 
 
 def sources(graph):
     """Vertices with no incoming edge (requires an acyclic graph)."""
-    srcs = _source_indices(graph)
-    vertices = graph.vertices
-    return tuple(vertices[v] for v in srcs)
+    return tuple(map(graph.vertices.__getitem__, _source_indices(graph)))
 
 
 def source_generators(graph):
-    labels = graph.gen_labels
-    return tuple(labels[v] for v in _source_indices(graph)
-                 if v < len(labels))
+    """The generators with no in-arc, read off gen_labels and blocked."""
+    labels, blocked = graph.gen_labels, graph.blocked
+    return tuple([s for k, s in enumerate(labels) if not blocked >> k & 1])
 
 
 def verify_bijection(rs, sigma, aut, max_len):

@@ -42,7 +42,8 @@ from coxlow import (
     verify_bijection,
     verify_inversion_polytopes,
 )
-from coxlow.conjecture import _topological_sort, check_gbip_walk
+from coxlow.conjecture import (_source_indices, _topological_sort,
+                               check_gbip_walk)
 from coxlow.core import RootTable
 from coxlow.elements import _inversion_levels
 from coxlow.errors import ConstructionFailed, CyclicGraph, RankNotThree
@@ -71,9 +72,17 @@ def _is_cycle_of(witness, graph):
         for n, u in enumerate(witness))
 
 
+def _kahn_sources(graph):
+    """The sources of a BipGraph as Kahn's sort lists them, tagged."""
+    return tuple(graph.vertices[v] for v in _topological_sort(graph)[2])
+
+
 def test_check_acyclic_synthetic():
+    # sources are read off the masks: each hand-built case checks them
+    # against Kahn's list, which is empty on a cyclic graph
     empty = BipGraph([], [], [])
     assert check_acyclic(empty) == (True, None)
+    assert sources(empty) == _kahn_sources(empty) == ()
     # vertex 0 is ("g", "a") and vertex 1 is ("r", "x")
     two_cycle = BipGraph(["a"], ["x"], [(0, 1), (1, 0)])
     assert two_cycle.edges == ((("g", "a"), ("r", "x")),
@@ -82,6 +91,9 @@ def test_check_acyclic_synthetic():
     assert not ok
     assert set(witness) == {("g", "a"), ("r", "x")}
     assert _is_cycle_of(witness, two_cycle)
+    assert _kahn_sources(two_cycle) == ()
+    with pytest.raises(CyclicGraph):
+        sources(two_cycle)
     # the least vertex, ("g", "0"), is a sink downstream of the cycle; the
     # arcs come back supporting first, then blocking, generators in order
     sink_below_cycle = BipGraph(["0", "a"], ["x"], [(1, 2), (2, 1), (2, 0)])
@@ -89,8 +101,14 @@ def test_check_acyclic_synthetic():
     ok, witness = check_acyclic(sink_below_cycle)
     assert not ok
     assert _is_cycle_of(witness, sink_below_cycle)
+    assert _kahn_sources(sink_below_cycle) == ()
     with pytest.raises(CyclicGraph):
         sources(sink_below_cycle)
+    # an unblocked generator and an unsupported root are sources
+    loose = BipGraph(["a", "b", "c"], ["x", "y"], [(0, 3), (4, 1)])
+    assert check_acyclic(loose) == (True, None)
+    assert sources(loose) == _kahn_sources(loose) \
+        == (("g", "a"), ("g", "c"), ("r", "y"))
 
 
 def test_sources_synthetic():
@@ -102,6 +120,10 @@ def test_sources_synthetic():
     cyclic = BipGraph(["a"], ["x"], [(0, 1), (1, 0)])
     with pytest.raises(CyclicGraph):
         sources(cyclic)
+    # read off the masks alone, the generator sources need no acyclicity
+    assert source_generators(cyclic) == ()
+    assert source_generators(BipGraph(["a", "b"], ["x"], [(0, 2), (2, 0)])) \
+        == ("b",)
 
 
 def test_bipgraph_holds_two_masks_per_root():
@@ -207,7 +229,7 @@ def test_gbip_supports_do_not_depend_on_id_order():
 
 
 def test_each_graph_is_sorted_once(monkeypatch):
-    # a graph from build_gbip arrives with its sort result, so the checks
+    # a graph from build_gbip is acyclic by construction, so the checks
     # sort none and derive no arcs from its masks; a hand-built graph is
     # sorted on the first check only
     calls = []
@@ -264,14 +286,51 @@ def test_root_table_keeps_no_cycle_with_its_root_system():
         gc.enable()
 
 
-def test_gbip_requires_rank3():
-    rs = build_root_system(dihedral_matrix(3))
-    with pytest.raises(RankNotThree):
-        build_gbip(rs, IDENTITY)
+def test_gbip_requires_rank3(monkeypatch):
+    # the rank is checked before N(w) is computed
+    calls = []
+    monkeypatch.setattr(coxlow.conjecture, "inversion_set",
+                        lambda rs, w: calls.append(w))
+    rank4 = [[1, 3, 2, 2], [3, 1, 3, 2], [2, 3, 1, 3], [2, 2, 3, 1]]
+    for rs in (build_root_system(dihedral_matrix(3)),
+               build_root_system(rank4)):
+        for w in (IDENTITY, normalize(rs, (0, 1, 0))):
+            with pytest.raises(RankNotThree):
+                build_gbip(rs, w)
+    assert calls == []
+
+
+def test_gbip_runs_its_support_pass_only_when_read(monkeypatch):
+    # the generator side is built with the graph; the root side comes from
+    # one support pass on the first read of anything that needs it
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return support_pass(*args)
+    support_pass = coxlow.conjecture._support_pass
+    monkeypatch.setattr(coxlow.conjecture, "_support_pass", counted)
+    rs = battery_root_system("hyperbolic-3-3-4")
+    reads = {"sources": sources, "ins": lambda g: g.ins,
+             "outs": lambda g: g.outs, "root_labels": lambda g: g.root_labels,
+             "arcs": lambda g: g.arcs}
+    for elem, _, _ in elements_up_to_length(rs, 6):
+        for first in reads:
+            graph = build_gbip(rs, elem)
+            assert check_acyclic(graph) == (True, None)
+            assert set(source_generators(graph)) == left_descents(rs, elem)
+            assert calls == [], (elem, first)
+            reads[first](graph)
+            assert len(calls) == 1, (elem, first)
+            for read in reads.values():
+                read(graph)
+            assert check_acyclic(graph) == (True, None)
+            assert len(calls) == 1, (elem, first)
+            del calls[:]
 
 
 def test_gbip_acyclic_and_sources_are_descents():
-    # the sort result build_gbip hands each graph is Kahn's, on every
+    # the verdict and the sources read off the masks are Kahn's, on every
     # graph of every battery group to length 8
     cases = [(name, "float") for name, _, _ in BATTERY]
     cases += [(name, "rational") for name in RATIONAL_NAMES]
@@ -280,8 +339,8 @@ def test_gbip_acyclic_and_sources_are_descents():
         for _, level, invs in _inversion_levels(rs, 8):
             for (elem, _, _), inv in zip(level, map(frozenset, invs)):
                 graph = build_gbip(rs, elem, inv=inv)
-                assert graph._topo == _topological_sort(graph), \
-                    (name, backend, elem)
+                assert check_acyclic(graph) + (_source_indices(graph),) \
+                    == _topological_sort(graph), (name, backend, elem)
                 ok, witness = check_acyclic(graph)
                 assert ok, (name, backend, elem, witness)
                 assert set(source_generators(graph)) \
@@ -299,15 +358,15 @@ def _kahn_witness(graph):
 
 
 def _graph_verdict(graph):
-    """The claim read off a BipGraph by Kahn's sort, whatever sort result
-    the graph arrived with: acyclic, and no root is a source."""
+    """The claim read off a BipGraph by Kahn's sort, not by the checks:
+    acyclic, and no root is a source."""
     ok, _, srcs = _topological_sort(graph)
     return ok and all(v < len(graph.gen_labels) for v in srcs)
 
 
 def test_gbip_sort_result_on_arbitrary_id_sets():
     # random sets of table ids, coclosed or not: supported and unsupported
-    # roots both occur, the seeded sort result is still Kahn's, and
+    # roots both occur, the verdict and mask sources are still Kahn's, and
     # check_gbip gives Kahn's verdict, naming Kahn's first root source when
     # it fails
     rng = random.Random(20)
@@ -321,12 +380,13 @@ def test_gbip_sort_result_on_arbitrary_id_sets():
             inv = {s for s in range(3) if rng.random() < 0.5}
             inv |= set(rng.sample(range(3, n), rng.randrange(1, 8)))
             graph = build_gbip(rs, IDENTITY, inv=inv)    # w is not read
-            assert graph._topo == _topological_sort(graph), (name, inv)
+            assert check_acyclic(graph) + (_source_indices(graph),) \
+                == _topological_sort(graph), (name, inv)
             ok, witness = check_gbip(rs, inv)
             assert ok == _graph_verdict(graph), (name, inv)
             assert witness == _kahn_witness(graph), (name, inv)
             g = len(graph.gen_labels)
-            n_src = sum(v >= g for v in graph._topo[2])
+            n_src = sum(v >= g for v in _source_indices(graph))
             root_sources += n_src > 0
             supported += n_src < len(graph.root_labels)
     assert root_sources >= 200 and supported >= 200, (root_sources, supported)
@@ -379,7 +439,8 @@ def test_check_gbip_flags_sets_that_are_not_coclosed():
                 continue
             cut_sets += 1
             graph = build_gbip(rs, elem, inv=cut)
-            assert graph._topo == _topological_sort(graph), elem
+            assert check_acyclic(graph) + (_source_indices(graph),) \
+                == _topological_sort(graph), elem
             assert check_acyclic(graph)[0]
             assert set(source_generators(graph)) <= \
                 left_descents(rs, elem, inv=cut)

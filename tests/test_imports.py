@@ -95,7 +95,6 @@ UNREAD_PUBLIC = {
                            "groups with it",
     "BipGraph.edges": "test reference: the graph's arcs as tagged vertices",
     "build_gbip": "bench pin: battery-proof's G_bip job",
-    "check_acyclic": "bench pin: battery-proof's G_bip job",
     "source_generators": "bench pin: battery-proof's G_bip job",
     "sources": "test reference: the sources of hand-built graphs",
     "dihedral_matrix": "public constructor: the rank-2 Coxeter matrix",
