@@ -24,7 +24,6 @@ from .conjecture import (
     check_simplex_edge_condition,
     construct_low_from_lambda,
     source_generators,
-    sources,
     verify_bijection,
     verify_inversion_polytopes,
 )

@@ -44,11 +44,15 @@ class CoxeterMatrix:
     def __init__(self, entries):
         entries = tuple(tuple(row) for row in entries)
         n = len(entries)
-        if any(len(row) != n for row in entries):
-            raise NonSymmetricMatrix("matrix is not square")
+        for i, row in enumerate(entries):
+            if len(row) != n:
+                raise NonSymmetricMatrix(
+                    "matrix is not square: row %d has %d entries, not %d"
+                    % (i, len(row), n))
         for i in range(n):
             if entries[i][i] != 1:
-                raise InvalidBondLabel("diagonal entries must be 1")
+                raise InvalidBondLabel("diagonal entries must be 1, not "
+                                       "m(%d,%d) = %r" % (i, i, entries[i][i]))
             for j in range(n):
                 if entries[i][j] != entries[j][i]:
                     raise NonSymmetricMatrix(
@@ -362,7 +366,7 @@ def roots_up_to_depth(rs, d):
     depth exactly when B(alpha_s, beta) < 0 (a zero value fixes the root, a
     positive value points back to a shallower root)."""
     if d < 1:
-        raise ValueError("depth bound must be >= 1")
+        raise ValueError("depth bound %r must be >= 1" % (d,))
     table = rs.root_table
     found = frontier = list(range(rs.rank))
     for _ in range(d - 1):

@@ -158,19 +158,16 @@ def _non_reduced(rs, word):
         ids = _left_multiply(rs, word[p], ids)
 
 
-def left_descents(rs, w, inv=None):
+def left_descents(rs, w):
     """{s : alpha_s in N(w)} = {s : length(s w) < length(w)}.
 
-    ``inv`` is N(w) when the caller already has it.  Without it, N(w) is
-    not built: for w = s_1 ... s_k, t is a left descent iff
+    N(w) is not built: for w = s_1 ... s_k, t is a left descent iff
     w^-1(alpha_t) = s_k ... s_1(alpha_t) is negative.  The trace of
     alpha_t through s_1, ..., s_(k-1) is a signed root-table id, as in
     ``is_low``, and s_k negates it exactly when it sits at
     alpha_(s_k), so the image itself is never computed.  Any word over
     range(rs.rank) will do, reduced or not: the answer is for its element
     (NonReducedInput is not raised); another letter raises ValueError."""
-    if inv is not None:
-        return {s for s in range(rs.rank) if s in inv}
     word = w.word
     _check_letters(rs, word)
     if not word:

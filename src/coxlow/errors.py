@@ -48,10 +48,6 @@ class RankNotThree(CoxlowError):
     pass
 
 
-class CyclicGraph(CoxlowError):
-    pass
-
-
 class ConstructionFailed(CoxlowError):
     pass
 

@@ -23,9 +23,11 @@ class RenderOptions:
 
     def validate(self):
         if self.depth < 1:
-            raise ValidationError("render depth must be >= 1")
+            raise ValidationError("render depth %r must be >= 1"
+                                  % (self.depth,))
         if self.size < 100:
-            raise ValidationError("canvas size must be >= 100 px")
+            raise ValidationError("canvas size %r px must be >= 100 px"
+                                  % (self.size,))
 
 
 _MARGIN = 0.12

@@ -53,7 +53,8 @@ def small_roots(rs, cap=10000):
     roots so that a tolerance bug (roots failing to be identified) raises
     ClosureCapExceeded instead of looping."""
     if cap < rs.rank:
-        raise ValueError("cap must be at least the rank")
+        raise ValueError("cap %r must be at least the rank, %d"
+                         % (cap, rs.rank))
     table = rs.root_table
     found = set(range(rs.rank))      # the simple root alpha_s has id s
     queue = deque(range(rs.rank))

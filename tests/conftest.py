@@ -191,6 +191,79 @@ def gbip_oracle(rs, word):
     return sorted(gens), [root.key for root in deep], supporting + blocking
 
 
+def reference_gbip(rs, inv):
+    """Test reference: G_bip for any set ``inv`` of root-table ids, N(w) or
+    not, built eagerly off the root table (its ``ups`` included, which a
+    test may mutate), as (vertices, arcs).  The generator vertices
+    ("g", s) are the descents and the engaged non-descents in increasing
+    order, the root vertices ("r", key) the non-simple ids in (depth, key)
+    order.  The arcs are (tail, head) vertex indices: the supporting arcs
+    root by root, then the blocking arcs root by root, generators
+    increasing within a root.  A root's supports are the descents reached
+    by depth-decreasing peeling inside ``inv``, one step beta -> s beta per
+    s in ups; a step lowers the depth by one, so one pass in (depth, key)
+    order finds the support of s beta before that of beta."""
+    table = rs.root_table
+    descents = {s for s in range(3) if s in inv}
+    deep = sorted((i for i in inv if i >= 3), key=table.sort_keys.__getitem__)
+    ups = [{s for s in range(3) if table.ups[i] >> s & 1} for i in deep]
+    gens = sorted(descents.union(*ups))
+    index = {s: k for k, s in enumerate(gens)}
+    support = {s: {s} for s in descents}
+    supporting, blocking = [], []
+    for j, (i, up) in enumerate(zip(deep, ups), len(gens)):
+        reached = up & descents
+        for s in up:
+            k = table.cols[s][i]
+            reached |= support.get(table.reflect(i, s) if k is None else k,
+                                   set())
+        support[i] = reached
+        supporting += [(index[s], j) for s in sorted(reached)]
+        blocking += [(j, index[s]) for s in sorted(up - descents)]
+    vertices = ([("g", s) for s in gens]
+                + [("r", table.sort_keys[i][1]) for i in deep])
+    return vertices, supporting + blocking
+
+
+def topological_sort(vertices, arcs):
+    """Test reference: (acyclic, witness cycle or None, source indices) of
+    the digraph on ``vertices`` with (tail, head) index ``arcs``, by one
+    in-degree pass and Kahn's algorithm.  The sources are in vertex order;
+    the witness is a tuple of vertices in arc direction."""
+    n = len(vertices)
+    succ = [[] for _ in range(n)]
+    indeg = [0] * n
+    for u, v in arcs:
+        succ[u].append(v)
+        indeg[v] += 1
+    srcs = tuple(v for v in range(n) if not indeg[v])
+    queue = list(srcs)
+    removed = 0
+    while queue:
+        v = queue.pop()
+        removed += 1
+        for t in succ[v]:
+            indeg[t] -= 1
+            if not indeg[t]:
+                queue.append(t)
+    if removed == n:
+        return True, None, srcs
+    # every remaining vertex keeps a remaining predecessor, so walking
+    # predecessors from any of them closes a cycle
+    pred = [None] * n
+    for u, v in arcs:
+        if indeg[u] and pred[v] is None:
+            pred[v] = u
+    v = min(v for v in range(n) if indeg[v])
+    path, where = [], {}
+    while v not in where:
+        where[v] = len(path)
+        path.append(v)
+        v = pred[v]
+    return (False, tuple(vertices[u] for u in reversed(path[where[v]:])),
+            srcs)
+
+
 def matrix_bfs_levels(rs, max_len=None):
     """Test oracle: the elements of each length by a breadth-first search
     over the right Cayley graph that knows nothing of small roots or

@@ -37,21 +37,19 @@ from coxlow import (
     small_inversion_mask,
     small_roots,
     source_generators,
-    sources,
     triangle_matrix,
     verify_bijection,
     verify_inversion_polytopes,
 )
-from coxlow.conjecture import (_source_indices, _topological_sort,
-                               check_gbip_walk)
+from coxlow.conjecture import check_gbip_walk
 from coxlow.core import RootTable
 from coxlow.elements import _inversion_levels
-from coxlow.errors import ConstructionFailed, CyclicGraph, RankNotThree
+from coxlow.errors import ConstructionFailed, RankNotThree
 from coxlow.projective import EPS, EPS_AREA, _cross, chart_points
 
 from conftest import (
     RATIONAL_NAMES, gbip_oracle, matrix_edge_condition,
-    pairwise_polytope_witnesses)
+    pairwise_polytope_witnesses, reference_gbip, topological_sort)
 
 RANK3_SAMPLE = ("A3", "affine-3-3-3", "hyperbolic-3-3-4", "universal-override")
 DEMO_GROUPS = Path(__file__).resolve().parent.parent / "demos" / "groups"
@@ -65,90 +63,36 @@ def test_battery_is_fixed():
 
 # -- synthetic graphs ---------------------------------------------------
 
-def _is_cycle_of(witness, graph):
-    edges = set(graph.edges)
+def _is_cycle_of(witness, vertices, arcs):
+    edges = {(vertices[u], vertices[v]) for u, v in arcs}
     return len(set(witness)) == len(witness) > 0 and all(
         (u, witness[(n + 1) % len(witness)]) in edges
         for n, u in enumerate(witness))
 
 
-def _kahn_sources(graph):
-    """The sources of a BipGraph as Kahn's sort lists them, tagged."""
-    return tuple(graph.vertices[v] for v in _topological_sort(graph)[2])
-
-
-def test_check_acyclic_synthetic():
-    # sources are read off the masks: each hand-built case checks them
-    # against Kahn's list, which is empty on a cyclic graph
-    empty = BipGraph([], [], [])
-    assert check_acyclic(empty) == (True, None)
-    assert sources(empty) == _kahn_sources(empty) == ()
-    # vertex 0 is ("g", "a") and vertex 1 is ("r", "x")
-    two_cycle = BipGraph(["a"], ["x"], [(0, 1), (1, 0)])
-    assert two_cycle.edges == ((("g", "a"), ("r", "x")),
-                               (("r", "x"), ("g", "a")))
-    ok, witness = check_acyclic(two_cycle)
-    assert not ok
-    assert set(witness) == {("g", "a"), ("r", "x")}
-    assert _is_cycle_of(witness, two_cycle)
-    assert _kahn_sources(two_cycle) == ()
-    with pytest.raises(CyclicGraph):
-        sources(two_cycle)
-    # the least vertex, ("g", "0"), is a sink downstream of the cycle; the
-    # arcs come back supporting first, then blocking, generators in order
-    sink_below_cycle = BipGraph(["0", "a"], ["x"], [(1, 2), (2, 1), (2, 0)])
-    assert sink_below_cycle.arcs == ((1, 2), (2, 0), (2, 1))
-    ok, witness = check_acyclic(sink_below_cycle)
-    assert not ok
-    assert _is_cycle_of(witness, sink_below_cycle)
-    assert _kahn_sources(sink_below_cycle) == ()
-    with pytest.raises(CyclicGraph):
-        sources(sink_below_cycle)
+def test_reference_sort_synthetic():
+    # Kahn's sort, the tests' reference, on hand-built graphs: its
+    # verdict, a witness cycle in arc direction, and its sources, which
+    # are empty on a cyclic graph
+    assert topological_sort([], []) == (True, None, ())
+    two = [("g", "a"), ("r", "x")]
+    ok, witness, srcs = topological_sort(two, [(0, 1), (1, 0)])
+    assert not ok and srcs == ()
+    assert set(witness) == set(two)
+    assert _is_cycle_of(witness, two, [(0, 1), (1, 0)])
+    # the least vertex, ("g", "0"), is a sink downstream of the cycle
+    three = [("g", "0"), ("g", "a"), ("r", "x")]
+    arcs = [(1, 2), (2, 1), (2, 0)]
+    ok, witness, srcs = topological_sort(three, arcs)
+    assert not ok and srcs == ()
+    assert _is_cycle_of(witness, three, arcs)
     # an unblocked generator and an unsupported root are sources
-    loose = BipGraph(["a", "b", "c"], ["x", "y"], [(0, 3), (4, 1)])
-    assert check_acyclic(loose) == (True, None)
-    assert sources(loose) == _kahn_sources(loose) \
-        == (("g", "a"), ("g", "c"), ("r", "y"))
-
-
-def test_sources_synthetic():
-    assert sources(BipGraph([], [], [])) == ()
+    loose = [("g", "a"), ("g", "b"), ("g", "c"), ("r", "x"), ("r", "y")]
+    assert topological_sort(loose, [(0, 3), (4, 1)]) == (True, None,
+                                                          (0, 2, 4))
     # ("g", "a") -> ("r", "b") -> ("g", "c")
-    chain = BipGraph(["a", "c"], ["b"], [(0, 2), (2, 1)])
-    assert sources(chain) == (("g", "a"),)
-    assert source_generators(chain) == ("a",)
-    cyclic = BipGraph(["a"], ["x"], [(0, 1), (1, 0)])
-    with pytest.raises(CyclicGraph):
-        sources(cyclic)
-    # read off the masks alone, the generator sources need no acyclicity
-    assert source_generators(cyclic) == ()
-    assert source_generators(BipGraph(["a", "b"], ["x"], [(0, 2), (2, 0)])) \
-        == ("b",)
-
-
-def test_bipgraph_holds_two_masks_per_root():
-    # arcs given in any order, repeats included, become per-root masks;
-    # the arcs are read back supporting then blocking, root by root, with
-    # generator indices increasing, and kept after the first read
-    graph = BipGraph(["a", "b", "c"], ["x", "y"],
-                     [(4, 2), (1, 3), (3, 0), (0, 4), (1, 4), (4, 2), (3, 2)])
-    assert graph.ins == (0b010, 0b011)
-    assert graph.outs == (0b101, 0b100)
-    assert graph._arcs is None
-    arcs = graph.arcs
-    assert arcs == ((1, 3), (0, 4), (1, 4), (3, 0), (3, 2), (4, 2))
-    assert graph.arcs is arcs
-
-
-def test_bipgraph_rejects_same_class_edges():
-    with pytest.raises(ValueError, match="two classes"):
-        BipGraph(["a", "b"], [], [(0, 1)])
-    with pytest.raises(ValueError, match="two classes"):
-        BipGraph(["a"], ["x", "y"], [(1, 2)])
-    # two vertices: index 2 and index -1 are out of range
-    for arc in [(0, 2), (2, 0), (-1, 1), (1, -1)]:
-        with pytest.raises(ValueError, match="out of range"):
-            BipGraph(["a"], ["x"], [arc])
+    chain = [("g", "a"), ("g", "c"), ("r", "b")]
+    assert topological_sort(chain, [(0, 2), (2, 1)]) == (True, None, (0,))
 
 
 # -- the graph on real elements -----------------------------------------
@@ -156,7 +100,12 @@ def test_bipgraph_rejects_same_class_edges():
 def test_gbip_identity(battery):
     rs, _, _ = battery.get("hyperbolic-3-3-4")
     graph = build_gbip(rs, IDENTITY)
-    assert graph.vertices == ()
+    assert isinstance(graph, BipGraph)
+    assert graph.gen_labels == graph.sources == ()
+    assert reference_gbip(rs, frozenset()) == ([], [])
+    # a hand-built arc graph is not a BipGraph, whose check reads no arcs
+    with pytest.raises(TypeError, match="not a G_bip graph"):
+        check_acyclic(([("g", 0), ("r", "x")], [(0, 1), (1, 0)]))
 
 
 def test_warm_table_adds_and_reflects_nothing(monkeypatch):
@@ -188,19 +137,26 @@ def test_warm_table_adds_and_reflects_nothing(monkeypatch):
         assert calls == {"add": 0, "reflect": 0}, name
 
 
+def _assert_matches_oracle(rs, elem, where):
+    """build_gbip's generators and the reference graph against the
+    coordinate oracle, which reads no root table."""
+    gens, roots, edges = gbip_oracle(rs, elem.word)
+    vertices, arcs = reference_gbip(rs, inversion_set(rs, elem))
+    assert list(build_gbip(rs, elem).gen_labels) == gens, where
+    assert [v for tag, v in vertices if tag == "g"] == gens, where
+    assert [v for tag, v in vertices if tag == "r"] == roots, where
+    assert [(vertices[u], vertices[v]) for u, v in arcs] == edges, where
+
+
 def test_gbip_matches_coordinate_oracle():
-    # fresh root systems: the table is filled by build_gbip alone.  The
+    # fresh root systems: the table is filled by N(w) alone.  The
     # rational backend labels roots by keys of Fractions.
     cases = [(name, "float") for name, _, _ in BATTERY]
     cases += [(name, "rational") for name in RATIONAL_NAMES]
     for name, backend in cases:
         rs = battery_root_system(name, backend)
         for elem, _, _ in elements_up_to_length(rs, 7):
-            graph = build_gbip(rs, elem)
-            gens, roots, edges = gbip_oracle(rs, elem.word)
-            assert [v for _, v in graph.gen_vertices] == gens, (name, elem)
-            assert [v for _, v in graph.root_vertices] == roots, (name, elem)
-            assert list(graph.edges) == edges, (name, elem)
+            _assert_matches_oracle(rs, elem, (name, backend, elem))
 
 
 def _reversed_root_system(name, depth):
@@ -216,39 +172,12 @@ def _reversed_root_system(name, depth):
 
 
 def test_gbip_supports_do_not_depend_on_id_order():
-    # build_gbip computes supports in (depth, key) order, never id order
+    # supports are computed in (depth, key) order, never id order
     cases = [(name, 8) for name, _, _ in BATTERY] + [("universal", 10)]
     for name, max_len in cases:
         rs = _reversed_root_system(name, max_len)
         for elem, _, _ in elements_up_to_length(rs, max_len):
-            graph = build_gbip(rs, elem)
-            gens, roots, edges = gbip_oracle(rs, elem.word)
-            assert [v for _, v in graph.gen_vertices] == gens, (name, elem)
-            assert [v for _, v in graph.root_vertices] == roots, (name, elem)
-            assert list(graph.edges) == edges, (name, elem)
-
-
-def test_each_graph_is_sorted_once(monkeypatch):
-    # a graph from build_gbip is acyclic by construction, so the checks
-    # sort none and derive no arcs from its masks; a hand-built graph is
-    # sorted on the first check only
-    calls = []
-    monkeypatch.setattr(coxlow.conjecture, "_topological_sort",
-                        lambda graph: calls.append(graph)
-                        or _topological_sort(graph))
-    rs = battery_root_system("hyperbolic-3-3-4")
-    for elem, _, _ in elements_up_to_length(rs, 6):
-        graph = build_gbip(rs, elem)
-        assert check_acyclic(graph) == (True, None)
-        assert sources(graph) or not elem.length
-        assert set(source_generators(graph)) == left_descents(rs, elem)
-        assert graph._arcs is None, elem
-    assert calls == []
-    chain = BipGraph(["a", "c"], ["b"], [(0, 2), (2, 1)])
-    assert check_acyclic(chain) == (True, None)
-    assert sources(chain) == (("g", "a"),)
-    assert source_generators(chain) == ("a",)
-    assert calls == [chain]
+            _assert_matches_oracle(rs, elem, (name, elem))
 
 
 def test_gbip_and_descents_compute_one_inversion_set(monkeypatch):
@@ -300,75 +229,47 @@ def test_gbip_requires_rank3(monkeypatch):
     assert calls == []
 
 
-def test_gbip_runs_its_support_pass_only_when_read(monkeypatch):
-    # the generator side is built with the graph; the root side comes from
-    # one support pass on the first read of anything that needs it
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return support_pass(*args)
-    support_pass = coxlow.conjecture._support_pass
-    monkeypatch.setattr(coxlow.conjecture, "_support_pass", counted)
-    rs = battery_root_system("hyperbolic-3-3-4")
-    reads = {"sources": sources, "ins": lambda g: g.ins,
-             "outs": lambda g: g.outs, "root_labels": lambda g: g.root_labels,
-             "arcs": lambda g: g.arcs}
-    for elem, _, _ in elements_up_to_length(rs, 6):
-        for first in reads:
-            graph = build_gbip(rs, elem)
-            assert check_acyclic(graph) == (True, None)
-            assert set(source_generators(graph)) == left_descents(rs, elem)
-            assert calls == [], (elem, first)
-            reads[first](graph)
-            assert len(calls) == 1, (elem, first)
-            for read in reads.values():
-                read(graph)
-            assert check_acyclic(graph) == (True, None)
-            assert len(calls) == 1, (elem, first)
-            del calls[:]
+def _generator_sources(vertices, srcs):
+    """The generator labels among Kahn's sources."""
+    return tuple(vertices[k][1] for k in srcs if vertices[k][0] == "g")
 
 
 def test_gbip_acyclic_and_sources_are_descents():
-    # the verdict and the sources read off the masks are Kahn's, on every
-    # graph of every battery group to length 8
+    # check_acyclic and the sources build_gbip reads are Kahn's on the
+    # reference graph, on every element of every battery group to length 8
     cases = [(name, "float") for name, _, _ in BATTERY]
     cases += [(name, "rational") for name in RATIONAL_NAMES]
     for name, backend in cases:
         rs = battery_root_system(name, backend)
         for _, level, invs in _inversion_levels(rs, 8):
             for (elem, _, _), inv in zip(level, map(frozenset, invs)):
-                graph = build_gbip(rs, elem, inv=inv)
-                assert check_acyclic(graph) + (_source_indices(graph),) \
-                    == _topological_sort(graph), (name, backend, elem)
-                ok, witness = check_acyclic(graph)
-                assert ok, (name, backend, elem, witness)
-                assert set(source_generators(graph)) \
-                    == left_descents(rs, elem, inv=inv), (name, backend, elem)
+                vertices, arcs = reference_gbip(rs, inv)
+                ok, cycle, srcs = topological_sort(vertices, arcs)
+                graph = build_gbip(rs, elem)
+                where = (name, backend, elem)
+                assert check_acyclic(graph) == (ok, cycle) == (True, None), \
+                    where
+                assert source_generators(graph) \
+                    == _generator_sources(vertices, srcs) \
+                    == tuple(s for s in range(3) if s in inv), where
 
 
-def _kahn_witness(graph):
-    """The witness check_gbip must give for ``graph``'s N(w): the first root
-    vertex among the sources Kahn's sort finds on a hand-built copy of the
-    graph, or None when no root is a source."""
-    copy = BipGraph(graph.gen_labels, graph.root_labels, graph.arcs)
-    _, _, srcs = _topological_sort(copy)
-    roots = [v for v in srcs if v >= len(copy.gen_labels)]
-    return (copy.vertices[roots[0]],) if roots else None
-
-
-def _graph_verdict(graph):
-    """The claim read off a BipGraph by Kahn's sort, not by the checks:
-    acyclic, and no root is a source."""
-    ok, _, srcs = _topological_sort(graph)
-    return ok and all(v < len(graph.gen_labels) for v in srcs)
+def _kahn_claim(rs, inv):
+    """check_gbip's answer for ``inv`` read off the reference graph by
+    Kahn's sort, not by the standing rule: (True, None) when the graph is
+    acyclic and no root is a source, else (False, (first root source,))."""
+    vertices, arcs = reference_gbip(rs, inv)
+    ok, cycle, srcs = topological_sort(vertices, arcs)
+    roots = [vertices[k] for k in srcs if vertices[k][0] == "r"]
+    if roots:
+        return False, (roots[0],)
+    return ok, cycle
 
 
 def test_gbip_sort_result_on_arbitrary_id_sets():
     # random sets of table ids, coclosed or not: supported and unsupported
-    # roots both occur, the verdict and mask sources are still Kahn's, and
-    # check_gbip gives Kahn's verdict, naming Kahn's first root source when
-    # it fails
+    # roots both occur, the reference graph stays acyclic, and check_gbip
+    # gives Kahn's verdict, naming Kahn's first root source when it fails
     rng = random.Random(20)
     root_sources = supported = 0
     for name in ("hyperbolic-3-3-4", "universal", "affine-6-3-2", "H3"):
@@ -379,16 +280,13 @@ def test_gbip_sort_result_on_arbitrary_id_sets():
         for _ in range(500):
             inv = {s for s in range(3) if rng.random() < 0.5}
             inv |= set(rng.sample(range(3, n), rng.randrange(1, 8)))
-            graph = build_gbip(rs, IDENTITY, inv=inv)    # w is not read
-            assert check_acyclic(graph) + (_source_indices(graph),) \
-                == _topological_sort(graph), (name, inv)
-            ok, witness = check_gbip(rs, inv)
-            assert ok == _graph_verdict(graph), (name, inv)
-            assert witness == _kahn_witness(graph), (name, inv)
-            g = len(graph.gen_labels)
-            n_src = sum(v >= g for v in _source_indices(graph))
+            assert check_gbip(rs, inv) == _kahn_claim(rs, inv), (name, inv)
+            vertices, arcs = reference_gbip(rs, inv)
+            acyclic, _, srcs = topological_sort(vertices, arcs)
+            assert acyclic, (name, inv)
+            n_src = sum(vertices[k][0] == "r" for k in srcs)
             root_sources += n_src > 0
-            supported += n_src < len(graph.root_labels)
+            supported += n_src < sum(tag == "r" for tag, _ in vertices)
     assert root_sources >= 200 and supported >= 200, (root_sources, supported)
 
 
@@ -420,16 +318,15 @@ def test_check_gbip_agrees_with_the_graph_check():
         rs = battery_root_system(name, backend)
         for _, level, invs in _inversion_levels(rs, 8):
             for (elem, _, _), inv in zip(level, map(frozenset, invs)):
-                graph = build_gbip(rs, elem, inv=inv)
-                ok, witness = check_gbip(rs, inv)
-                assert ok == _graph_verdict(graph), (name, backend, elem)
-                assert ok and witness is None, (name, backend, elem)
+                assert check_gbip(rs, inv) == _kahn_claim(rs, inv) \
+                    == (True, None), (name, backend, elem)
 
 
 def test_check_gbip_flags_sets_that_are_not_coclosed():
     # N(w) without its simple roots: no deep root has a supporting
-    # descent.  The graph check passes every such set; check_gbip must
-    # flag each one, naming Kahn's first root source.
+    # descent.  The reference graph is still acyclic, with no generator
+    # source; check_gbip must flag each set, naming Kahn's first root
+    # source.
     rs = battery_root_system("hyperbolic-3-3-4")
     cut_sets = 0
     for _, level, invs in _inversion_levels(rs, 10):
@@ -438,15 +335,12 @@ def test_check_gbip_flags_sets_that_are_not_coclosed():
             if not cut:
                 continue
             cut_sets += 1
-            graph = build_gbip(rs, elem, inv=cut)
-            assert check_acyclic(graph) + (_source_indices(graph),) \
-                == _topological_sort(graph), elem
-            assert check_acyclic(graph)[0]
-            assert set(source_generators(graph)) <= \
-                left_descents(rs, elem, inv=cut)
+            vertices, arcs = reference_gbip(rs, cut)
+            acyclic, _, srcs = topological_sort(vertices, arcs)
+            assert acyclic and not _generator_sources(vertices, srcs), elem
             ok, witness = check_gbip(rs, cut)
             assert not ok, elem
-            assert witness == _kahn_witness(graph), elem
+            assert (ok, witness) == _kahn_claim(rs, cut), elem
     assert cut_sets == 399      # elements of length 2 to 10
 
 
@@ -493,7 +387,8 @@ def test_check_gbip_walk_matches_check_gbip_under_mutation(monkeypatch):
     # clearing ups for 2 random deep roots leaves roots unsupported; the
     # induction must flag exactly the elements the full check flags, and
     # falls back to it below every element that fails; the full check
-    # names Kahn's first root source of the graph built on the same ups
+    # names Kahn's first root source of the reference graph on the same
+    # ups
     fallbacks = _count_fallbacks(monkeypatch)
     rng = random.Random(21)
     violations = 0
@@ -512,8 +407,7 @@ def test_check_gbip_walk_matches_check_gbip_under_mutation(monkeypatch):
             violations += flags.count(1)
             for _, level, invs in _inversion_levels(rs, 8):
                 for (elem, _, _), inv in zip(level, map(frozenset, invs)):
-                    graph = build_gbip(rs, elem, inv=inv)
-                    assert check_gbip(rs, inv)[1] == _kahn_witness(graph), \
+                    assert check_gbip(rs, inv) == _kahn_claim(rs, inv), \
                         (name, elem)
     assert violations > 0 and fallbacks
 

@@ -38,9 +38,13 @@ def dihedral(m, **kw):
 def test_matrix_validation():
     with pytest.raises(NonSymmetricMatrix):
         CoxeterMatrix([[1, 3], [2, 1]])
-    with pytest.raises(NonSymmetricMatrix):
+    with pytest.raises(NonSymmetricMatrix,
+                       match=r"^matrix is not square: row 0 has 3 entries, "
+                             r"not 2$"):
         CoxeterMatrix([[1, 3, 2], [3, 1, 2]])
-    with pytest.raises(InvalidBondLabel):
+    with pytest.raises(InvalidBondLabel,
+                       match=r"^diagonal entries must be 1, not "
+                             r"m\(0,0\) = 2$"):
         CoxeterMatrix([[2, 3], [3, 1]])
     with pytest.raises(InvalidBondLabel):
         CoxeterMatrix([[1, 1], [1, 1]])
@@ -124,6 +128,11 @@ def test_depth_one_is_simple():
     roots = roots_up_to_depth(rs, 1)
     assert sorted(tuple(round(c, 9) for c in r.coords) for r in roots) == sorted(rs.simple_roots)
     assert all(r.depth == 1 for r in roots)
+
+
+def test_depth_bound_error_names_the_bound():
+    with pytest.raises(ValueError, match=r"^depth bound 0 must be >= 1$"):
+        roots_up_to_depth(dihedral(3), 0)
 
 
 def test_dihedral_m3_depth2_is_all():

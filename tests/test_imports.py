@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -93,10 +94,10 @@ UNREAD_PUBLIC = {
                              "groups (criteria 3 and 4)",
     "battery_root_system": "bench pin: every battery workload builds its "
                            "groups with it",
-    "BipGraph.edges": "test reference: the graph's arcs as tagged vertices",
     "build_gbip": "bench pin: battery-proof's G_bip job",
+    "check_acyclic": "bench pin until ROADMAP item 1b: battery-proof's "
+                     "G_bip job",
     "source_generators": "bench pin: battery-proof's G_bip job",
-    "sources": "test reference: the sources of hand-built graphs",
     "dihedral_matrix": "public constructor: the rank-2 Coxeter matrix",
     "BasedRootSystem.root_depth": "bench pin: the tracer wraps it",
     "cone_membership": "bench pin, and test reference: the cone oracle "
@@ -190,6 +191,37 @@ def test_every_name_the_benchmark_pins_resolves():
         except (AttributeError, ImportError):
             missing.append(name)
     assert missing == []
+
+
+def coxlow_calls(tree):
+    """The calls coxlow.a.b...(...) that a module makes."""
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and re.fullmatch(r"coxlow(\.\w+)+", ast.unparse(node.func))]
+
+
+def test_every_call_the_benchmark_makes_binds():
+    # each coxlow.<name>(...) call in bench/*.py must bind to the
+    # signature of the object it names, placeholders standing for its
+    # arguments: a parameter src/ drops or renames (cap=, _memo=) would
+    # otherwise show only as a failed benchmark run.  A call that unpacks
+    # *args or **kwargs is bound partially, as its count is not known
+    calls = [(path.name, call)
+             for path in sorted((ROOT / "bench").glob("*.py"))
+             for call in coxlow_calls(ast.parse(path.read_text()))]
+    assert len(calls) > 40
+    unbound = []
+    for where, call in calls:
+        name = ast.unparse(call.func)
+        signature = inspect.signature(resolve(name))
+        unpacks = (any(isinstance(a, ast.Starred) for a in call.args)
+                   or any(k.arg is None for k in call.keywords))
+        bind = signature.bind_partial if unpacks else signature.bind
+        try:
+            bind(*[None for a in call.args if not isinstance(a, ast.Starred)],
+                 **{k.arg: None for k in call.keywords if k.arg})
+        except TypeError as exc:
+            unbound.append("%s:%d %s: %s" % (where, call.lineno, name, exc))
+    assert unbound == []
 
 
 def unused_parameters(tree):

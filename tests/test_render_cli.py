@@ -133,9 +133,11 @@ def test_render_requires_rank3():
 
 
 def test_render_options_validate():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError,
+                       match=r"^render depth 0 must be >= 1$"):
         RenderOptions(depth=0).validate()
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError,
+                       match=r"^canvas size 50 px must be >= 100 px$"):
         RenderOptions(size=50).validate()
 
 

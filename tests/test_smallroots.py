@@ -46,7 +46,8 @@ def test_closure_cap():
     named = r"cap 2 at root 2, Root\(\[1\.0, 1\.0\d*\], depth=2\)$"
     with pytest.raises(ClosureCapExceeded, match=named):
         small_roots(rs, cap=2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match=r"^cap 1 must be at least the rank, 2$"):
         small_roots(rs, cap=1)
 
 
