@@ -70,12 +70,14 @@ def _is_cycle_of(witness, vertices, arcs):
         for n, u in enumerate(witness))
 
 
-def test_reference_sort_synthetic():
-    # Kahn's sort, the tests' reference, on hand-built graphs: its
-    # verdict, a witness cycle in arc direction, and its sources, which
-    # are empty on a cyclic graph
+def test_check_acyclic_synthetic():
+    # check_acyclic takes no hand-built arc graph: the verdict and the
+    # witness cycle in arc direction are checked on Kahn's sort, the
+    # tests' reference, whose sources are empty on a cyclic graph
     assert topological_sort([], []) == (True, None, ())
     two = [("g", "a"), ("r", "x")]
+    with pytest.raises(TypeError, match="not a G_bip graph"):
+        check_acyclic((two, [(0, 1), (1, 0)]))
     ok, witness, srcs = topological_sort(two, [(0, 1), (1, 0)])
     assert not ok and srcs == ()
     assert set(witness) == set(two)
@@ -86,6 +88,12 @@ def test_reference_sort_synthetic():
     ok, witness, srcs = topological_sort(three, arcs)
     assert not ok and srcs == ()
     assert _is_cycle_of(witness, three, arcs)
+    # a BipGraph's arcs run descent -> root -> non-descent, so it has no
+    # cycle, whatever its generator side holds
+    assert check_acyclic(BipGraph((0, 1, 2), (0, 2))) == (True, None)
+
+
+def test_sources_synthetic():
     # an unblocked generator and an unsupported root are sources
     loose = [("g", "a"), ("g", "b"), ("g", "c"), ("r", "x"), ("r", "y")]
     assert topological_sort(loose, [(0, 3), (4, 1)]) == (True, None,
@@ -93,6 +101,9 @@ def test_reference_sort_synthetic():
     # ("g", "a") -> ("r", "b") -> ("g", "c")
     chain = [("g", "a"), ("g", "c"), ("r", "b")]
     assert topological_sort(chain, [(0, 2), (2, 1)]) == (True, None, (0,))
+    # source_generators reads the generator sources a BipGraph holds
+    assert source_generators(BipGraph((), ())) == ()
+    assert source_generators(BipGraph((0, 2), (0,))) == (0,)
 
 
 # -- the graph on real elements -----------------------------------------
