@@ -7,6 +7,9 @@ Conventions used throughout the package:
 * the bilinear form is normalized with B(alpha_s, alpha_s) = 1 and
   B(alpha_s, alpha_t) = -cos(pi / m(s,t)), with -1 (or a Gram override
   <= -1) on infinite bonds;
+* the root table holds the doubled form 2B (0, -1 or -2 on the bonds 2, 3
+  and inf), so a reflection needs no division, and exact coordinates are
+  ints when every 2B is an integer, Fractions otherwise;
 * the depth of a simple root is 1, and depth(beta) is 1 plus the minimal
   length of a word sending beta to a negative root.  Some texts shift this
   convention by one; everything in this package uses this one.
@@ -111,7 +114,13 @@ class Root:
 
 
 def _float_key(v):
-    return tuple([round(float(c) * _KEY_SCALE) for c in v])
+    return tuple([round(c * _KEY_SCALE) for c in v])
+
+
+def _doubled(x):
+    """2x, as an int when x is a Fraction and 2x is whole."""
+    y = 2 * x
+    return y.numerator if isinstance(y, Fraction) and y.denominator == 1 else y
 
 
 class RootTable:
@@ -119,24 +128,25 @@ class RootTable:
 
     ``ids`` maps a root key to its id; the simple root alpha_s has id s.
     Id-indexed lists keep each root, with its form values computed once by
-    ``add``: ``coords[i]`` are root i's first-found coordinates;
-    ``forms[i][t]`` is B(alpha_t, root i); ``ups[i]`` the bitmask of the
-    generators t with B(alpha_t, root i) > eps, the s for which s . root i
-    is shallower; and ``sort_keys[i]`` is (depth, key), the order in which
+    ``add`` from ``gram2``, the doubled Gram matrix 2B: ``coords[i]`` are
+    root i's first-found coordinates; ``forms[i][t]`` is 2B(alpha_t,
+    root i); ``ups[i]`` the bitmask of the generators t with
+    2B(alpha_t, root i) > ``eps2`` = 2 eps, the s for which s . root i is
+    shallower; and ``sort_keys[i]`` is (depth, key), the order in which
     roots are listed.  ``cols[s]`` is one id-indexed column per generator:
     ``cols[s][i]`` is the id of s . root i, or None until ``reflect(i, s)``
     fills it (and ``cols[s][s]`` stays None, since s negates alpha_s).
     Every list has one entry per root, and ``root(i)`` builds root i as a
-    Root.  ``reflect`` never peels: depth(s beta) is depth(beta) - 1 if
-    B(alpha_s, beta) > eps, depth(beta) + 1 if it is < -eps, and otherwise
-    s fixes the root.  Past the simple roots, the package adds roots only
-    through ``reflect``; BasedRootSystem.root_depth stays for a caller that
-    holds a raw vector.  The table holds no reference to its root system,
-    so the two form no cycle."""
+    Root.  ``reflect`` never peels: s . beta subtracts 2B(alpha_s, beta)
+    from coordinate s; depth(s beta) is depth(beta) - 1 if 2B > 2 eps,
+    depth(beta) + 1 if 2B < -2 eps, and otherwise s fixes the root.  Past the simple roots, the package adds
+    roots only through ``reflect``; BasedRootSystem.root_depth stays for a
+    caller that holds a raw vector.  The table holds no reference to its
+    root system, so the two form no cycle."""
 
     def __init__(self, simple_roots, gram, eps, vec_key):
-        self.gram = gram
-        self.eps = eps
+        self.gram2 = tuple(tuple(map(_doubled, row)) for row in gram)
+        self.eps2 = 2 * eps
         self.vec_key = vec_key
         self.coords = []
         self.ids = {}
@@ -152,11 +162,11 @@ class RootTable:
         i = len(self.coords)
         self.coords.append(coords)
         self.ids[key] = i
-        eps = self.eps
+        eps2 = self.eps2
         forms, up = [], 0
-        for t, row in enumerate(self.gram):
+        for t, row in enumerate(self.gram2):
             forms.append(b := sum(map(mul, row, coords)))
-            if b > eps:
+            if b > eps2:
                 up |= 1 << t
         self.forms.append(tuple(forms))
         self.ups.append(up)
@@ -176,11 +186,11 @@ class RootTable:
             if i == s:
                 raise ValueError("s%d negates alpha_%d" % (s, s))
             b = self.forms[i][s]
-            if -self.eps <= b <= self.eps:
+            if -self.eps2 <= b <= self.eps2:
                 j = i
             else:
                 v = list(self.coords[i])
-                v[s] -= 2 * b
+                v[s] -= b
                 v = tuple(v)
                 key = self.vec_key(v)
                 j = self.ids.get(key)
@@ -211,8 +221,7 @@ class BasedRootSystem:
         self.backend = backend
         self.exact = backend == "rational"
         self.eps = 0 if self.exact else eps
-        one = Fraction(1) if self.exact else 1.0
-        zero = Fraction(0) if self.exact else 0.0
+        one, zero = (1, 0) if self.exact else (1.0, 0.0)
         self.simple_roots = tuple(
             tuple(one if i == s else zero for i in range(self.rank))
             for s in range(self.rank))
@@ -314,6 +323,8 @@ def build_root_system(matrix, gram_overrides=None, backend="float",
     <= -1, and is only legal on infinite bonds.  ``backend`` selects
     double-precision ("float") or exact rational ("rational") arithmetic,
     and ``eps`` (a finite number >= 0) is the float comparison tolerance.
+    ``gram`` holds B; the root table holds 2B, so exact coordinates are
+    ints when every override is a multiple of 1/2, Fractions otherwise.
     """
     if not (isinstance(eps, (int, float, Fraction)) and 0 <= eps < INF):
         raise ValidationError("tolerance %r must be finite and >= 0" % (eps,))
@@ -363,7 +374,7 @@ def roots_up_to_depth(rs, d):
     """All positive roots of depth <= d, sorted by (depth, key).
 
     Breadth-first over rs.root_table from the simple roots; a step increases
-    depth exactly when B(alpha_s, beta) < 0 (a zero value fixes the root, a
+    depth exactly when 2B(alpha_s, beta) < 0 (a zero value fixes the root, a
     positive value points back to a shallower root)."""
     if d < 1:
         raise ValueError("depth bound %r must be >= 1" % (d,))
@@ -372,6 +383,6 @@ def roots_up_to_depth(rs, d):
     for _ in range(d - 1):
         frontier = list(dict.fromkeys(
             table.reflect(i, s) for i in frontier for s in range(rs.rank)
-            if table.forms[i][s] < -rs.eps))
+            if table.forms[i][s] < -table.eps2))
         found = found + frontier
     return sorted(map(table.root, found), key=Root.sort_key)

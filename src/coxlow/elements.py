@@ -33,6 +33,7 @@ are only safety bounds.
 import itertools
 from array import array
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .automaton import build_automaton, build_shortlex_automaton
 from .core import Root
@@ -210,6 +211,9 @@ def _solve_subset(rs, cols, target):
     n = rs.rank
     k = len(cols)
     rows = [[cols[j][i] for j in range(k)] + [target[i]] for i in range(n)]
+    if rs.exact:
+        # exact coordinates may be ints, and int / int is a float
+        rows = [list(map(Fraction, row)) for row in rows]
     piv_tol = 0 if rs.exact else EPS_CONE
     pivots = []
     r = 0

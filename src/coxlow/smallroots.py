@@ -56,14 +56,15 @@ def small_roots(rs, cap=10000):
         raise ValueError("cap %r must be at least the rank, %d"
                          % (cap, rs.rank))
     table = rs.root_table
+    eps2 = table.eps2
     found = set(range(rs.rank))      # the simple root alpha_s has id s
     queue = deque(range(rs.rank))
     while queue:
         i = queue.popleft()
         for s in range(rs.rank):
             b = table.forms[i][s]
-            # short edge: -1 < B(alpha_s, beta) < 0
-            if rs.is_neg(b) and rs.is_pos(b + 1):
+            # short edge: -1 < B(alpha_s, beta) < 0, so -2 < 2B < 0
+            if b < -eps2 and b + 2 > eps2:
                 j = table.reflect(i, s)
                 if j not in found:
                     if len(found) >= cap:

@@ -13,6 +13,7 @@ from coxlow import (
     dihedral_matrix,
     inversion_set,
     roots_up_to_depth,
+    small_roots,
     triangle_matrix,
 )
 from coxlow.elements import _inversion_levels
@@ -187,8 +188,9 @@ def test_root_depths_are_correct():
 
 @pytest.mark.parametrize("backend", ["float", "rational"])
 def test_root_table_per_root_data(backend):
-    # each root's stored form values are the form recomputed, bit for bit;
-    # its up mask and sort key follow from them; and each root that
+    # each root's stored form values are the doubled form 2B recomputed,
+    # bit for bit (doubling a float is exact); its up mask (2B > 2 eps) and
+    # sort key follow from them; and each root that
     # reflect added has exactly the coordinates rs.reflect gives its parent,
     # and its parent's depth stepped by the sign of the parent's form value
     names = ([name for name, _, _ in BATTERY] if backend == "float"
@@ -213,11 +215,13 @@ def test_root_table_per_root_data(backend):
         assert set(parents) == set(range(rs.rank, n)), name
         assert (len(table.forms) == len(table.ups) == len(table.sort_keys)
                 == n), name
+        eps2 = 2 * rs.eps
         for i, coords in enumerate(table.coords):
-            forms = tuple(rs.form_simple(t, coords) for t in range(rs.rank))
+            forms = tuple(2 * rs.form_simple(t, coords)
+                          for t in range(rs.rank))
             assert table.forms[i] == forms, (name, i)
             assert table.ups[i] == sum(
-                1 << t for t, b in enumerate(forms) if rs.is_pos(b)), (name, i)
+                1 << t for t, b in enumerate(forms) if b > eps2), (name, i)
             assert table.sort_keys[i][1] == rs.vec_key(coords), (name, i)
             assert table.ids[table.sort_keys[i][1]] == i, (name, i)
         # each depth, sort_keys[j][0], is checked against its parent's
@@ -227,9 +231,9 @@ def test_root_table_per_root_data(backend):
             # a root s fixes adds nothing; otherwise the form's sign steps
             # the depth
             b = table.forms[i][s]
-            assert not rs.is_zero(b), (name, i, s)
+            assert abs(b) > eps2, (name, i, s)
             assert table.sort_keys[j][0] == table.sort_keys[i][0] - (
-                1 if rs.is_pos(b) else -1), (name, i, s)
+                1 if b > eps2 else -1), (name, i, s)
 
 
 def test_root_table_reflections_match_peeling_oracle():
@@ -294,6 +298,20 @@ def test_backend_agreement_depth6():
         qq = sorted(tuple(round(float(c), 6) for c in r.coords)
                     for r in roots_up_to_depth(rq, 6))
         assert ff == qq
+
+
+def test_exact_root_table_holds_ints():
+    # 2B is integral on every rational battery group, so the exact table's
+    # coordinates and form values are ints: Fraction never enters the hot
+    # path, and a return to it fails here
+    for name in RATIONAL_NAMES:
+        rs = battery_root_system(name, backend="rational")
+        small_roots(rs)
+        for _ in _inversion_levels(rs, 8):
+            pass
+        table = rs.root_table
+        assert all(type(x) is int for v in table.coords for x in v), name
+        assert all(type(x) is int for v in table.forms for x in v), name
 
 
 def test_deterministic_ordering():

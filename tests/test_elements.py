@@ -33,7 +33,7 @@ from coxlow import (
     small_roots,
     triangle_matrix,
 )
-from coxlow.elements import _inversion_levels
+from coxlow.elements import _inversion_levels, _solve_subset
 from coxlow.errors import NonReducedInput, NumericallyAmbiguous
 
 from conftest import (
@@ -314,6 +314,27 @@ def test_cone_membership_exact_backend():
     assert not cone_membership(rs, a, gamma)
     assert cone_membership(
         rs, [rs.root_table.root(0), rs.root_table.root(1)], gamma)
+
+
+def test_exact_cone_solve_stays_exact():
+    # the exact table's coordinates are ints, and int / int is a float, so
+    # the solve must turn its rows into Fractions: (3, 2, 0) = 4/3 (2, 1, 0)
+    # + 1/3 (1, 2, 0) comes out in Fractions with a residual of exactly 0
+    rs = battery_root_system("universal", backend="rational")
+    table = rs.root_table
+    a, b = table.reflect(1, 0), table.reflect(0, 1)
+    gamma = table.reflect(b, 0)
+    cols = [table.coords[a], table.coords[b]]
+    assert cols == [(2, 1, 0), (1, 2, 0)]
+    assert table.coords[gamma] == (3, 2, 0)
+    assert all(type(x) is int for v in cols for x in v)
+    coeffs, residual = _solve_subset(rs, cols, table.coords[gamma])
+    assert coeffs == [Fraction(4, 3), Fraction(1, 3)]
+    assert all(type(c) is Fraction for c in coeffs)
+    assert residual == 0 and type(residual) is Fraction
+    assert cone_membership(rs, [table.root(a), table.root(b)],
+                           table.root(gamma))
+    assert not cone_membership(rs, [table.root(a)], table.root(gamma))
 
 
 def test_cone_gray_zone():

@@ -7,6 +7,7 @@ the repository root, which `verify` prints, so the cases run from there."""
 import contextlib
 import io
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,8 @@ import coxlow.elements
 import coxlow.groupfile
 import coxlow.projective
 import coxlow.smallroots
+from coxlow import INF, build_automaton, small_roots
+from coxlow.elements import _inversion_levels
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -99,3 +102,44 @@ def test_verify_builds_no_root_past_sigma(polytopes, monkeypatch):
     assert code == 0
     assert "graph checks (length <= 8): 766 elements, 0 violations" in out
     assert made == []
+
+
+@pytest.mark.parametrize("name", ["affine-3-3-3", "universal",
+                                  "universal-override"])
+def test_verify_output_does_not_depend_on_the_backend(name, monkeypatch):
+    # the whole report, G_bip counts and polytopes included, not only the
+    # Sigma, Lambda and low sets that acceptance criterion 9 compares
+    monkeypatch.chdir(ROOT)
+    argv = ["verify", "demos/groups/%s.json" % name, "--max-length", "12",
+            "--polytopes", "--backend"]
+    code, out = run_cli(argv + ["float"])
+    assert code == 0 and '"n_sigma"' in out
+    assert run_cli(argv + ["rational"]) == (code, out)
+
+
+def test_override_with_a_fractional_double_keeps_fractions(tmp_path):
+    # universal with B(alpha_0, alpha_1) = -1.25: 2B = -5/2 is not an
+    # integer, so the exact table keeps Fractions on the same code path
+    # (s0 . alpha_1 = (5/2, 1, 0)), and still agrees with the float backend
+    text = coxlow.groupfile.group_to_json(
+        coxlow.core.triangle_matrix(INF, INF, INF), {(0, 1): -1.25})
+    counts = {}
+    for backend in ("float", "rational"):
+        rs = coxlow.groupfile.load_root_system(text, backend=backend)
+        sigma = small_roots(rs)
+        counts[backend] = (len(sigma),
+                           len(build_automaton(rs, sigma).states))
+    for _ in _inversion_levels(rs, 8):
+        pass
+    table = rs.root_table
+    assert Fraction(5, 2) in table.coords[table.reflect(1, 0)]
+    assert any(type(x) is Fraction and x.denominator != 1
+               for v in table.forms for x in v)
+    assert counts["float"] == counts["rational"]
+    path = tmp_path / "override.json"
+    path.write_text(text)
+    argv = ["verify", str(path), "--max-length", "12", "--polytopes",
+            "--backend"]
+    code, out = run_cli(argv + ["float"])
+    assert code == 0 and '"n_sigma"' in out
+    assert run_cli(argv + ["rational"]) == (code, out)
