@@ -253,7 +253,7 @@ def test_root_table_reflections_match_peeling_oracle():
         while i < len(table.coords):
             for s in range(rs.rank):
                 if i != s and (table.sort_keys[i][0] < 8
-                               or rs.is_pos(table.forms[i][s])):
+                               or table.ups[i] >> s & 1):
                     j = table.reflect(i, s)
                     assert table.sort_keys[j][1] == rs.vec_key(
                         rs.reflect(s, table.coords[i])), (name, i, s)

@@ -19,7 +19,7 @@ import coxlow.elements
 import coxlow.groupfile
 import coxlow.projective
 import coxlow.smallroots
-from coxlow import INF, build_automaton, small_roots
+from coxlow import INF, small_roots
 from coxlow.elements import _inversion_levels
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -120,22 +120,18 @@ def test_verify_output_does_not_depend_on_the_backend(name, monkeypatch):
 def test_override_with_a_fractional_double_keeps_fractions(tmp_path):
     # universal with B(alpha_0, alpha_1) = -1.25: 2B = -5/2 is not an
     # integer, so the exact table keeps Fractions on the same code path
-    # (s0 . alpha_1 = (5/2, 1, 0)), and still agrees with the float backend
+    # (s0 . alpha_1 = (5/2, 1, 0)), and verify's report, |Sigma| and
+    # |Lambda| included, is the float backend's
     text = coxlow.groupfile.group_to_json(
         coxlow.core.triangle_matrix(INF, INF, INF), {(0, 1): -1.25})
-    counts = {}
-    for backend in ("float", "rational"):
-        rs = coxlow.groupfile.load_root_system(text, backend=backend)
-        sigma = small_roots(rs)
-        counts[backend] = (len(sigma),
-                           len(build_automaton(rs, sigma).states))
+    rs = coxlow.groupfile.load_root_system(text, backend="rational")
+    small_roots(rs)
     for _ in _inversion_levels(rs, 8):
         pass
     table = rs.root_table
     assert Fraction(5, 2) in table.coords[table.reflect(1, 0)]
     assert any(type(x) is Fraction and x.denominator != 1
                for v in table.forms for x in v)
-    assert counts["float"] == counts["rational"]
     path = tmp_path / "override.json"
     path.write_text(text)
     argv = ["verify", str(path), "--max-length", "12", "--polytopes",
