@@ -33,8 +33,8 @@ for name, depth in [("affine-3-3-3", 4), ("hyperbolic-3-3-4", 5)]:
     print("wrote %s (%d small roots highlighted)" % (path, len(sigma)))
 
     if check_simplex_edge_condition(rs, sigma):
-        lows, _ = enumerate_low(rs, sigma, 12)
-        rep = verify_inversion_polytopes(rs, sigma, aut, lows)
+        _, report = enumerate_low(rs, sigma, 12)
+        rep = verify_inversion_polytopes(rs, sigma, aut, report.inversions)
         print("  small roots lie on simplex edges; conv(lambda) matched "
               "an inversion polytope for %d/%d lambdas"
               % (rep.matched, len(rep.witnesses)))

@@ -164,7 +164,7 @@ def cmd_verify(args):
 
     poly_summary = None
     if args.polytopes:
-        rep = verify_inversion_polytopes(rs, sigma, aut, bij.mapping)
+        rep = verify_inversion_polytopes(rs, sigma, aut, bij.inversions)
         if not rep.hypothesis_met:
             print("note: small roots leave the simplex edges; the polytope "
                   "claim is outside its stated hypothesis")

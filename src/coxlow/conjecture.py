@@ -188,8 +188,8 @@ def verify_bijection(rs, sigma, aut, max_len):
     """Map each low element of length <= max_len to its small inversion set
     (``mapping``, in (length, word) order) and compare the image with the
     states of ``aut``, the automaton built from sigma."""
-    mapping, _ = _low_search(rs, sigma, max_len)
-    return bijection_report(aut, mapping, max_len)
+    mapping, invs, _ = _low_search(rs, sigma, max_len)
+    return bijection_report(aut, mapping, invs, max_len)
 
 
 def construct_low_from_lambda(rs, sigma, mask, _memo=None):
@@ -250,12 +250,13 @@ class PolytopeReport:
         return sum(w is not None for w in self.witnesses.values())
 
 
-def verify_inversion_polytopes(rs, sigma, aut, lows):
+def verify_inversion_polytopes(rs, sigma, aut, inversions):
     """For each automaton state lam, look for a low element x among
-    ``lows`` whose inversion polytope conv(N(x)) equals conv(lam) on the
-    projective chart.  Two hulls are equal exactly when their sets of
-    extreme root ids are (see ``coxlow.projective``), so the witness is
-    the first low element, in the order of ``lows``, whose N(x) has lam's
+    ``inversions`` ({x: N(x)}, as in BijectionReport.inversions) whose
+    inversion polytope conv(N(x)) equals conv(lam) on the projective
+    chart.  Two hulls are equal exactly when their sets of extreme root ids
+    are (see ``coxlow.projective``), so the witness is the first low
+    element, in the order of ``inversions``, whose N(x) has lam's
     extreme-root id set, or None; each root's chart point is computed once.
 
     The underlying claim is only asserted when all small roots lie on
@@ -266,10 +267,9 @@ def verify_inversion_polytopes(rs, sigma, aut, lows):
                            "chart, not rank %d" % rs.rank)
     report = PolytopeReport(
         hypothesis_met=check_simplex_edge_condition(rs, sigma))
-    invs = [(low, inversion_set(rs, low)) for low in lows]
-    points = chart_points(rs, set(sigma.ids).union(*[inv for _, inv in invs]))
+    points = chart_points(rs, set(sigma.ids).union(*inversions.values()))
     first = {}
-    for low, inv in invs:
+    for low, inv in inversions.items():
         first.setdefault(extreme_ids(inv, points), low)
     for mask in aut.states:
         report.witnesses[mask] = first.get(

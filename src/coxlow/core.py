@@ -34,15 +34,20 @@ INF = math.inf
 
 DEFAULT_EPS = 1e-9
 
-# bond labels whose cosine is rational, hence usable with the exact backend
-_RATIONAL_BONDS = {1: Fraction(-1), 2: Fraction(0), 3: Fraction(-1, 2)}
+# the exact backend's bond values, for the labels whose -cos(pi/m) is rational
+_RATIONAL_BONDS = {2: Fraction(0), 3: Fraction(-1, 2), INF: Fraction(-1)}
 
 # scaling used to build hashable keys for float coordinates
 _KEY_SCALE = 10 ** 6
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 class CoxeterMatrix:
-    """Symmetric matrix of bond labels m(s,t), with m(s,s) = 1."""
+    """Symmetric matrix of bond labels: m(s,s) = 1 and, off the diagonal,
+    m(s,t) an integer >= 2 or INF; labels are ints, not bools or floats."""
 
     def __init__(self, entries):
         entries = tuple(tuple(row) for row in entries)
@@ -53,18 +58,18 @@ class CoxeterMatrix:
                     "matrix is not square: row %d has %d entries, not %d"
                     % (i, len(row), n))
         for i in range(n):
-            if entries[i][i] != 1:
-                raise InvalidBondLabel("diagonal entries must be 1, not "
-                                       "m(%d,%d) = %r" % (i, i, entries[i][i]))
             for j in range(n):
-                if entries[i][j] != entries[j][i]:
-                    raise NonSymmetricMatrix(
-                        "m(%d,%d) != m(%d,%d)" % (i, j, j, i))
-                if i != j:
-                    m = entries[i][j]
-                    if m != INF and (not isinstance(m, int) or m < 2):
-                        raise InvalidBondLabel(
-                            "m(%d,%d) must be an integer >= 2 or inf" % (i, j))
+                m = entries[i][j]
+                if i == j:
+                    if not _is_int(m) or m != 1:
+                        raise InvalidBondLabel("diagonal entries must be 1, "
+                                               "not m(%d,%d) = %r" % (i, i, m))
+                elif m != INF and not (_is_int(m) and m >= 2):
+                    raise InvalidBondLabel("m(%d,%d) = %r must be an integer "
+                                           ">= 2 or inf" % (i, j, m))
+                elif m != entries[j][i]:
+                    raise NonSymmetricMatrix("m(%d,%d) = %r != m(%d,%d) = %r"
+                                             % (i, j, m, j, i, entries[j][i]))
         self.entries = entries
         self.rank = n
 
@@ -303,71 +308,72 @@ class BasedRootSystem:
 
 def _bond_value(m, backend):
     if backend == "rational":
-        if m == INF:
-            return Fraction(-1)
         if m not in _RATIONAL_BONDS:
             raise IrrationalEntryForExactBackend(
                 "bond label %r has an irrational cosine; the exact backend "
-                "only supports labels in {1, 2, 3, inf}" % (m,))
+                "only supports labels in {2, 3, inf}" % (m,))
         return _RATIONAL_BONDS[m]
     if m == INF:
         return -1.0
     return -math.cos(math.pi / m)
 
 
+def check_backend(backend):
+    """The backend names: "float" or "rational"."""
+    if backend not in ("float", "rational"):
+        raise ValidationError('backend %r must be "float" or "rational"'
+                              % (backend,))
+
+
+def check_override(matrix, pair, value):
+    """The rules of one Gram override: ``pair`` is a tuple (i, j) of two
+    distinct generator indices on an infinite bond, and ``value`` a finite
+    int, float or Fraction (not a bool) <= -1."""
+    n = matrix.rank
+    if not (isinstance(pair, tuple) and len(pair) == 2
+            and all(_is_int(k) and 0 <= k < n for k in pair)
+            and pair[0] != pair[1]):
+        raise OverrideOnFiniteBond("override pair %r must be two distinct "
+                                   "generator indices in [0, %d)" % (pair, n))
+    i, j = pair
+    if matrix[i, j] != INF:
+        raise OverrideOnFiniteBond(
+            "override on finite bond (%d,%d) with m=%r" % (i, j, matrix[i, j]))
+    must = "override value %r on bond (%d,%d) must be " % (value, i, j)
+    if type(value) is bool or not isinstance(value, (int, float, Fraction)):
+        raise ValidationError(must + "a number")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValidationError(must + "finite")
+    if value > -1:
+        raise OverrideAboveMinusOne(must + "<= -1")
+
+
 def build_root_system(matrix, gram_overrides=None, backend="float",
                       eps=DEFAULT_EPS):
     """Build the based root system for a Coxeter matrix.
 
-    ``gram_overrides`` maps unordered generator pairs (i, j) to a value
-    <= -1, and is only legal on infinite bonds.  ``backend`` selects
-    double-precision ("float") or exact rational ("rational") arithmetic,
-    and ``eps`` (a finite number >= 0) is the float comparison tolerance.
-    ``gram`` holds B; the root table holds 2B, so exact coordinates are
-    ints when every override is a multiple of 1/2, Fractions otherwise.
+    ``gram_overrides`` maps generator pairs (i, j) to a value <= -1, and is
+    only legal on infinite bonds (``check_override``).  ``backend`` is
+    ``check_backend``'s "float" (double precision) or "rational" (exact,
+    overrides made Fractions), and ``eps`` (a finite number >= 0) is the
+    float comparison tolerance.  ``gram`` holds B; the root table holds 2B,
+    so exact coordinates are ints when every override is a multiple of 1/2,
+    Fractions otherwise.
     """
     if not (isinstance(eps, (int, float, Fraction)) and 0 <= eps < INF):
         raise ValidationError("tolerance %r must be finite and >= 0" % (eps,))
+    check_backend(backend)
     if not isinstance(matrix, CoxeterMatrix):
         matrix = CoxeterMatrix(matrix)
-    n = matrix.rank
-    overrides = {}
+    n, exact = matrix.rank, backend == "rational"
     for pair, value in (gram_overrides or {}).items():
-        i, j = pair
-        if i == j or not (0 <= i < n and 0 <= j < n):
-            raise OverrideOnFiniteBond("override pair %r is not a bond" % (pair,))
-        if matrix[i, j] != INF:
-            raise OverrideOnFiniteBond(
-                "override on finite bond (%d,%d) with m=%r" % (i, j, matrix[i, j]))
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ValidationError(
-                "override value %r on bond (%d,%d) must be finite" % (value, i, j))
-        if backend == "rational":
-            try:
-                value = Fraction(value)
-            except (TypeError, ValueError):
-                raise IrrationalEntryForExactBackend(
-                    "override value %r is not rational" % (value,))
-        if value > -1:
-            raise OverrideAboveMinusOne(
-                "override value %r on bond (%d,%d) must be <= -1" % (value, i, j))
-        overrides[frozenset((i, j))] = value
-
-    one = Fraction(1) if backend == "rational" else 1.0
-    gram = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i == j:
-                row.append(one)
-            else:
-                key = frozenset((i, j))
-                if key in overrides:
-                    row.append(overrides[key])
-                else:
-                    row.append(_bond_value(matrix[i, j], backend))
-        gram.append(tuple(row))
-    return BasedRootSystem(matrix, tuple(gram), backend, eps)
+        check_override(matrix, pair, value)
+    one = Fraction(1) if exact else 1.0
+    gram = [[one if i == j else _bond_value(matrix[i, j], backend)
+             for j in range(n)] for i in range(n)]
+    for (i, j), value in (gram_overrides or {}).items():
+        gram[i][j] = gram[j][i] = Fraction(value) if exact else value
+    return BasedRootSystem(matrix, tuple(map(tuple, gram)), backend, eps)
 
 
 def roots_up_to_depth(rs, d):

@@ -431,13 +431,15 @@ def _inversion_levels(rs, max_len):
 @dataclass
 class BijectionReport:
     """Low elements found at bounded length against the small inversion
-    sets.  ``mapping`` sends each low element to its lambda mask, in
-    (length, word) order; a state of the automaton that no low element
-    realizes is reported unresolved, never as a disproof."""
+    sets.  ``mapping`` sends each low element to its lambda mask and
+    ``inversions`` to its N(x), both in (length, word) order; a state of
+    the automaton that no low element realizes is reported unresolved,
+    never as a disproof."""
 
     max_len: int
     n_lambda: int
     mapping: dict
+    inversions: dict
     unresolved_masks: tuple
 
     @property
@@ -457,10 +459,11 @@ class BijectionReport:
         return self.injective and self.complete
 
 
-def bijection_report(aut, mapping, max_len):
-    """``mapping`` (see _low_search) against the states of ``aut``."""
+def bijection_report(aut, mapping, inversions, max_len):
+    """The search's ``mapping`` and ``inversions`` (see _low_search)
+    against the states of ``aut``."""
     unresolved = set(aut.states) - set(mapping.values())
-    return BijectionReport(max_len, len(aut.states), mapping,
+    return BijectionReport(max_len, len(aut.states), mapping, inversions,
                            tuple(sorted(unresolved)))
 
 
@@ -474,9 +477,10 @@ def _low_search(rs, sigma, cap):
     level that adds nothing.  y is kept only when s is its least left
     descent (no t < s has s alpha_t in N(x)), so each y is met once, as
     its ShortLex normal form (s,) + x.word.  Returns ({Element: lambda
-    mask} in (length, word) order, the last length examined)."""
+    mask}, {Element: N(x)}, both in (length, word) order, the last length
+    examined)."""
     reflect = rs.root_table.reflect
-    masks = {IDENTITY: 0}
+    masks, invs = {IDENTITY: 0}, {IDENTITY: frozenset()}
     level = [(IDENTITY, frozenset())]
     length = 0
     while level and length < cap:
@@ -488,11 +492,11 @@ def _low_search(rs, sigma, cap):
                     continue
                 y = Element((s,) + x.word)
                 if is_low(rs, sigma, y):
-                    inv_y = frozenset(_left_multiply(rs, s, inv))
+                    invs[y] = inv_y = frozenset(_left_multiply(rs, s, inv))
                     masks[y] = small_inversion_mask(rs, sigma, y, inv=inv_y)
                     new_level.append((y, inv_y))
         level = new_level
-    return masks, length
+    return masks, invs, length
 
 
 def enumerate_low(rs, sigma, max_len):
@@ -500,9 +504,9 @@ def enumerate_low(rs, sigma, max_len):
 
     The report states whether every state of the canonical automaton (every
     small inversion set) is realized by some low element found."""
-    masks, _ = _low_search(rs, sigma, max_len)
+    masks, invs, _ = _low_search(rs, sigma, max_len)
     aut = build_automaton(rs, sigma)
-    return list(masks), bijection_report(aut, masks, max_len)
+    return list(masks), bijection_report(aut, masks, invs, max_len)
 
 
 def enumerate_low_stable(rs, sigma, cap=25):
@@ -511,6 +515,6 @@ def enumerate_low_stable(rs, sigma, cap=25):
     ``cap`` is only a safety bound on the length.  Returns (lows, report,
     reached), where reached is the last length the search examined: one
     more than the longest low element, unless the cap was hit."""
-    masks, reached = _low_search(rs, sigma, cap)
+    masks, invs, reached = _low_search(rs, sigma, cap)
     aut = build_automaton(rs, sigma)
-    return list(masks), bijection_report(aut, masks, reached), reached
+    return list(masks), bijection_report(aut, masks, invs, reached), reached

@@ -1,4 +1,4 @@
-"""Parsing and validation of group-input JSON files.
+"""Reading group-input JSON files.
 
 Schema:
 
@@ -9,30 +9,43 @@ Schema:
       "backend": "float"
     }
 
-"coxeter" entries are integers >= 1 or the string "inf";
-"gram_overrides" and "backend" are optional (backend defaults to "float").
+"coxeter" has 1 on the diagonal and, off it, integers >= 2 or the string
+"inf"; "gram_overrides" (values <= -1, on "inf" bonds only) and "backend"
+("float" or "rational", the default "float") are optional.
+
+This module reads the JSON: the document, "rank", the list shapes, the
+"inf" spelling and the override items.  Every value rule is checked by
+its owner in coxlow.core, whose error is re-raised naming the field.  A
+number that is not finite (NaN, Infinity, 1e999) stays its spelling.
 """
 
 import json
 import math
 
-from .core import DEFAULT_EPS, INF, CoxeterMatrix, build_root_system
-from .errors import ParseError, ValidationError
+from .core import (
+    DEFAULT_EPS, INF, CoxeterMatrix, build_root_system, check_backend,
+    check_override)
+from .errors import CoxlowError, ParseError, ValidationError
 
 
-def _bond(value, where):
-    if value == "inf":
-        return INF
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError('field "coxeter"%s: entry %r must be an '
-                              'integer or "inf"' % (where, value))
-    return value
+def _number(spelling):
+    """A JSON float, or its spelling if it is not finite."""
+    value = float(spelling)
+    return value if math.isfinite(value) else spelling
+
+
+def _field(name, check, *args):
+    """check(*args), its error re-raised naming the field."""
+    try:
+        return check(*args)
+    except CoxlowError as exc:
+        raise ValidationError("field %s: %s" % (name, exc)) from exc
 
 
 def parse_group_file(text):
     """Parse a group-input document; returns (matrix, overrides, backend)."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_float=_number, parse_constant=_number)
     except json.JSONDecodeError as exc:
         raise ParseError("invalid JSON at line %d column %d: %s"
                          % (exc.lineno, exc.colno, exc.msg))
@@ -49,55 +62,28 @@ def parse_group_file(text):
                    for row in coxeter)):
         raise ValidationError('field "coxeter": must be a %dx%d matrix'
                               % (rank, rank))
-    entries = [[_bond(coxeter[i][j], "[%d][%d]" % (i, j))
-                for j in range(rank)] for i in range(rank)]
-    for i in range(rank):
-        if entries[i][i] != 1:
-            raise ValidationError('field "coxeter"[%d][%d]: diagonal entries '
-                                  'must be 1' % (i, i))
-        for j in range(rank):
-            if entries[i][j] != entries[j][i]:
-                raise ValidationError('field "coxeter": entry [%d][%d] does '
-                                      'not match [%d][%d]' % (i, j, j, i))
-            if i != j and entries[i][j] != INF and entries[i][j] < 2:
-                raise ValidationError('field "coxeter"[%d][%d]: off-diagonal '
-                                      'labels must be >= 2 or "inf"' % (i, j))
+    matrix = _field('"coxeter"', CoxeterMatrix,
+                    [[INF if m == "inf" else m for m in row]
+                     for row in coxeter])
 
     items = doc.get("gram_overrides", [])
     if not isinstance(items, list):
         raise ValidationError('field "gram_overrides": must be a list')
     overrides = {}
     for k, item in enumerate(items):
-        where = 'field "gram_overrides"[%d]' % k
+        where = '"gram_overrides"[%d]' % k
         if (not isinstance(item, dict) or "pair" not in item
                 or "value" not in item):
-            raise ValidationError('%s: must be {"pair": [i, j], "value": v}'
-                                  % where)
-        pair = item["pair"]
-        if (not isinstance(pair, list) or len(pair) != 2
-                or any(isinstance(i, bool) or not isinstance(i, int)
-                       or not 0 <= i < rank for i in pair)
-                or pair[0] == pair[1]):
-            raise ValidationError('%s.pair: must be two distinct generator '
-                                  'indices in [0, %d)' % (where, rank))
-        i, j = pair
-        if entries[i][j] != INF:
-            raise ValidationError('%s: override on finite bond (%d,%d)'
-                                  % (where, i, j))
-        value = item["value"]
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValidationError('%s.value: must be a number' % where)
-        if not math.isfinite(value):
-            raise ValidationError('%s.value: must be finite' % where)
-        if value > -1:
-            raise ValidationError('%s.value: must be <= -1' % where)
-        overrides[(i, j)] = value
+            raise ValidationError('field %s: must be {"pair": [i, j], '
+                                  '"value": v}' % where)
+        pair, value = item["pair"], item["value"]
+        pair = tuple(pair) if isinstance(pair, list) else pair
+        _field(where, check_override, matrix, pair, value)
+        overrides[pair] = value
 
     backend = doc.get("backend", "float")
-    if backend not in ("float", "rational"):
-        raise ValidationError('field "backend": must be "float" or "rational"')
-
-    return CoxeterMatrix(entries), overrides, backend
+    _field('"backend"', check_backend, backend)
+    return matrix, overrides, backend
 
 
 def load_root_system(text, backend=None, eps=DEFAULT_EPS):

@@ -8,7 +8,7 @@ from coxlow import (
     hulls_equal, inversion_set, projective_hull, small_roots)
 from coxlow.elements import IDENTITY, Element
 
-# rational-form battery groups (all bond labels in {1, 2, 3, inf})
+# rational-form battery groups (all bond labels in {2, 3, inf})
 RATIONAL_NAMES = ["2-2-2", "3-2-2", "A3", "affine-3-3-3", "2-2-inf",
                   "2-inf-inf", "universal", "inf-3-3", "universal-override"]
 

@@ -218,8 +218,8 @@ def test_criterion_8_inversion_polytopes():
         if not check_simplex_edge_condition(rs, sigma):
             continue
         eligible.append(name)
-        lows, _, _ = stable_lows(name)
-        rep = verify_inversion_polytopes(rs, sigma, aut, lows)
+        _, bij, _ = stable_lows(name)
+        rep = verify_inversion_polytopes(rs, sigma, aut, bij.inversions)
         if rep.matched < len(rep.witnesses):
             bad.append(name)
     # the matrix condition of PAPER.md implies the edge condition, so no

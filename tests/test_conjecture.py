@@ -616,7 +616,7 @@ def test_matrix_condition_implies_the_edge_condition():
         lows, report, _ = enumerate_low_stable(rs, sigma)
         assert report.bijective, bonds
         aut = build_automaton(rs, sigma)
-        rep = verify_inversion_polytopes(rs, sigma, aut, lows)
+        rep = verify_inversion_polytopes(rs, sigma, aut, report.inversions)
         assert rep.matched == len(rep.witnesses), bonds
         assert rep.witnesses == pairwise_polytope_witnesses(
             rs, sigma, aut, lows), bonds
@@ -634,11 +634,12 @@ def test_polytope_witnesses_match_the_pairwise_reference(battery):
     unmatched = 0
     for name, _, _ in BATTERY:
         rs, sigma, aut = battery.get(name)
-        lows, _, _ = enumerate_low_stable(rs, sigma)
-        for some in (lows, lows[:len(lows) // 2]):
+        invs = enumerate_low_stable(rs, sigma)[1].inversions
+        half = dict(itertools.islice(invs.items(), len(invs) // 2))
+        for some in (invs, half):
             rep = verify_inversion_polytopes(rs, sigma, aut, some)
             assert rep.witnesses == pairwise_polytope_witnesses(
-                rs, sigma, aut, some), name
+                rs, sigma, aut, list(some)), name
             unmatched += list(rep.witnesses.values()).count(None)
     assert unmatched > 0
 
@@ -692,8 +693,8 @@ def test_chart_margins_dwarf_the_hull_tolerances(battery):
 
 def test_polytopes_universal(battery):
     rs, sigma, aut = battery.get("universal")
-    lows, _ = enumerate_low(rs, sigma, 4)
-    rep = verify_inversion_polytopes(rs, sigma, aut, lows)
+    _, report = enumerate_low(rs, sigma, 4)
+    rep = verify_inversion_polytopes(rs, sigma, aut, report.inversions)
     assert rep.hypothesis_met and rep.matched == len(rep.witnesses) == 4
 
 
@@ -701,8 +702,8 @@ def test_polytopes_edge_groups(battery):
     for name, bound in (("hyperbolic-3-3-4", 12), ("inf-3-3", 8)):
         rs, sigma, aut = battery.get(name)
         assert check_simplex_edge_condition(rs, sigma)
-        lows, _ = enumerate_low(rs, sigma, bound)
-        rep = verify_inversion_polytopes(rs, sigma, aut, lows)
+        _, report = enumerate_low(rs, sigma, bound)
+        rep = verify_inversion_polytopes(rs, sigma, aut, report.inversions)
         assert rep.hypothesis_met, name
         assert rep.matched == len(rep.witnesses), name
 

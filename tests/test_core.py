@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from coxlow import (
 )
 from coxlow.elements import _inversion_levels
 from coxlow.errors import (
+    CoxlowError,
     DimensionMismatch,
     InvalidBondLabel,
     IrrationalEntryForExactBackend,
@@ -75,6 +77,51 @@ def test_override_rules():
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_override_must_be_finite(backend, value):
     with pytest.raises(ValidationError, match=r"\(0,1\) must be finite"):
+        build_root_system(dihedral_matrix(INF), gram_overrides={(0, 1): value},
+                          backend=backend)
+
+
+def test_matrix_errors_name_the_value():
+    with pytest.raises(NonSymmetricMatrix,
+                       match=r"^m\(0,1\) = 3 != m\(1,0\) = 2$"):
+        CoxeterMatrix([[1, 3], [2, 1]])
+    with pytest.raises(InvalidBondLabel,
+                       match=r"^m\(0,1\) = 1 must be an integer >= 2 or inf$"):
+        CoxeterMatrix([[1, 1], [1, 1]])
+
+
+# Inputs the API path accepted, or failed on with a bare TypeError, while
+# the group-file path refused them: each now raises a CoxlowError that
+# names the value.
+@pytest.mark.parametrize("diagonal", [True, 1.0])
+def test_matrix_diagonal_must_be_the_int_1(diagonal):
+    with pytest.raises(InvalidBondLabel,
+                       match=r"^diagonal entries must be 1, not "
+                             r"m\(0,0\) = %s$" % diagonal):
+        build_root_system([[diagonal, 3], [3, 1]])
+
+
+def test_backend_name_is_checked():
+    with pytest.raises(CoxlowError,
+                       match=r"^backend 'rationl' must be \"float\" or "
+                             r"\"rational\"$"):
+        build_root_system(dihedral_matrix(3), backend="rationl")
+
+
+def test_override_pair_must_be_two_ints():
+    with pytest.raises(CoxlowError,
+                       match=r"^override pair \(False, True\) must be two "
+                             r"distinct generator indices in \[0, 2\)$"):
+        build_root_system(dihedral_matrix(INF),
+                          gram_overrides={(False, True): -1.5})
+
+
+@pytest.mark.parametrize("backend", ["float", "rational"])
+@pytest.mark.parametrize("value", [None, "-2"])
+def test_override_value_must_be_a_number(backend, value):
+    with pytest.raises(CoxlowError,
+                       match=r"^override value %s on bond \(0,1\) must be a "
+                             r"number$" % re.escape(repr(value))):
         build_root_system(dihedral_matrix(INF), gram_overrides={(0, 1): value},
                           backend=backend)
 

@@ -59,6 +59,26 @@ def test_verify_runs_one_low_element_search(monkeypatch):
     assert calls == [6]
 
 
+def test_verify_polytopes_builds_no_inversion_set(monkeypatch):
+    # the polytope check reads each low element's N(x) off the low search,
+    # which built it, on the benchmark's three verify files
+    calls = []
+    inversion_set = coxlow.elements.inversion_set
+
+    def counting(rs, w):
+        calls.append(w)
+        return inversion_set(rs, w)
+
+    for module in (coxlow.elements, coxlow.conjecture):
+        monkeypatch.setattr(module, "inversion_set", counting)
+    for name in ("hyperbolic-3-3-4", "universal", "affine-3-3-3"):
+        path = str(ROOT / "demos" / "groups" / (name + ".json"))
+        code, out = run_cli(["verify", path, "--max-length", "12",
+                             "--polytopes"])
+        assert code == 0 and "inversion polytopes: " in out, name
+    assert calls == []
+
+
 def test_verify_polytopes_charts_each_root_once(monkeypatch):
     calls = []
     chart = coxlow.projective.normalize_projective

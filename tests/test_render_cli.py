@@ -29,6 +29,7 @@ from coxlow import (
 )
 from coxlow.cli import main
 from coxlow.errors import (
+    CoxlowError,
     ParseError,
     RankNotThree,
     ValidationError,
@@ -86,7 +87,7 @@ RANK_GUARDS = {
     "check_gbip_walk": lambda rs: coxlow.conjecture.check_gbip_walk(rs, 2),
     "verify_inversion_polytopes": lambda rs: (
         coxlow.conjecture.verify_inversion_polytopes(rs, small_roots(rs),
-                                                     None, ())),
+                                                     None, {})),
     "render_svg": lambda rs: render_svg(rs, small_roots(rs)),
     "chart": lambda rs: normalize_projective(rs, rs.simple_roots[0]),
 }
@@ -373,8 +374,9 @@ def test_cli_lengths_must_be_nonnegative(universal_file, capsys, monkeypatch,
     ["small-roots"], ["growth", "--terms", "5", "--elements"],
     ["verify", "--max-length", "4"]])
 def test_cli_rejects_non_finite_override(tmp_path, capsys, literal, command):
-    # Python's json reads these literals as floats, and NaN compares false
-    # with -1: the value must be finite before it is compared at all
+    # JSON has no such literals, but Python's reader accepts them; the file
+    # keeps each as its spelling, so no NaN is compared with -1 and the
+    # override check refuses the value as not a number
     path = tmp_path / "group.json"
     path.write_text(UNIVERSAL_JSON.replace(
         '"backend"', '"gram_overrides": [{"pair": [0, 1], "value": %s}],\n'
@@ -382,7 +384,8 @@ def test_cli_rejects_non_finite_override(tmp_path, capsys, literal, command):
     assert main([command[0], str(path)] + command[1:]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == 'error: field "gram_overrides"[0].value: must be finite\n'
+    assert err == ('error: field "gram_overrides"[0]: override value %r on '
+                   'bond (0,1) must be a number\n' % literal)
 
 
 def _with_overrides(value):
@@ -401,8 +404,8 @@ NOT_A_LIST = 'field "gram_overrides": must be a list'
     ('{"rank": true, "coxeter": [[1]]}',
      'field "rank": must be a positive integer'),
     (_with_overrides('[{"pair": [false, true], "value": -1.5}]'),
-     'field "gram_overrides"[0].pair: must be two distinct generator '
-     'indices in [0, 3)'),
+     'field "gram_overrides"[0]: override pair (False, True) must be two '
+     'distinct generator indices in [0, 3)'),
 ], ids=["number", "null", "dict", "string", "bool-rank", "bool-pair"])
 def test_cli_rejects_malformed_group_fields(tmp_path, capsys, text, message):
     # each names its field and exits 2: none may crash, and no dict or
@@ -413,6 +416,80 @@ def test_cli_rejects_malformed_group_fields(tmp_path, capsys, text, message):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: %s\n" % message
+
+
+def _rank2_file(coxeter=(1, "inf"), override=None, backend="float"):
+    """A rank-2 group file; ``coxeter`` is a matrix or its first row."""
+    if not isinstance(coxeter[0], list):
+        coxeter = [list(coxeter), list(coxeter[::-1])]
+    doc = {"rank": 2, "coxeter": coxeter, "backend": backend}
+    if override:
+        doc["gram_overrides"] = [{"pair": override[0], "value": override[1]}]
+    return json.dumps(doc)
+
+
+INF2 = [[1, INF], [INF, 1]]
+COXETER, OVERRIDE = '"coxeter"', '"gram_overrides"[0]'
+
+# For each value rule of a group file: the field, a file that breaks the
+# rule, and the same values as build_root_system's arguments.  A file
+# keeps a number that is not finite as its spelling ("NaN", "Infinity").
+VALUE_RULES = {
+    "diagonal": (COXETER, _rank2_file([[2, "inf"], ["inf", 1]]),
+                 ([[2, INF], [INF, 1]],)),
+    "diagonal-bool": (COXETER, _rank2_file([[True, "inf"], ["inf", 1]]),
+                      ([[True, INF], [INF, 1]],)),
+    "diagonal-float": (COXETER, _rank2_file([[1.0, "inf"], ["inf", 1]]),
+                       ([[1.0, INF], [INF, 1]],)),
+    "label": (COXETER, _rank2_file((1, 1)), ([[1, 1], [1, 1]],)),
+    "label-float": (COXETER, _rank2_file((1, 3.0)), ([[1, 3.0], [3.0, 1]],)),
+    "label-bool": (COXETER, _rank2_file((1, True)),
+                   ([[1, True], [True, 1]],)),
+    "label-string": (COXETER, _rank2_file((1, "x")), ([[1, "x"], ["x", 1]],)),
+    "label-infinity": (COXETER, _rank2_file((1, math.inf)),
+                       ([[1, "Infinity"], ["Infinity", 1]],)),
+    "asymmetric": (COXETER, _rank2_file([[1, 3], [2, 1]]),
+                   ([[1, 3], [2, 1]],)),
+    "pair-range": (OVERRIDE, _rank2_file(override=([0, 2], -1.5)),
+                   (INF2, {(0, 2): -1.5})),
+    "pair-repeated": (OVERRIDE, _rank2_file(override=([1, 1], -1.5)),
+                      (INF2, {(1, 1): -1.5})),
+    "pair-bool": (OVERRIDE, _rank2_file(override=([False, True], -1.5)),
+                  (INF2, {(False, True): -1.5})),
+    "pair-length": (OVERRIDE, _rank2_file(override=([0, 1, 1], -1.5)),
+                    (INF2, {(0, 1, 1): -1.5})),
+    "pair-scalar": (OVERRIDE, _rank2_file(override=(0, -1.5)),
+                    (INF2, {0: -1.5})),
+    "finite-bond": (OVERRIDE, _rank2_file((1, 3), ([0, 1], -1.5)),
+                    ([[1, 3], [3, 1]], {(0, 1): -1.5})),
+    "value-null": (OVERRIDE, _rank2_file(override=([0, 1], None)),
+                   (INF2, {(0, 1): None})),
+    "value-string": (OVERRIDE, _rank2_file(override=([0, 1], "-2")),
+                     (INF2, {(0, 1): "-2"})),
+    "value-bool": (OVERRIDE, _rank2_file(override=([0, 1], True)),
+                   (INF2, {(0, 1): True})),
+    "value-nan": (OVERRIDE, _rank2_file(override=([0, 1], math.nan)),
+                  (INF2, {(0, 1): "NaN"})),
+    "value-above": (OVERRIDE, _rank2_file(override=([0, 1], -0.5)),
+                    (INF2, {(0, 1): -0.5})),
+    "backend": ('"backend"', _rank2_file(backend="rationl"),
+                (INF2, None, "rationl")),
+}
+
+
+@pytest.mark.parametrize("rule", VALUE_RULES)
+def test_group_file_errors_are_the_owners(tmp_path, capsys, rule):
+    # a group file checks no value itself: its one stderr line names the
+    # field, then gives the text the API raises for the same values
+    field, text, args = VALUE_RULES[rule]
+    with pytest.raises(CoxlowError) as owner:
+        build_root_system(*args)
+    path = tmp_path / "group.json"
+    path.write_text(text)
+    assert main(["small-roots", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: field %s: %s\n" % (field, owner.value)
 
 
 @pytest.mark.parametrize("option", ["--out", "--dot"])
