@@ -29,13 +29,18 @@ EXIT_UNRESOLVED = 3
 
 
 def _tolerance(args):
+    """The tolerance, from --tolerance, else COXLOW_TOLERANCE, else
+    DEFAULT_EPS; each spelling is converted here and only here."""
     if args.tolerance is not None:
-        return args.tolerance
-    env = os.environ.get("COXLOW_TOLERANCE")
+        name, text = "--tolerance ", args.tolerance
+    else:
+        name, text = "COXLOW_TOLERANCE=", os.environ.get("COXLOW_TOLERANCE")
+        if not text:
+            return DEFAULT_EPS
     try:
-        return float(env) if env else DEFAULT_EPS
+        return float(text)
     except ValueError:
-        raise ValidationError("COXLOW_TOLERANCE=%r is not a number" % (env,))
+        raise ValidationError("%s%r is not a number" % (name, text))
 
 
 def _load(args):
@@ -49,7 +54,11 @@ def _load(args):
     return load_root_system(text, backend=args.backend, eps=_tolerance(args))
 
 
-def _write(path, text):
+def _emit(path, text):
+    """Write a command's document to ``path``, or to stdout without one."""
+    if not path:
+        sys.stdout.write(text)
+        return
     try:
         with open(path, "w") as fh:
             fh.write(text)
@@ -57,19 +66,11 @@ def _write(path, text):
         raise OutputError("cannot write %s: %s" % (path, exc.strerror))
 
 
-def _emit(args, text):
-    if args.out:
-        _write(args.out, text)
-    else:
-        sys.stdout.write(text)
-
-
 def _word_str(word):
     return "".join("s%d" % s for s in word) or "e"
 
 
-def cmd_small_roots(args):
-    rs = _load(args)
+def cmd_small_roots(args, rs):
     sigma = small_roots(rs)
     print("small roots (%d):" % len(sigma))
     print("%5s  %-30s %5s" % ("index", "coordinates", "depth"))
@@ -79,14 +80,13 @@ def cmd_small_roots(args):
         print("%5d  %-30s %5d"
               % (i, "(" + ", ".join("%g" % c for c in coords) + ")", root.depth))
         payload.append({"index": i, "coords": coords, "depth": root.depth})
-    _emit(args, json.dumps({"schema": "coxlow/small-roots/1",
-                            "count": len(sigma), "roots": payload},
-                           indent=2) + "\n")
+    _emit(args.out, json.dumps({"schema": "coxlow/small-roots/1",
+                                "count": len(sigma), "roots": payload},
+                               indent=2) + "\n")
     return EXIT_OK
 
 
-def cmd_low_elements(args):
-    rs = _load(args)
+def cmd_low_elements(args, rs):
     sigma = small_roots(rs)
     lows, report = enumerate_low(rs, sigma, args.max_length)
     print("low elements up to length %d: %d found" % (args.max_length, len(lows)))
@@ -100,31 +100,24 @@ def cmd_low_elements(args):
         "INCOMPLETE: %d of %d small inversion sets unrealized" \
         % (len(report.unresolved_masks), report.n_lambda)
     print("completeness: %s (|Lambda| = %d)" % (status, report.n_lambda))
-    _emit(args, json.dumps({"schema": "coxlow/low-elements/1",
-                            "max_length": args.max_length,
-                            "low_elements": payload,
-                            "n_lambda": report.n_lambda,
-                            "complete": report.complete,
-                            "unrealized_masks": list(report.unresolved_masks)},
-                           indent=2) + "\n")
+    doc = {"schema": "coxlow/low-elements/1", "max_length": args.max_length,
+           "low_elements": payload, "n_lambda": report.n_lambda,
+           "complete": report.complete,
+           "unrealized_masks": list(report.unresolved_masks)}
+    _emit(args.out, json.dumps(doc, indent=2) + "\n")
     return EXIT_OK
 
 
-def cmd_automaton(args):
-    rs = _load(args)
+def cmd_automaton(args, rs):
     sigma = small_roots(rs)
     aut = build_automaton(rs, sigma)
-    dot = export_dot(aut)
+    _emit(args.dot or args.out, export_dot(aut))
     if args.dot:
-        _write(args.dot, dot)
         print("automaton: %d states, written to %s" % (len(aut.states), args.dot))
-    else:
-        sys.stdout.write(dot)
     return EXIT_OK
 
 
-def cmd_growth(args):
-    rs = _load(args)
+def cmd_growth(args, rs):
     sigma = small_roots(rs)
     aut = build_automaton(rs, sigma)
     words = growth_series(aut, args.terms)
@@ -135,12 +128,11 @@ def cmd_growth(args):
         elems = count_elements(rs, sigma, args.terms)
         print("elements by length:      %s" % elems)
         rows["elements"] = elems
-    _emit(args, json.dumps(rows, indent=2) + "\n")
+    _emit(args.out, json.dumps(rows, indent=2) + "\n")
     return EXIT_OK
 
 
-def cmd_verify(args):
-    rs = _load(args)
+def cmd_verify(args, rs):
     if args.polytopes and rs.rank != 3:
         raise RankNotThree("--polytopes needs rank 3, not %d" % rs.rank)
     sigma = small_roots(rs)
@@ -190,19 +182,18 @@ def cmd_verify(args):
         "gbip": gbip_summary,
         "polytopes": poly_summary,
     }
-    _emit(args, json.dumps(report, indent=2) + "\n")
+    _emit(args.out, json.dumps(report, indent=2) + "\n")
     unresolved = bool(bij.unresolved_masks) or \
         (gbip_summary and gbip_summary["violations"]) or \
         (poly_summary and poly_summary["matched"] < poly_summary["total"])
     return EXIT_UNRESOLVED if unresolved else EXIT_OK
 
 
-def cmd_render(args):
-    rs = _load(args)
+def cmd_render(args, rs):
     sigma = small_roots(rs)
     opts = RenderOptions(depth=args.depth, size=args.size, labels=args.labels)
     lambdas = build_automaton(rs, sigma).states if args.lambdas else ()
-    _emit(args, render_svg(rs, sigma, lambdas, opts))
+    _emit(args.out, render_svg(rs, sigma, lambdas, opts))
     return EXIT_OK
 
 
@@ -212,10 +203,10 @@ def build_parser():
     later ``main`` in the process."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("group", help="group-input JSON file")
-    common.add_argument("--tolerance", type=float, default=None,
+    common.add_argument("--tolerance", default=None,
                         help="comparison tolerance (or env COXLOW_TOLERANCE)")
-    common.add_argument("--backend", choices=["float", "rational"],
-                        default=None, help="override the file's backend")
+    common.add_argument("--backend", default=None,
+                        help="override the file's backend: float or rational")
     common.add_argument("--out", default=None, help="output file")
 
     parser = argparse.ArgumentParser(
@@ -270,7 +261,7 @@ def main(argv=None):
             if getattr(args, opt, 0) < 0:
                 raise ValidationError("--%s %d must be >= 0" % (
                     opt.replace("_", "-"), getattr(args, opt)))
-        return args.func(args)
+        return args.func(args, _load(args))
     except CoxlowError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_VALIDATION

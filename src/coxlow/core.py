@@ -354,13 +354,15 @@ def build_root_system(matrix, gram_overrides=None, backend="float",
 
     ``gram_overrides`` maps generator pairs (i, j) to a value <= -1, and is
     only legal on infinite bonds (``check_override``).  ``backend`` is
-    ``check_backend``'s "float" (double precision) or "rational" (exact,
-    overrides made Fractions), and ``eps`` (a finite number >= 0) is the
-    float comparison tolerance.  ``gram`` holds B; the root table holds 2B,
-    so exact coordinates are ints when every override is a multiple of 1/2,
-    Fractions otherwise.
+    ``check_backend``'s "float" (double precision, overrides made floats) or
+    "rational" (exact, overrides made Fractions), and ``eps`` (a finite
+    number >= 0, not a bool) is the float comparison tolerance.  ``gram``
+    holds B; the root table holds 2B, so exact coordinates are ints when
+    every override is a multiple of 1/2, Fractions otherwise.
     """
-    if not (isinstance(eps, (int, float, Fraction)) and 0 <= eps < INF):
+    if type(eps) is bool or not isinstance(eps, (int, float, Fraction)):
+        raise ValidationError("tolerance %r must be a number" % (eps,))
+    if not 0 <= eps < INF:
         raise ValidationError("tolerance %r must be finite and >= 0" % (eps,))
     check_backend(backend)
     if not isinstance(matrix, CoxeterMatrix):
@@ -372,7 +374,7 @@ def build_root_system(matrix, gram_overrides=None, backend="float",
     gram = [[one if i == j else _bond_value(matrix[i, j], backend)
              for j in range(n)] for i in range(n)]
     for (i, j), value in (gram_overrides or {}).items():
-        gram[i][j] = gram[j][i] = Fraction(value) if exact else value
+        gram[i][j] = gram[j][i] = (Fraction if exact else float)(value)
     return BasedRootSystem(matrix, tuple(map(tuple, gram)), backend, eps)
 
 

@@ -87,10 +87,12 @@ def parse_group_file(text):
 
 
 def load_root_system(text, backend=None, eps=DEFAULT_EPS):
-    """Build a root system directly from group-file text."""
+    """Build a root system directly from group-file text; a ``backend``
+    other than None replaces the file's."""
     matrix, overrides, file_backend = parse_group_file(text)
-    return build_root_system(matrix, gram_overrides=overrides,
-                             backend=backend or file_backend, eps=eps)
+    return build_root_system(
+        matrix, gram_overrides=overrides, eps=eps,
+        backend=file_backend if backend is None else backend)
 
 
 def group_to_json(matrix, overrides=None, backend="float"):

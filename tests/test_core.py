@@ -108,6 +108,30 @@ def test_backend_name_is_checked():
         build_root_system(dihedral_matrix(3), backend="rationl")
 
 
+@pytest.mark.parametrize("eps", [True, False])
+def test_tolerance_must_not_be_a_bool(eps):
+    # a bool is an int to isinstance: True would set eps2 = 2
+    with pytest.raises(ValidationError,
+                       match=r"^tolerance %s must be a number$" % eps):
+        build_root_system(dihedral_matrix(3), eps=eps)
+
+
+@pytest.mark.parametrize("value", [-2, -1.5, Fraction(-3, 2)],
+                         ids=["int", "float", "Fraction"])
+def test_override_is_held_in_the_backend_scalar(value):
+    # a float system holds floats, an exact one Fractions, however the
+    # caller spelled the override; the doubled form follows
+    rs = build_root_system(dihedral_matrix(INF), gram_overrides={(0, 1): value})
+    exact = build_root_system(dihedral_matrix(INF),
+                              gram_overrides={(0, 1): value},
+                              backend="rational")
+    for held in (rs.gram[0][1], rs.gram[1][0], rs.root_table.gram2[0][1]):
+        assert type(held) is float
+    assert rs.gram[0][1] == exact.gram[0][1] == value
+    assert type(exact.gram[0][1]) is Fraction
+    assert type(exact.root_table.gram2[0][1]) is int
+
+
 def test_override_pair_must_be_two_ints():
     with pytest.raises(CoxlowError,
                        match=r"^override pair \(False, True\) must be two "

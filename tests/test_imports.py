@@ -250,3 +250,17 @@ def test_no_function_in_the_package_has_an_unused_parameter():
              for p in paths
              for line, fn, arg in unused_parameters(ast.parse(p.read_text()))]
     assert found == []
+
+
+def test_cli_writes_stdout_only_in_emit():
+    # every document a command makes goes out through cli._emit, which
+    # picks stdout or the --out file
+    tree = ast.parse((ROOT / "src/coxlow/cli.py").read_text())
+    owner = {}      # each write, by its innermost function (ast.walk is BFS)
+    for fn in [tree] + [node for node in ast.walk(tree)
+                        if isinstance(node, ast.FunctionDef)]:
+        for node in ast.walk(fn):
+            if (isinstance(node, ast.Attribute) and node.attr == "write"
+                    and ast.unparse(node.value) == "sys.stdout"):
+                owner[node] = getattr(fn, "name", "<module>")
+    assert list(owner.values()) == ["_emit"]

@@ -308,6 +308,41 @@ def test_cli_validation_exit(tmp_path, capsys):
     assert main(["small-roots", str(tmp_path / "missing.json")]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["small-roots"], ["low-elements", "--max-length", "4"], ["automaton"],
+    ["growth", "--terms", "4", "--elements"],
+    ["verify", "--max-length", "4", "--gbip-length", "4", "--polytopes"],
+    ["render", "--depth", "2", "--lambdas"],
+], ids=lambda argv: argv[0])
+def test_cli_writes_its_document_to_out(universal_file, tmp_path, capsys,
+                                        argv):
+    # with --out the document leaves stdout for the file, and the text
+    # lines before it stay
+    argv = argv[:1] + [universal_file] + argv[1:]
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    path = tmp_path / "document"
+    assert main(argv + ["--out", str(path)]) == 0
+    lines = capsys.readouterr().out
+    document = path.read_text()
+    assert document and lines + document == plain
+
+
+@pytest.mark.parametrize("option,value,message", [
+    ("--tolerance", "abc", "--tolerance 'abc' is not a number"),
+    ("--tolerance", "", "--tolerance '' is not a number"),
+    ("--backend", "exact", 'backend \'exact\' must be "float" or "rational"'),
+    ("--backend", "", 'backend \'\' must be "float" or "rational"'),
+], ids=["tolerance-text", "tolerance-empty", "backend-name", "backend-empty"])
+def test_cli_option_errors_are_one_line(universal_file, capsys, option,
+                                        value, message):
+    # the option's value is checked by its owner, not by argparse's usage
+    assert main(["small-roots", universal_file, option, value]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: %s\n" % message
+
+
 def test_cli_automaton_dot(universal_file, tmp_path, capsys):
     dot_path = tmp_path / "aut.dot"
     assert main(["automaton", universal_file, "--dot", str(dot_path)]) == 0
