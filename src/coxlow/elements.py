@@ -11,18 +11,18 @@ element, so the walk is exact, compares no two elements and computes no
 matrix; it builds and keeps each level as automaton states alone, derives a
 level's letters and parent indices when they are first read, and reads a
 word back and builds its Element only when an entry is drawn.
-The inversion set convention is N(w) = Phi+ cap w(Phi-).  ``inversion_set``
-reads it off prefix traces: for w = s_1 ... s_k, N(w) holds
-s_1 ... s_(j-1)(alpha_(s_j)) for each j, and the trace of alpha_(s_j) steps
-through the table's columns for s_(j-1), ..., s_1, building no set per
-letter.  ``normalize`` builds N(w) of any word by left extension,
-N(s x) = {alpha_s} u s N(x) (or s (N(x) - {alpha_s}) when s x is
-shorter); left descents are the generators whose simple root lies in N(w),
-and ``normalize`` peels the least of them off N(w) until it is empty.
-``_inversion_levels`` carries N(w) along the element walk instead, as
-N(ws) = N(w) u {w(alpha_s)}, and reads w(alpha_s) off the table's
-reflections too: no routine here keeps a matrix or keys a vector, so root
-identity is decided in ``RootTable.reflect`` alone.
+The inversion set convention is N(w) = Phi+ cap w(Phi-).  One fold,
+``_word_inversions``, turns a word into N(w), reading it from the right:
+N(s x) = {alpha_s} u s N(x), or s (N(x) - {alpha_s}) when alpha_s is
+already in N(x).  ``inversion_set`` returns it for a reduced word and names
+the largest non-reduced suffix of any other; ``normalize`` peels the least
+left descent off it until it is empty.  Prefix traces remain where N(w)
+must grow on the right: ``_inversion_levels`` carries N(w) along the
+element walk as N(ws) = N(w) u {w(alpha_s)}, since G_bip's induction needs
+N(us) to contain N(u).  ``is_low`` and ``left_descents`` trace signed roots
+and build no N(w).  Every step reads the table's reflections: no routine
+here keeps a matrix or keys a vector, so root identity is decided in
+``RootTable.reflect`` alone.
 
 Low elements are found exactly by extending low elements on the left by
 their least left descent (see ``_low_search``); the search stops on its
@@ -63,13 +63,10 @@ IDENTITY = Element(())
 # -- normal forms -------------------------------------------------------
 
 def normalize(rs, word):
-    """ShortLex normal form of an arbitrary generator word.
-
-    N(w) is built on root-table ids, reading the word from the right: if
-    alpha_s is not in N(x), N(s x) = {alpha_s} u s N(x); if it is,
-    N(s x) = s (N(x) - {alpha_s}).  Then ``_shortlex`` reads the normal
-    form off N(w).  No coordinate's sign is tested."""
-    return _shortlex(rs, _word_inversions(rs, word))
+    """ShortLex normal form of an arbitrary generator word: ``_shortlex``
+    reads it off N(w), as ``_word_inversions`` folds it from the word.  No
+    coordinate's sign is tested."""
+    return _shortlex(rs, _word_inversions(rs, word)[0])
 
 
 def _check_letters(rs, word):
@@ -80,12 +77,39 @@ def _check_letters(rs, word):
 
 
 def _word_inversions(rs, word):
-    """N(w), as a set of root-table ids, for the element w of any word."""
+    """(N(w), p) for the element w of any word: N(w) as a list of
+    root-table ids, p the largest position with word[p:] not reduced, or
+    None.  Read from the right, N(s x) = {alpha_s} u s N(x) if alpha_s is
+    not in N(x), else s (N(x) - {alpha_s}) (Bjorner-Brenti, Combinatorics
+    of Coxeter Groups, 4.4).  Each step reads cols[s]; only an entry the
+    table has not filled yet goes through reflect, and cols[s][s] is never
+    filled, so alpha_s is found there.  A letter outside range(rs.rank)
+    raises ValueError."""
     _check_letters(rs, word)
-    ids = set()
+    table = rs.root_table
+    cols, reflect = table.cols, table.reflect
+    ids, first_bad = [], None
+    p = len(word)
     for s in reversed(word):
-        ids = _left_multiply(rs, s, ids)
-    return ids
+        p -= 1
+        col, k, hit = cols[s], 0, None
+        for i in ids:
+            j = col[i]
+            if j is None:
+                if i == s:
+                    hit = k
+                else:
+                    ids[k] = reflect(i, s)
+            else:
+                ids[k] = j
+            k += 1
+        if hit is None:
+            ids.append(s)
+        else:
+            del ids[hit]
+            if first_bad is None:
+                first_bad = p
+    return ids, first_bad
 
 
 def _left_multiply(rs, s, ids):
@@ -113,50 +137,19 @@ def _shortlex(rs, ids):
 # -- inversion sets -----------------------------------------------------
 
 def inversion_set(rs, w):
-    """N(w) by prefix traces: for w = s_1 ... s_k,
-    N(w) = {s_1 ... s_(j-1)(alpha_(s_j)) : j = 1, ..., k} (Bjorner-Brenti,
-    Combinatorics of Coxeter Groups, 4.4).  Returns the frozenset of the
-    roots' ids in rs.root_table, so alpha_s is in N(w) iff s is;
-    |N(w)| = length(w).
-
-    The trace of alpha_(s_j) applies s_(j-1), ..., s_1 in turn through the
-    table's columns; only an entry the table has not filled yet goes
-    through reflect.  Each root on a trace is
-    s_p ... s_(j-1)(alpha_(s_j)), positive while s_p ... s_j is reduced, so
-    a word that is not reduced shows where a trace meets alpha_t just
-    before applying t; then NonReducedInput names the largest p with
-    word[p:] not reduced (see ``_non_reduced``).  A letter outside
-    range(rs.rank) raises ValueError."""
+    """N(w) = Phi+ cap w(Phi-) for a reduced word w, as the frozenset of
+    the roots' ids in rs.root_table, so alpha_s is in N(w) iff s is;
+    |N(w)| = length(w).  It is the fold of ``_word_inversions``.  A word
+    that is not reduced raises NonReducedInput, naming the largest p with
+    word[p:] not reduced, where alpha_(word[p]) is already in
+    N(word[p + 1:]); a letter outside range(rs.rank) raises ValueError."""
     word = w.word
-    _check_letters(rs, word)
-    table = rs.root_table
-    cols, reflect = table.cols, table.reflect
-    rev = word[::-1]
-    k = len(word)
-    ids = []
-    for j, i in enumerate(word):
-        for t in rev[k - j:]:       # s_(j-1), ..., s_1
-            m = cols[t][i]
-            if m is None:
-                if i == t:
-                    raise _non_reduced(rs, word)
-                m = reflect(i, t)
-            i = m
-        ids.append(i)
+    ids, p = _word_inversions(rs, word)
+    if p is not None:
+        raise NonReducedInput(
+            "word %r is not reduced at position %d: alpha_%d is already "
+            "in N(%r)" % (word, p, word[p], word[p + 1:]))
     return frozenset(ids)
-
-
-def _non_reduced(rs, word):
-    """NonReducedInput for a word that is not reduced, naming the largest p
-    with word[p:] not reduced, with alpha_(word[p]) in N(word[p + 1:]):
-    the first such p met reading the word from the right."""
-    ids = set()
-    for p in range(len(word) - 1, -1, -1):
-        if word[p] in ids:
-            return NonReducedInput(
-                "word %r is not reduced at position %d: alpha_%d is already "
-                "in N(%r)" % (word, p, word[p], word[p + 1:]))
-        ids = _left_multiply(rs, word[p], ids)
 
 
 def left_descents(rs, w):
@@ -382,7 +375,9 @@ def elements_by_length(rs, max_len=None):
     computes no matrix.  It builds each level from the previous level's
     states alone, appending each state's array of targets, and stores only
     the states: letters, parents, words and Elements are built when read
-    (see Level)."""
+    (see Level).  A negative max_len raises ValueError on the first next()."""
+    if max_len is not None and max_len < 0:
+        raise ValueError("length bound %r must be >= 0" % (max_len,))
     transitions = build_shortlex_automaton(rs, small_roots(rs)).transitions
     moves = ([array("H", [s for s, t in enumerate(row) if t is not None])
               for row in transitions],
@@ -478,7 +473,9 @@ def _low_search(rs, sigma, cap):
     descent (no t < s has s alpha_t in N(x)), so each y is met once, as
     its ShortLex normal form (s,) + x.word.  Returns ({Element: lambda
     mask}, {Element: N(x)}, both in (length, word) order, the last length
-    examined)."""
+    examined).  A negative cap raises ValueError."""
+    if cap < 0:
+        raise ValueError("length bound %r must be >= 0" % (cap,))
     reflect = rs.root_table.reflect
     masks, invs = {IDENTITY: 0}, {IDENTITY: frozenset()}
     level = [(IDENTITY, frozenset())]

@@ -24,6 +24,7 @@ from coxlow import (
     elements_up_to_length,
     enumerate_low,
     enumerate_low_stable,
+    growth_series,
     inversion_set,
     is_bipodal,
     is_low,
@@ -33,11 +34,13 @@ from coxlow import (
     small_roots,
     triangle_matrix,
 )
+from coxlow.conjecture import check_gbip_walk
 from coxlow.elements import _inversion_levels, _solve_subset
 from coxlow.errors import NonReducedInput, NumericallyAmbiguous
 
 from conftest import (
-    RATIONAL_NAMES, cone_is_low, matrix_bfs_levels, prefix_inversion_roots)
+    RATIONAL_NAMES, cone_is_low, identity_matrix, mat_mul, matrix_bfs_levels,
+    prefix_inversion_roots, reflection_matrix)
 
 
 def dihedral(m, **kw):
@@ -83,6 +86,31 @@ def test_float_normalize_matches_rational():
         for word in words:
             assert (normalize(rs_float, word)
                     == normalize(rs_exact, word)), (name, word)
+
+
+@pytest.mark.parametrize("name,backend", [
+    ("A3", "float"), ("A3", "rational"), ("H3", "float"),
+    ("hyperbolic-3-3-4", "float"), ("universal", "float"),
+    ("universal", "rational")])
+def test_normalize_matches_matrix_oracle(name, backend):
+    # seeded random words, non-reduced ones included: a word's normal form
+    # is the element the matrix walk, which reads no root table, finds
+    # with the word's matrix
+    rs = battery_root_system(name, backend=backend)
+
+    def mat_key(m):
+        return tuple(rs.vec_key(row) for row in m)
+
+    oracle = {mat_key(m): elem for _, entries in matrix_bfs_levels(rs, 10)
+              for elem, m in entries}
+    refl = [reflection_matrix(rs, s) for s in range(rs.rank)]
+    rng = random.Random(3500)
+    for _ in range(500):
+        word = tuple(rng.randrange(3) for _ in range(rng.randrange(11)))
+        m = identity_matrix(rs)
+        for s in word:
+            m = mat_mul(m, refl[s])
+        assert normalize(rs, word) == oracle[mat_key(m)], word
 
 
 @pytest.mark.parametrize("word,letter", [
@@ -135,15 +163,22 @@ def test_inversion_set_names_the_nonreduced_position(word, pos):
     ("hyperbolic-3-3-4", "float"), ("universal", "float"),
     ("universal", "rational")])
 def test_nonreduced_position_matches_suffix_oracle(name, backend):
-    # the position named is the largest p with word[p:] not reduced, found
-    # here by normalizing the suffixes from the right
+    # the position named is the largest p with word[p:] not reduced.  The
+    # oracle reads no root table: word[p:] is reduced iff every root
+    # s_p ... s_(j-1)(alpha_(s_j)) of the prefix formula is positive, and
+    # those vectors are alpha_(s_p) and s_p applied to word[p + 1:]'s
     rs = battery_root_system(name, backend=backend)
     rng = random.Random(1900)
     rejected = 0
     for _ in range(3000):
         word = tuple(rng.randrange(3) for _ in range(rng.randrange(13)))
-        pos = next((p for p in range(len(word) - 1, -1, -1)
-                    if normalize(rs, word[p:]).length < len(word) - p), None)
+        pos, roots = None, []
+        for p in range(len(word) - 1, -1, -1):
+            s = word[p]
+            roots = [rs.simple_roots[s]] + [rs.reflect(s, v) for v in roots]
+            if any(map(rs.is_negative_root_vec, roots)):
+                pos = p
+                break
         try:
             inv = inversion_set(rs, Element(word))
         except NonReducedInput as exc:
@@ -491,6 +526,30 @@ def test_walk_matches_matrix_bfs_oracle(battery, backend):
         for _, entries in elements_by_length(rs, 12):
             for elem, _, _ in entries:
                 assert normalize(rs, elem.word) == elem, elem
+
+
+# each entry point that takes a length bound, with a negative bound
+NEGATIVE_BOUNDS = {
+    "count_elements": (-2, lambda rs, sigma: count_elements(rs, sigma, -2)),
+    "growth_series": (-1, lambda rs, sigma: growth_series(
+        build_shortlex_automaton(rs, sigma), -1)),
+    "elements_by_length": (-1, lambda rs, _: next(elements_by_length(rs, -1))),
+    "enumerate_low": (-3, lambda rs, sigma: enumerate_low(rs, sigma, -3)),
+    "enumerate_low_stable": (-1, lambda rs, sigma: enumerate_low_stable(
+        rs, sigma, cap=-1)),
+    "check_gbip_walk": (-1, lambda rs, _: check_gbip_walk(rs, -1)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(NEGATIVE_BOUNDS))
+def test_negative_length_bound_is_rejected(battery, entry):
+    # a negative bound used to be answered as if it were 0: on A3,
+    # count_elements gave [1] and enumerate_low the identity as low
+    rs, sigma, _ = battery.get("A3")
+    bound, call = NEGATIVE_BOUNDS[entry]
+    with pytest.raises(ValueError, match=re.escape(
+            "length bound %d must be >= 0" % bound)):
+        call(rs, sigma)
 
 
 def test_walk_builds_no_element_until_drawn(monkeypatch):

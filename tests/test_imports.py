@@ -264,3 +264,20 @@ def test_cli_writes_stdout_only_in_emit():
                     and ast.unparse(node.value) == "sys.stdout"):
                 owner[node] = getattr(fn, "name", "<module>")
     assert list(owner.values()) == ["_emit"]
+
+
+def test_non_reduced_input_is_raised_only_in_inversion_set():
+    # one fold turns a word into N(w) (elements._word_inversions), and only
+    # inversion_set turns its non-reduced position into the error, so no
+    # second word -> N(w) loop with its own error comes back
+    owner = {}      # each use, by its innermost function (ast.walk is BFS)
+    for path in sorted((ROOT / "src/coxlow").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for fn in [tree] + [node for node in ast.walk(tree)
+                            if isinstance(node, ast.FunctionDef)]:
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.Name) and node.id == "NonReducedInput"
+                        and isinstance(node.ctx, ast.Load)):
+                    owner[node] = "%s:%s" % (path.name,
+                                             getattr(fn, "name", "<module>"))
+    assert list(owner.values()) == ["elements.py:inversion_set"]
