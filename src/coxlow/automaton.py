@@ -10,6 +10,8 @@ the word stops being reduced.
 
 from collections import deque
 
+from .core import check_length_bound
+
 
 class Automaton:
     """Deterministic acceptor of reduced words (all states accepting).
@@ -136,8 +138,7 @@ def growth_series(aut, k):
     build_shortlex_automaton.  Counts are non-negative, so the first zero
     term leaves every count zero: the steps stop there and the rest of the
     series is padded with zeros (a finite group's series ends early)."""
-    if k < 0:
-        raise ValueError("length bound %r must be >= 0" % (k,))
+    check_length_bound(k)
     counts = [0] * len(aut.states)
     counts[0] = 1
     series = [1]

@@ -148,11 +148,11 @@ def cmd_verify(args, rs):
 
     gbip_summary = None
     if rs.rank == 3:
-        checked, violations = check_gbip_walk(rs, args.gbip_length)
+        checked, failed = check_gbip_walk(rs, sigma, args.gbip_length)
         gbip_summary = {"max_length": args.gbip_length,
-                        "elements_checked": checked, "violations": violations}
+                        "elements_checked": checked, "violations": len(failed)}
         print("graph checks (length <= %d): %d elements, %d violations"
-              % (args.gbip_length, checked, violations))
+              % (args.gbip_length, checked, len(failed)))
 
     poly_summary = None
     if args.polytopes:

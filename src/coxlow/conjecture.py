@@ -21,11 +21,12 @@ that does not stand; coclosedness of N(w) gives every root a foot
 (Dyer-Hohlweg 2016), and a set that is not coclosed can lack one.
 
 ``check_gbip`` applies the rule to one N(w), and ``verify``'s
-``check_gbip_walk`` along the walk, by induction on N(us) = N(u) u
-{u(alpha_s)}.  ``build_gbip`` builds only the generator side, a
-``BipGraph`` of the generator labels and the sources among them;
-``check_acyclic`` and ``source_generators`` read it.  The whole graph,
-root side and Kahn's sort included, is the tests' reference.  The builder
+``check_gbip_walk`` depth first along one path of the ShortLex automaton
+at a time, by induction on N(us) = N(u) u {u(alpha_s)}, listing the words
+that fail.  ``build_gbip`` builds only the generator side, a ``BipGraph``
+of the generator labels and the sources among them; ``check_acyclic`` and
+``source_generators`` read it.  The whole graph, root side and Kahn's
+sort included, is the tests' reference.  The builder
 ``construct_low_from_lambda`` peels, off the shortest element realizing
 lambda, the letter of the automaton's first transition into lambda: a
 left descent, so a generator source.
@@ -33,11 +34,10 @@ left descent, so a generator source.
 
 from dataclasses import dataclass, field
 
-from .automaton import build_automaton
-from .core import INF, triangle_matrix, build_root_system
+from .automaton import build_automaton, build_shortlex_automaton
+from .core import INF, check_length_bound, triangle_matrix, build_root_system
 from .elements import (
     IDENTITY,
-    _inversion_levels,
     _left_multiply,
     _low_search,
     _shortlex,
@@ -143,29 +143,44 @@ def check_gbip(rs, inv):
     return True, None
 
 
-def check_gbip_walk(rs, max_len):
-    """(checked, violations) of ``check_gbip`` on the walk to max_len."""
-    flags = b"".join(_gbip_walk_failures(rs, max_len))
-    return len(flags), flags.count(1)
-
-
-def _gbip_walk_failures(rs, max_len):
-    """Per level of the walk, a bytearray flagging what check_gbip fails."""
+def check_gbip_walk(rs, sigma, max_len):
+    """(checked, failed): the number of elements of length <= max_len, and
+    the words of those whose N(w) fails ``check_gbip``, in walk order, depth
+    first over the ShortLex automaton of ``sigma`` (one word per element,
+    Brink-Howlett 1993).  The path holds its word, the root g = u(alpha_s)
+    each letter added and their set N(u).  A root that stands in N(u)
+    stands in N(us) = N(u) u {g}, so if N(u) passes, N(us) passes iff g is
+    simple or stands; below a failure the full check decides."""
+    check_length_bound(max_len)
     _require_rank3(rs)
     table = rs.root_table
-    # N(us) = N(u) u {g}, and a root that stands in N(u) stands in N(us):
-    # if N(u) passes, N(us) passes iff g is simple or stands, in at most r
-    # lookups.  An entry whose parent failed gets the full check.
-    failed = bytearray(1)       # N(e) is empty
-    for length, level, invs in _inversion_levels(rs, max_len):
-        if length:
-            prev, failed = failed, bytearray()
-            for inv, p in zip(invs, level.parents):
-                g = inv[-1]
-                ok = (check_gbip(rs, inv)[0] if prev[p]
-                      else g < 3 or _stands(table, g, inv))
-                failed.append(not ok)
-        yield failed
+    cols, reflect = table.cols, table.reflect
+    # each state's moves, last letter first, so the least is popped first
+    moves = [[(s, t) for s, t in enumerate(row) if t is not None][::-1]
+             for row in build_shortlex_automaton(rs, sigma).transitions]
+    word, roots, inv = [], [], set()
+    checked, failed = 1, []                 # N(e) is empty and passes
+    stack = [(0, s, t, False) for s, t in moves[0]] if max_len else []
+    while stack:
+        n, s, state, parent_failed = stack.pop()
+        while len(word) > n:    # back up to the parent, one letter a time
+            word.pop()
+            inv.discard(roots.pop())
+        g = s
+        for t in reversed(word):
+            j = cols[t][g]
+            g = reflect(g, t) if j is None else j
+        word.append(s)
+        roots.append(g)
+        inv.add(g)
+        ok = (check_gbip(rs, inv)[0] if parent_failed
+              else g < 3 or _stands(table, g, inv))
+        checked += 1
+        if not ok:
+            failed.append(tuple(word))
+        if n + 1 < max_len:
+            stack += [(n + 1, s, t, not ok) for s, t in moves[state]]
+    return checked, failed
 
 
 def check_acyclic(graph):

@@ -45,6 +45,13 @@ def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def check_length_bound(bound):
+    """Raise ValueError naming ``bound`` unless it is an int >= 0."""
+    if not (_is_int(bound) and bound >= 0):
+        raise ValueError("length bound %r must be %s" % (
+            bound, ">= 0" if _is_int(bound) else "an int"))
+
+
 class CoxeterMatrix:
     """Symmetric matrix of bond labels: m(s,s) = 1 and, off the diagonal,
     m(s,t) an integer >= 2 or INF; labels are ints, not bools or floats."""

@@ -16,13 +16,10 @@ The inversion set convention is N(w) = Phi+ cap w(Phi-).  One fold,
 N(s x) = {alpha_s} u s N(x), or s (N(x) - {alpha_s}) when alpha_s is
 already in N(x).  ``inversion_set`` returns it for a reduced word and names
 the largest non-reduced suffix of any other; ``normalize`` peels the least
-left descent off it until it is empty.  Prefix traces remain where N(w)
-must grow on the right: ``_inversion_levels`` carries N(w) along the
-element walk as N(ws) = N(w) u {w(alpha_s)}, since G_bip's induction needs
-N(us) to contain N(u).  ``is_low`` and ``left_descents`` trace signed roots
-and build no N(w).  Every step reads the table's reflections: no routine
-here keeps a matrix or keys a vector, so root identity is decided in
-``RootTable.reflect`` alone.
+left descent off it until it is empty.  ``is_low`` and ``left_descents``
+trace signed roots and build no N(w).  Every step reads the table's
+reflections: no routine here keeps a matrix or keys a vector, so root
+identity is decided in ``RootTable.reflect`` alone.
 
 Low elements are found exactly by extending low elements on the left by
 their least left descent (see ``_low_search``); the search stops on its
@@ -36,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .automaton import build_automaton, build_shortlex_automaton
-from .core import Root
+from .core import Root, check_length_bound
 from .errors import NonReducedInput, NumericallyAmbiguous
 from .smallroots import small_roots
 
@@ -314,7 +311,7 @@ class Level:
     ``parents`` are read-only arrays derived from ``prev.states`` and
     ``moves`` the first time either is read, and kept after that.
 
-    A level is read through len and iteration.  Iterating builds ``words``
+    A level is read through len and iteration.  Iterating builds ``_words``
     from the previous level's, in a loop back to the last level that has
     them, reading each level's letters and parents before it drops
     ``prev``.  Only a drawn entry gets an Element.  Level 0 holds the
@@ -323,7 +320,7 @@ class Level:
     def __init__(self, prev, states, moves):
         self.prev, self.states, self.moves = prev, states, moves
         self._links = ([None], [None]) if prev is None else None
-        self.words = [()] if prev is None else None
+        self._words = [()] if prev is None else None
 
     @property
     def letters(self):
@@ -350,15 +347,15 @@ class Level:
 
     def __iter__(self):
         chain, level = [], self
-        while level.words is None:
+        while level._words is None:
             chain.append(level)
             level = level.prev
         for level in reversed(chain):
             letters, parents = level._read_links()
-            words, level.prev = level.prev.words, None
-            level.words = [words[p] + (s,) for s, p in zip(letters, parents)]
+            words, level.prev = level.prev._words, None
+            level._words = [words[p] + (s,) for s, p in zip(letters, parents)]
         return ((Element(w), p, state)
-                for w, p, state in zip(self.words, self.parents, self.states))
+                for w, p, state in zip(self._words, self.parents, self.states))
 
 
 def elements_by_length(rs, max_len=None):
@@ -375,9 +372,9 @@ def elements_by_length(rs, max_len=None):
     computes no matrix.  It builds each level from the previous level's
     states alone, appending each state's array of targets, and stores only
     the states: letters, parents, words and Elements are built when read
-    (see Level).  A negative max_len raises ValueError on the first next()."""
-    if max_len is not None and max_len < 0:
-        raise ValueError("length bound %r must be >= 0" % (max_len,))
+    (see Level).  A bad max_len raises ValueError on the first next()."""
+    if max_len is not None:
+        check_length_bound(max_len)
     transitions = build_shortlex_automaton(rs, small_roots(rs)).transitions
     moves = ([array("H", [s for s, t in enumerate(row) if t is not None])
               for row in transitions],
@@ -401,26 +398,6 @@ def elements_by_length(rs, max_len=None):
 def elements_up_to_length(rs, max_len):
     """All elements of length <= max_len (see elements_by_length)."""
     return [e for _, entries in elements_by_length(rs, max_len) for e in entries]
-
-
-def _inversion_levels(rs, max_len):
-    """Yield (length, Level, invs): invs[k] is N(us) for entry k = us, the
-    tuple of its parent's ids (level.parents[k]) and then the positive root
-    u(alpha_s), read off the table's columns for u's letters in turn."""
-    table = rs.root_table
-    cols, reflect = table.cols, table.reflect
-    invs = [()]
-    for length, level in elements_by_length(rs, max_len):
-        if length:
-            iter(level)         # iterating a level builds its words
-            prev_invs, invs = invs, []
-            for word, p in zip(level.words, level.parents):
-                i = word[-1]
-                for t in word[-2::-1]:
-                    j = cols[t][i]
-                    i = reflect(i, t) if j is None else j
-                invs.append(prev_invs[p] + (i,))
-        yield length, level, invs
 
 
 @dataclass
@@ -473,9 +450,8 @@ def _low_search(rs, sigma, cap):
     descent (no t < s has s alpha_t in N(x)), so each y is met once, as
     its ShortLex normal form (s,) + x.word.  Returns ({Element: lambda
     mask}, {Element: N(x)}, both in (length, word) order, the last length
-    examined).  A negative cap raises ValueError."""
-    if cap < 0:
-        raise ValueError("length bound %r must be >= 0" % (cap,))
+    examined).  A cap that is not an int >= 0 raises ValueError."""
+    check_length_bound(cap)
     reflect = rs.root_table.reflect
     masks, invs = {IDENTITY: 0}, {IDENTITY: frozenset()}
     level = [(IDENTITY, frozenset())]

@@ -5,7 +5,8 @@ import pytest
 
 from coxlow import (
     INF, Root, battery_root_system, build_automaton, cone_membership,
-    hulls_equal, inversion_set, projective_hull, small_roots)
+    elements_by_length, hulls_equal, inversion_set, projective_hull,
+    small_roots)
 from coxlow.elements import IDENTITY, Element
 
 # rational-form battery groups (all bond labels in {2, 3, inf})
@@ -189,6 +190,27 @@ def gbip_oracle(rs, word):
                 gens.add(s)
                 blocking.append((("r", root.key), ("g", s)))
     return sorted(gens), [root.key for root in deep], supporting + blocking
+
+
+def inversion_levels(rs, max_len):
+    """Test reference for check_gbip_walk, breadth first: yield (length,
+    Level, invs), invs[k] being N(us) for entry k = us of the level, the
+    tuple of its parent's ids (level.parents[k]) and then the positive root
+    u(alpha_s), read off the table's columns for u's letters in turn."""
+    table = rs.root_table
+    cols, reflect = table.cols, table.reflect
+    invs = [()]
+    for length, level in elements_by_length(rs, max_len):
+        if length:
+            prev_invs, invs = invs, []
+            for elem, p, _ in level:
+                word = elem.word
+                i = word[-1]
+                for t in word[-2::-1]:
+                    j = cols[t][i]
+                    i = reflect(i, t) if j is None else j
+                invs.append(prev_invs[p] + (i,))
+        yield length, level, invs
 
 
 def reference_gbip(rs, inv):

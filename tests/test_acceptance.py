@@ -24,11 +24,10 @@ from coxlow import (
     verify_inversion_polytopes,
 )
 from coxlow.conjecture import FINITE_BATTERY_ORDERS, check_gbip
-from coxlow.elements import _inversion_levels
 
 from conftest import (
-    RATIONAL_NAMES, identity_matrix, mat_column, mat_mul, matrix_bfs_levels,
-    matrix_edge_condition, reflection_matrix)
+    RATIONAL_NAMES, identity_matrix, inversion_levels, mat_column, mat_mul,
+    matrix_bfs_levels, matrix_edge_condition, reflection_matrix)
 
 NAMES = [name for name, _, _ in BATTERY]
 
@@ -176,7 +175,7 @@ def test_criterion_5_gbip_checks():
     violations = []
     for name in NAMES:
         rs, _, _ = group(name)
-        for _, level, invs in _inversion_levels(rs, 12):
+        for _, level, invs in inversion_levels(rs, 12):
             for (elem, _, _), inv in zip(level, map(frozenset, invs)):
                 ok, witness = check_gbip(rs, inv)
                 if not ok:

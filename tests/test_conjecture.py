@@ -3,6 +3,7 @@ import itertools
 import random
 import re
 import weakref
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -43,12 +44,11 @@ from coxlow import (
 )
 from coxlow.conjecture import check_gbip_walk
 from coxlow.core import RootTable
-from coxlow.elements import _inversion_levels
 from coxlow.errors import ConstructionFailed, RankNotThree
 from coxlow.projective import EPS, EPS_AREA, _cross, chart_points
 
 from conftest import (
-    RATIONAL_NAMES, gbip_oracle, matrix_edge_condition,
+    RATIONAL_NAMES, gbip_oracle, inversion_levels, matrix_edge_condition,
     pairwise_polytope_witnesses, reference_gbip, topological_sort)
 
 RANK3_SAMPLE = ("A3", "affine-3-3-3", "hyperbolic-3-3-4", "universal-override")
@@ -252,7 +252,7 @@ def test_gbip_acyclic_and_sources_are_descents():
     cases += [(name, "rational") for name in RATIONAL_NAMES]
     for name, backend in cases:
         rs = battery_root_system(name, backend)
-        for _, level, invs in _inversion_levels(rs, 8):
+        for _, level, invs in inversion_levels(rs, 8):
             for (elem, _, _), inv in zip(level, map(frozenset, invs)):
                 vertices, arcs = reference_gbip(rs, inv)
                 ok, cycle, srcs = topological_sort(vertices, arcs)
@@ -285,7 +285,7 @@ def test_gbip_sort_result_on_arbitrary_id_sets():
     root_sources = supported = 0
     for name in ("hyperbolic-3-3-4", "universal", "affine-6-3-2", "H3"):
         rs = battery_root_system(name)
-        for _ in _inversion_levels(rs, 8):
+        for _ in inversion_levels(rs, 8):
             pass
         n = len(rs.root_table.coords)
         for _ in range(500):
@@ -327,7 +327,7 @@ def test_check_gbip_agrees_with_the_graph_check():
     cases += [(name, "rational") for name in RATIONAL_NAMES]
     for name, backend in cases:
         rs = battery_root_system(name, backend)
-        for _, level, invs in _inversion_levels(rs, 8):
+        for _, level, invs in inversion_levels(rs, 8):
             for (elem, _, _), inv in zip(level, map(frozenset, invs)):
                 assert check_gbip(rs, inv) == _kahn_claim(rs, inv) \
                     == (True, None), (name, backend, elem)
@@ -340,7 +340,7 @@ def test_check_gbip_flags_sets_that_are_not_coclosed():
     # source.
     rs = battery_root_system("hyperbolic-3-3-4")
     cut_sets = 0
-    for _, level, invs in _inversion_levels(rs, 10):
+    for _, level, invs in inversion_levels(rs, 10):
         for (elem, _, _), inv in zip(level, map(frozenset, invs)):
             cut = inv - {0, 1, 2}
             if not cut:
@@ -357,16 +357,24 @@ def test_check_gbip_flags_sets_that_are_not_coclosed():
 
 # -- the check along the walk -------------------------------------------
 
-def _walk_flags(rs, max_len):
-    """Per element, in walk order: does check_gbip_walk find a root source?"""
-    return b"".join(coxlow.conjecture._gbip_walk_failures(rs, max_len))
+def _walk_result(rs, max_len):
+    """check_gbip_walk's (checked, failing words, sorted)."""
+    checked, failed = check_gbip_walk(rs, small_roots(rs), max_len)
+    return checked, sorted(failed)
 
 
-def _full_flags(rs, max_len):
-    """The same flags from the full check_gbip on every N(w) of the walk."""
-    return bytes(not check_gbip(rs, frozenset(inv))[0]
-                 for _, _, invs in _inversion_levels(rs, max_len)
-                 for inv in invs)
+def _reference_flags(rs, max_len):
+    """(word, fails) for each element of the breadth-first reference, from
+    the full check_gbip on its N(w)."""
+    return [(elem.word, not check_gbip(rs, frozenset(inv))[0])
+            for _, level, invs in inversion_levels(rs, max_len)
+            for (elem, _, _), inv in zip(level, invs)]
+
+
+def _full_result(rs, max_len):
+    """_walk_result's pair from the reference flags."""
+    flags = _reference_flags(rs, max_len)
+    return len(flags), sorted(word for word, bad in flags if bad)
 
 
 def _count_fallbacks(monkeypatch):
@@ -388,18 +396,19 @@ def test_check_gbip_walk_matches_check_gbip_per_element(monkeypatch):
     cases += [(name, "rational") for name in RATIONAL_NAMES]
     for name, backend in cases:
         rs = battery_root_system(name, backend)
-        flags = _walk_flags(rs, 8)
-        assert flags == _full_flags(rs, 8), (name, backend)
-        assert check_gbip_walk(rs, 8) == (len(flags), 0), (name, backend)
+        result = _walk_result(rs, 8)
+        assert result == _full_result(rs, 8), (name, backend)
+        assert result[1] == [], (name, backend)
     assert not fallbacks
 
 
 def test_check_gbip_walk_matches_check_gbip_under_mutation(monkeypatch):
     # clearing ups for 2 random deep roots leaves roots unsupported; the
-    # induction must flag exactly the elements the full check flags, and
-    # falls back to it below every element that fails; the full check
-    # names Kahn's first root source of the reference graph on the same
-    # ups
+    # induction must flag exactly the elements the full check flags, in
+    # walk order (depth first, least letter first: lexicographic), and
+    # falls back to the full check below every element that fails; the
+    # full check names Kahn's first root source of the reference graph on
+    # the same ups
     fallbacks = _count_fallbacks(monkeypatch)
     rng = random.Random(21)
     violations = 0
@@ -407,25 +416,65 @@ def test_check_gbip_walk_matches_check_gbip_under_mutation(monkeypatch):
                  "inf-3-3"):
         for _ in range(6):
             rs = battery_root_system(name)
-            for _ in _inversion_levels(rs, 8):
+            for _ in inversion_levels(rs, 8):
                 pass
             ups = rs.root_table.ups
             for i in rng.sample(range(3, len(ups)), 2):
                 ups[i] = 0
-            flags = _walk_flags(rs, 8)
-            assert flags == _full_flags(rs, 8), name
-            assert check_gbip_walk(rs, 8) == (len(flags), flags.count(1))
-            violations += flags.count(1)
-            for _, level, invs in _inversion_levels(rs, 8):
+            checked, failed = check_gbip_walk(rs, small_roots(rs), 8)
+            assert failed == sorted(failed), name
+            assert (checked, failed) == _full_result(rs, 8), name
+            violations += len(failed)
+            for _, level, invs in inversion_levels(rs, 8):
                 for (elem, _, _), inv in zip(level, map(frozenset, invs)):
                     assert check_gbip(rs, inv) == _kahn_claim(rs, inv), \
                         (name, elem)
     assert violations > 0 and fallbacks
 
 
+def _gbip_groups():
+    """(where, root system): the 16 battery groups in float, the rational
+    ones in rational, and the rank-3 demo files."""
+    for name, _, _ in BATTERY:
+        yield (name, "float"), battery_root_system(name)
+    for name in RATIONAL_NAMES:
+        yield (name, "rational"), battery_root_system(name, "rational")
+    for path in sorted(DEMO_GROUPS.glob("*.json")):
+        rs = load_root_system(path.read_text())
+        if rs.rank == 3:
+            yield (path.name, "float"), rs
+
+
+def test_check_gbip_walk_matches_the_reference_at_every_length():
+    demos = 0
+    for where, rs in _gbip_groups():
+        demos += where[0].endswith(".json")
+        sigma = small_roots(rs)
+        flags = _reference_flags(rs, 12)
+        sizes = Counter(len(word) for word, _ in flags)
+        bad = sorted(word for word, fails in flags if fails)
+        for n in range(13):
+            expected = (sum(sizes[k] for k in range(n + 1)),
+                        [word for word in bad if len(word) <= n])
+            checked, failed = check_gbip_walk(rs, sigma, n)
+            assert (checked, sorted(failed)) == expected, (where, n)
+    assert demos == 4
+    rs = battery_root_system("hyperbolic-3-3-4")
+    assert check_gbip_walk(rs, small_roots(rs), 20) == (12429, [])
+
+
+def test_check_gbip_walk_holds_no_frame_per_letter():
+    # 2-2-inf is Z_2 x D_inf, with 1, 3 and then 4 elements of each
+    # length, so |W_(<= L)| = 4 L; 1,100 letters is past the interpreter's
+    # frame limit, so a recursive walk would fail here
+    rs = battery_root_system("2-2-inf")
+    assert check_gbip_walk(rs, small_roots(rs), 1100) == (4400, [])
+
+
 def test_check_gbip_walk_requires_rank3():
     with pytest.raises(RankNotThree):
-        check_gbip_walk(build_root_system(dihedral_matrix(3)), 2)
+        rs = build_root_system(dihedral_matrix(3))
+        check_gbip_walk(rs, small_roots(rs), 2)
 
 
 # -- the bijection ------------------------------------------------------

@@ -17,7 +17,6 @@ from coxlow import (
     small_roots,
     triangle_matrix,
 )
-from coxlow.elements import _inversion_levels
 from coxlow.errors import (
     CoxlowError,
     DimensionMismatch,
@@ -29,7 +28,7 @@ from coxlow.errors import (
     ValidationError,
 )
 
-from conftest import RATIONAL_NAMES, peel_depth
+from conftest import RATIONAL_NAMES, inversion_levels, peel_depth
 
 
 def dihedral(m, **kw):
@@ -279,7 +278,7 @@ def test_root_table_per_root_data(backend):
             return j
 
         table.reflect = recording
-        for _, level, invs in _inversion_levels(rs, 8):
+        for _, level, invs in inversion_levels(rs, 8):
             for (elem, _, _), inv in zip(level, map(frozenset, invs)):
                 assert inversion_set(rs, elem) == inv, (name, elem)
         n = len(table.coords)
@@ -378,7 +377,7 @@ def test_exact_root_table_holds_ints():
     for name in RATIONAL_NAMES:
         rs = battery_root_system(name, backend="rational")
         small_roots(rs)
-        for _ in _inversion_levels(rs, 8):
+        for _ in inversion_levels(rs, 8):
             pass
         table = rs.root_table
         assert all(type(x) is int for v in table.coords for x in v), name

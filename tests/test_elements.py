@@ -35,12 +35,12 @@ from coxlow import (
     triangle_matrix,
 )
 from coxlow.conjecture import check_gbip_walk
-from coxlow.elements import _inversion_levels, _solve_subset
+from coxlow.elements import _solve_subset
 from coxlow.errors import NonReducedInput, NumericallyAmbiguous
 
 from conftest import (
-    RATIONAL_NAMES, cone_is_low, identity_matrix, mat_mul, matrix_bfs_levels,
-    prefix_inversion_roots, reflection_matrix)
+    RATIONAL_NAMES, cone_is_low, identity_matrix, inversion_levels, mat_mul,
+    matrix_bfs_levels, prefix_inversion_roots, reflection_matrix)
 
 
 def dihedral(m, **kw):
@@ -249,7 +249,7 @@ def test_inversion_walk_matches_inversion_set(battery, backend):
         bare.vec_key = bare.root_depth = refuse
         walked = []
         for (length, level, invs), (_, bare_level, bare_invs) in zip(
-                _inversion_levels(rs, 8), _inversion_levels(bare, 8),
+                inversion_levels(rs, 8), inversion_levels(bare, 8),
                 strict=True):
             for (elem, _, _), inv, (bare_elem, _, _), bare_inv in zip(
                     level, map(frozenset, invs), bare_level, bare_invs,
@@ -263,6 +263,14 @@ def test_inversion_walk_matches_inversion_set(battery, backend):
                     (name, elem)
                 walked.append(elem)
         assert walked == [e for e, _, _ in elements_up_to_length(rs, 8)], name
+        # the depth-first G_bip walk grows a fresh bare table to the same
+        # roots
+        fresh = battery_root_system(name, backend=backend)
+        fresh.vec_key = fresh.root_depth = refuse
+        assert check_gbip_walk(fresh, small_roots(fresh), 8) \
+            == (len(walked), []), name
+        assert (sorted(fresh.root_table.sort_keys)
+                == sorted(bare.root_table.sort_keys)), name
 
 
 def test_left_descents():
@@ -418,7 +426,7 @@ def test_is_low_matches_cone_oracle_on_random_triangles(bonds):
     rs = build_root_system(triangle_matrix(*bonds))
     walked = []
     invs = None
-    for length, level, next_invs in _inversion_levels(rs, 6):
+    for length, level, next_invs in inversion_levels(rs, 6):
         for inv, p in zip(next_invs, level.parents) if length else ():
             assert set(inv) - set(invs[p]) == {inv[-1]}, (bonds, inv)
             assert len(set(inv)) == len(invs[p]) + 1 == length, (bonds, inv)
@@ -537,7 +545,7 @@ NEGATIVE_BOUNDS = {
     "enumerate_low": (-3, lambda rs, sigma: enumerate_low(rs, sigma, -3)),
     "enumerate_low_stable": (-1, lambda rs, sigma: enumerate_low_stable(
         rs, sigma, cap=-1)),
-    "check_gbip_walk": (-1, lambda rs, _: check_gbip_walk(rs, -1)),
+    "check_gbip_walk": (-1, lambda rs, sigma: check_gbip_walk(rs, sigma, -1)),
 }
 
 
@@ -550,6 +558,30 @@ def test_negative_length_bound_is_rejected(battery, entry):
     with pytest.raises(ValueError, match=re.escape(
             "length bound %d must be >= 0" % bound)):
         call(rs, sigma)
+
+
+# the same entry points with a bound that is not an int: 2.5 used to walk
+# to length 3 and True to length 1, and growth_series raised a bare
+# TypeError
+NON_INT_BOUNDS = {
+    "count_elements": lambda rs, sigma, k: count_elements(rs, sigma, k),
+    "growth_series": lambda rs, sigma, k: growth_series(
+        build_shortlex_automaton(rs, sigma), k),
+    "elements_by_length": lambda rs, _, k: next(elements_by_length(rs, k)),
+    "enumerate_low": lambda rs, sigma, k: enumerate_low(rs, sigma, k),
+    "enumerate_low_stable": lambda rs, sigma, k: enumerate_low_stable(
+        rs, sigma, cap=k),
+    "check_gbip_walk": lambda rs, sigma, k: check_gbip_walk(rs, sigma, k),
+}
+
+
+@pytest.mark.parametrize("bound", [2.5, 2.0, True, "3"])
+@pytest.mark.parametrize("entry", sorted(NON_INT_BOUNDS))
+def test_non_int_length_bound_is_rejected(battery, entry, bound):
+    rs, sigma, _ = battery.get("A3")
+    with pytest.raises(ValueError, match=re.escape(
+            "length bound %r must be an int" % (bound,))):
+        NON_INT_BOUNDS[entry](rs, sigma, bound)
 
 
 def test_walk_builds_no_element_until_drawn(monkeypatch):

@@ -7,11 +7,13 @@ the repository root, which `verify` prints, so the cases run from there."""
 import contextlib
 import io
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import coxlow
 import coxlow.cli
 import coxlow.conjecture
 import coxlow.core
@@ -20,7 +22,8 @@ import coxlow.groupfile
 import coxlow.projective
 import coxlow.smallroots
 from coxlow import INF, small_roots
-from coxlow.elements import _inversion_levels
+
+from conftest import inversion_levels
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -57,6 +60,29 @@ def test_verify_runs_one_low_element_search(monkeypatch):
     code, _ = run_cli(["verify", path, "--max-length", "6", "--polytopes"])
     assert code == 0
     assert calls == [6]
+
+
+def test_verify_builds_sigma_and_the_shortlex_automaton_once(monkeypatch):
+    # the G_bip walk reads the Sigma that verify already holds; every
+    # coxlow module's name for either builder is counted
+    calls = []
+    modules = [module for name, module in sys.modules.items()
+               if name == "coxlow" or name.startswith("coxlow.")]
+    for name in ("small_roots", "build_shortlex_automaton"):
+        original = getattr(coxlow, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
+
+        for module in modules:
+            if vars(module).get(name) is original:
+                monkeypatch.setattr(module, name, counting)
+    path = str(ROOT / "demos" / "groups" / "universal.json")
+    code, out = run_cli(["verify", path, "--max-length", "12"])
+    assert code == 0
+    assert "graph checks (length <= 8): 766 elements, 0 violations" in out
+    assert sorted(calls) == ["build_shortlex_automaton", "small_roots"]
 
 
 def test_verify_polytopes_builds_no_inversion_set(monkeypatch):
@@ -115,7 +141,8 @@ def test_verify_builds_no_root_past_sigma(polytopes, monkeypatch):
 
     monkeypatch.setattr(coxlow.core.Root, "__init__", counting)
     rs = coxlow.groupfile.load_root_system(path.read_text())
-    assert coxlow.conjecture.check_gbip_walk(rs, 8) == (766, 0)
+    assert coxlow.conjecture.check_gbip_walk(rs, small_roots(rs), 8) \
+        == (766, [])
     assert made == []
     argv = ["verify", str(path), "--max-length", "12"]
     code, out = run_cli(argv + ["--polytopes"] * polytopes)
@@ -146,7 +173,7 @@ def test_override_with_a_fractional_double_keeps_fractions(tmp_path):
         coxlow.core.triangle_matrix(INF, INF, INF), {(0, 1): -1.25})
     rs = coxlow.groupfile.load_root_system(text, backend="rational")
     small_roots(rs)
-    for _ in _inversion_levels(rs, 8):
+    for _ in inversion_levels(rs, 8):
         pass
     table = rs.root_table
     assert Fraction(5, 2) in table.coords[table.reflect(1, 0)]

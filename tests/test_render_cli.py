@@ -84,7 +84,8 @@ def test_chart_rank_guard(battery):
 RANK_GUARDS = {
     "build_gbip": lambda rs: coxlow.conjecture.build_gbip(rs, IDENTITY),
     "check_gbip": lambda rs: coxlow.conjecture.check_gbip(rs, frozenset()),
-    "check_gbip_walk": lambda rs: coxlow.conjecture.check_gbip_walk(rs, 2),
+    "check_gbip_walk": lambda rs: coxlow.conjecture.check_gbip_walk(
+        rs, small_roots(rs), 2),
     "verify_inversion_polytopes": lambda rs: (
         coxlow.conjecture.verify_inversion_polytopes(rs, small_roots(rs),
                                                      None, {})),
