@@ -378,11 +378,12 @@ def _full_result(rs, max_len):
 
 
 def _count_fallbacks(monkeypatch):
-    """Count the full checks that check_gbip_walk falls back to."""
+    """Record the sets of the full checks that check_gbip_walk falls back
+    to."""
     calls = []
 
     def counted(rs, inv):
-        calls.append(inv)
+        calls.append(frozenset(inv))
         return check_gbip(rs, inv)
     monkeypatch.setattr(coxlow.conjecture, "check_gbip", counted)
     return calls
@@ -406,9 +407,9 @@ def test_check_gbip_walk_matches_check_gbip_under_mutation(monkeypatch):
     # clearing ups for 2 random deep roots leaves roots unsupported; the
     # induction must flag exactly the elements the full check flags, in
     # walk order (depth first, least letter first: lexicographic), and
-    # falls back to the full check below every element that fails; the
-    # full check names Kahn's first root source of the reference graph on
-    # the same ups
+    # falls back to the full check below every element that fails, on that
+    # element's N(w); the full check names Kahn's first root source of the
+    # reference graph on the same ups
     fallbacks = _count_fallbacks(monkeypatch)
     rng = random.Random(21)
     violations = 0
@@ -421,14 +422,18 @@ def test_check_gbip_walk_matches_check_gbip_under_mutation(monkeypatch):
             ups = rs.root_table.ups
             for i in rng.sample(range(3, len(ups)), 2):
                 ups[i] = 0
+            start = len(fallbacks)
             checked, failed = check_gbip_walk(rs, small_roots(rs), 8)
             assert failed == sorted(failed), name
             assert (checked, failed) == _full_result(rs, 8), name
             violations += len(failed)
+            reference = set()
             for _, level, invs in inversion_levels(rs, 8):
                 for (elem, _, _), inv in zip(level, map(frozenset, invs)):
                     assert check_gbip(rs, inv) == _kahn_claim(rs, inv), \
                         (name, elem)
+                    reference.add(inv)
+            assert reference.issuperset(fallbacks[start:]), name
     assert violations > 0 and fallbacks
 
 
