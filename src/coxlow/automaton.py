@@ -10,7 +10,7 @@ the word stops being reduced.
 
 from collections import deque
 
-from .core import check_length_bound
+from .core import check_bound
 
 
 class Automaton:
@@ -138,7 +138,7 @@ def growth_series(aut, k):
     build_shortlex_automaton.  Counts are non-negative, so the first zero
     term leaves every count zero: the steps stop there and the rest of the
     series is padded with zeros (a finite group's series ends early)."""
-    check_length_bound(k)
+    check_bound(k)
     counts = [0] * len(aut.states)
     counts[0] = 1
     series = [1]

@@ -35,7 +35,7 @@ left descent, so a generator source.
 from dataclasses import dataclass, field
 
 from .automaton import build_automaton, build_shortlex_automaton
-from .core import INF, check_length_bound, triangle_matrix, build_root_system
+from .core import INF, check_bound, triangle_matrix, build_root_system
 from .elements import (
     IDENTITY,
     _left_multiply,
@@ -151,7 +151,7 @@ def check_gbip_walk(rs, sigma, max_len):
     each letter added and their set N(u).  A root that stands in N(u)
     stands in N(us) = N(u) u {g}, so if N(u) passes, N(us) passes iff g is
     simple or stands; below a failure the full check decides."""
-    check_length_bound(max_len)
+    check_bound(max_len)
     _require_rank3(rs)
     table = rs.root_table
     cols, reflect = table.cols, table.reflect

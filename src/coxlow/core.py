@@ -8,8 +8,10 @@ Conventions used throughout the package:
   B(alpha_s, alpha_t) = -cos(pi / m(s,t)), with -1 (or a Gram override
   <= -1) on infinite bonds;
 * the root table holds the doubled form 2B (0, -1 or -2 on the bonds 2, 3
-  and inf), so a reflection needs no division, and exact coordinates are
-  ints when every 2B is an integer, Fractions otherwise;
+  and inf), so a reflection needs no division.  The table is exact when the
+  backend is rational or every float 2B is whole (bonds inf, overrides in
+  Z/2; in float, bonds 2 and 3 are not): its coordinates are then ints
+  (Fractions where an exact 2B is not whole), keyed by their own tuple;
 * the depth of a simple root is 1, and depth(beta) is 1 plus the minimal
   length of a word sending beta to a negative root.  Some texts shift this
   convention by one; everything in this package uses this one.
@@ -45,11 +47,11 @@ def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def check_length_bound(bound):
-    """Raise ValueError naming ``bound`` unless it is an int >= 0."""
-    if not (_is_int(bound) and bound >= 0):
-        raise ValueError("length bound %r must be %s" % (
-            bound, ">= 0" if _is_int(bound) else "an int"))
+def check_bound(bound, name="length bound", least=0, error=ValueError):
+    """Raise ``error`` naming ``bound`` unless it is an int >= ``least``."""
+    if not (_is_int(bound) and bound >= least):
+        raise error("%s %r must be %s" % (
+            name, bound, ">= %d" % least if _is_int(bound) else "an int"))
 
 
 class CoxeterMatrix:
@@ -129,57 +131,60 @@ def _float_key(v):
     return tuple([round(c * _KEY_SCALE) for c in v])
 
 
-def _doubled(x):
-    """2x, as an int when x is a Fraction and 2x is whole."""
-    y = 2 * x
-    return y.numerator if isinstance(y, Fraction) and y.denominator == 1 else y
-
-
 class RootTable:
     """The positive roots met so far, each under an integer id.
 
     ``ids`` maps a root key to its id; the simple root alpha_s has id s.
-    Id-indexed lists keep each root, with its form values computed once by
-    ``add`` from ``gram2``, the doubled Gram matrix 2B: ``coords[i]`` are
+    Id-indexed lists keep each root, with its form values computed once
+    from ``gram2``, the doubled Gram matrix 2B (by ``add``'s dot product,
+    or in O(r) from the parent's by ``reflect`` when the table is
+    ``exact``, its ``vec_key`` being ``tuple``): ``coords[i]`` are
     root i's first-found coordinates; ``forms[i][t]`` is 2B(alpha_t,
     root i); ``ups[i]`` the bitmask of the generators t with
-    2B(alpha_t, root i) > ``eps2`` = 2 eps, the s for which s . root i is
-    shallower; and ``sort_keys[i]`` is (depth, key), the order in which
-    roots are listed.  ``cols[s]`` is one id-indexed column per generator:
-    ``cols[s][i]`` is the id of s . root i, or None until ``reflect(i, s)``
-    fills it (and ``cols[s][s]`` stays None, since s negates alpha_s).
-    Every list has one entry per root, and ``root(i)`` builds root i as a
-    Root.  ``reflect`` never peels: s . beta subtracts 2B(alpha_s, beta)
-    from coordinate s; depth(s beta) is depth(beta) - 1 if 2B > 2 eps,
-    depth(beta) + 1 if 2B < -2 eps, and otherwise s fixes the root.  Past the simple roots, the package adds
+    2B(alpha_t, root i) > ``eps2`` (2 eps, or 0 in an exact table), the s
+    for which s . root i is shallower; and ``sort_keys[i]`` is (depth,
+    key), the order in which roots are listed.  ``cols[s]`` is one
+    id-indexed column per generator: ``cols[s][i]`` is the id of s . root
+    i, or None until ``reflect(i, s)`` fills it (and ``cols[s][s]`` stays
+    None, since s negates alpha_s).  Every list has one entry per root, and
+    ``root(i)`` builds root i as a Root.  ``reflect`` never peels: s . beta
+    subtracts b = 2B(alpha_s, beta) from coordinate s; depth(s beta) is
+    depth(beta) - 1 if b > eps2, depth(beta) + 1 if b < -eps2, and
+    otherwise s fixes the root.  Past the simple roots, the package adds
     roots only through ``reflect``; BasedRootSystem.root_depth stays for a
     caller that holds a raw vector.  The table holds no reference to its
     root system, so the two form no cycle."""
 
-    def __init__(self, simple_roots, gram, eps, vec_key):
-        self.gram2 = tuple(tuple(map(_doubled, row)) for row in gram)
-        self.eps2 = 2 * eps
+    def __init__(self, simple_roots, gram2, eps2, vec_key):
+        self.gram2 = gram2
+        self.eps2 = eps2
         self.vec_key = vec_key
+        self.exact = vec_key is tuple
         self.coords = []
         self.ids = {}
         self.forms = []
         self.ups = []
         self.sort_keys = []
-        self.cols = tuple([] for _ in gram)
+        self.cols = tuple([] for _ in gram2)
         for v in simple_roots:
             self.add(v, vec_key(v), 1)
 
-    def add(self, coords, key, depth):
-        """Record a positive root the table does not hold; returns its id."""
+    def add(self, coords, key, depth, forms=None):
+        """Record a new positive root (``forms`` if known); returns its id."""
         i = len(self.coords)
         self.coords.append(coords)
         self.ids[key] = i
-        eps2 = self.eps2
-        forms, up = [], 0
-        for t, row in enumerate(self.gram2):
-            forms.append(b := sum(map(mul, row, coords)))
-            if b > eps2:
-                up |= 1 << t
+        eps2, up = self.eps2, 0
+        if forms is None:
+            forms = []
+            for t, row in enumerate(self.gram2):
+                forms.append(b := sum(map(mul, row, coords)))
+                if b > eps2:
+                    up |= 1 << t
+        else:
+            for t, b in enumerate(forms):
+                if b > eps2:
+                    up |= 1 << t
         self.forms.append(tuple(forms))
         self.ups.append(up)
         self.sort_keys.append((depth, key))
@@ -207,8 +212,11 @@ class RootTable:
                 key = self.vec_key(v)
                 j = self.ids.get(key)
                 if j is None:
+                    # exact: 2B(a_t, s beta) = 2B(a_t, beta) - b 2B(a_t, a_s)
+                    forms = [f - b * g for f, g in zip(
+                        self.forms[i], self.gram2[s])] if self.exact else None
                     j = self.add(v, key, self.sort_keys[i][0]
-                                 - (1 if b > 0 else -1))
+                                 - (1 if b > 0 else -1), forms)
                 col[j] = i
             col[i] = j
         return j
@@ -223,7 +231,10 @@ class BasedRootSystem:
     set, the element walk or a peeling graph has met, kept by id in lists
     (no Root objects) with its depth and its reflections, each computed
     once.  ``root_depth`` also adds roots, for a caller that holds a raw
-    vector.  Derived data such as automata is passed explicitly."""
+    vector.  ``vec_key`` maps coordinates to the table's key: the tuple
+    itself when the table is exact (module docstring), else a 1e-6 grid;
+    ``gram``, ``eps`` and ``exact`` stay the backend's.  Derived data such
+    as automata is passed explicitly."""
 
     def __init__(self, matrix, gram, backend, eps):
         self.matrix = matrix
@@ -233,13 +244,18 @@ class BasedRootSystem:
         self.backend = backend
         self.exact = backend == "rational"
         self.eps = 0 if self.exact else eps
-        one, zero = (1, 0) if self.exact else (1.0, 0.0)
+        gram2 = tuple(tuple(2 * x for x in row) for row in gram)
+        whole = all(y == int(y) for row in gram2 for y in row)
+        if whole:
+            gram2 = tuple(tuple(map(int, row)) for row in gram2)
+        exact = whole or self.exact
+        one, zero = (1, 0) if exact else (1.0, 0.0)
         self.simple_roots = tuple(
             tuple(one if i == s else zero for i in range(self.rank))
             for s in range(self.rank))
-        self.vec_key = tuple if self.exact else _float_key
-        self.root_table = RootTable(self.simple_roots, self.gram, self.eps,
-                                    self.vec_key)
+        self.vec_key = tuple if exact else _float_key
+        self.root_table = RootTable(self.simple_roots, gram2,
+                                    0 if exact else 2 * eps, self.vec_key)
 
     # -- scalar comparison helpers -------------------------------------
 
@@ -364,8 +380,7 @@ def build_root_system(matrix, gram_overrides=None, backend="float",
     ``check_backend``'s "float" (double precision, overrides made floats) or
     "rational" (exact, overrides made Fractions), and ``eps`` (a finite
     number >= 0, not a bool) is the float comparison tolerance.  ``gram``
-    holds B; the root table holds 2B, so exact coordinates are ints when
-    every override is a multiple of 1/2, Fractions otherwise.
+    holds B; the root table holds 2B, as ints when every 2B is whole.
     """
     if type(eps) is bool or not isinstance(eps, (int, float, Fraction)):
         raise ValidationError("tolerance %r must be a number" % (eps,))
@@ -391,8 +406,7 @@ def roots_up_to_depth(rs, d):
     Breadth-first over rs.root_table from the simple roots; a step increases
     depth exactly when 2B(alpha_s, beta) < 0 (a zero value fixes the root, a
     positive value points back to a shallower root)."""
-    if d < 1:
-        raise ValueError("depth bound %r must be >= 1" % (d,))
+    check_bound(d, "depth bound", 1)
     table = rs.root_table
     found = frontier = list(range(rs.rank))
     for _ in range(d - 1):

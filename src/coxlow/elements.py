@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .automaton import build_automaton, build_shortlex_automaton
-from .core import Root, check_length_bound
+from .core import Root, check_bound
 from .errors import NonReducedInput, NumericallyAmbiguous
 from .smallroots import small_roots
 
@@ -122,12 +122,15 @@ def _shortlex(rs, ids):
 
     Greedy: the first letter of the ShortLex-least reduced word is the
     least left descent s, the least simple root in N(w); peel it off
-    (N(s w) = s (N(w) - {alpha_s})) and repeat until N(w) is empty."""
-    letters = []
+    (N(s w) = s (N(w) - {alpha_s}), through cols[s]) until N(w) is empty."""
+    cols, reflect = rs.root_table.cols, rs.root_table.reflect
+    ids, letters = list(ids), []
     while ids:
         s = min(ids)        # alpha_s has id s, below every non-simple root
         letters.append(s)
-        ids = _left_multiply(rs, s, ids)
+        ids.remove(s)
+        col = cols[s]
+        ids = [reflect(i, s) if (j := col[i]) is None else j for i in ids]
     return Element(tuple(letters))
 
 
@@ -374,7 +377,7 @@ def elements_by_length(rs, max_len=None):
     the states: letters, parents, words and Elements are built when read
     (see Level).  A bad max_len raises ValueError on the first next()."""
     if max_len is not None:
-        check_length_bound(max_len)
+        check_bound(max_len)
     transitions = build_shortlex_automaton(rs, small_roots(rs)).transitions
     moves = ([array("H", [s for s, t in enumerate(row) if t is not None])
               for row in transitions],
@@ -451,7 +454,7 @@ def _low_search(rs, sigma, cap):
     its ShortLex normal form (s,) + x.word.  Returns ({Element: lambda
     mask}, {Element: N(x)}, both in (length, word) order, the last length
     examined).  A cap that is not an int >= 0 raises ValueError."""
-    check_length_bound(cap)
+    check_bound(cap)
     reflect = rs.root_table.reflect
     masks, invs = {IDENTITY: 0}, {IDENTITY: frozenset()}
     level = [(IDENTITY, frozenset())]

@@ -9,7 +9,7 @@ overlaid for chosen small inversion sets.
 
 from dataclasses import dataclass
 
-from .core import roots_up_to_depth
+from .core import check_bound, roots_up_to_depth
 from .errors import RankNotThree, ValidationError
 from .projective import (
     _hull_cycle, chart_points, chart_vertices, normalize_projective)
@@ -22,9 +22,7 @@ class RenderOptions:
     size: int = 600
 
     def validate(self):
-        if self.depth < 1:
-            raise ValidationError("render depth %r must be >= 1"
-                                  % (self.depth,))
+        check_bound(self.depth, "render depth", 1, ValidationError)
         if self.size < 100:
             raise ValidationError("canvas size %r px must be >= 100 px"
                                   % (self.size,))

@@ -572,7 +572,7 @@ def test_construct_computes_one_inversion_set_per_mask(battery, monkeypatch):
         def counted(*args, fn=getattr(coxlow.elements, name), name=name):
             calls[name] += 1
             return fn(*args)
-        # the builder's own _left_multiply; _shortlex calls it per letter
+        # the builder's own _left_multiply; _shortlex peels without it
         mods = ((coxlow.conjecture,) if name == "_left_multiply"
                 else (coxlow.elements, coxlow.conjecture))
         for mod in mods:

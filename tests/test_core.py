@@ -2,17 +2,20 @@ import math
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from coxlow import (
     BATTERY,
     INF,
+    DEFAULT_EPS,
     CoxeterMatrix,
     battery_root_system,
     build_root_system,
     dihedral_matrix,
     inversion_set,
+    load_root_system,
     roots_up_to_depth,
     small_roots,
     triangle_matrix,
@@ -115,20 +118,25 @@ def test_tolerance_must_not_be_a_bool(eps):
         build_root_system(dihedral_matrix(3), eps=eps)
 
 
-@pytest.mark.parametrize("value", [-2, -1.5, Fraction(-3, 2)],
-                         ids=["int", "float", "Fraction"])
-def test_override_is_held_in_the_backend_scalar(value):
+@pytest.mark.parametrize("value, whole",
+                         [(-2, True), (-1.5, True), (Fraction(-3, 2), True),
+                          (-1.25, False)],
+                         ids=["int", "float", "Fraction", "quarter"])
+def test_override_is_held_in_the_backend_scalar(value, whole):
     # a float system holds floats, an exact one Fractions, however the
-    # caller spelled the override; the doubled form follows
-    rs = build_root_system(dihedral_matrix(INF), gram_overrides={(0, 1): value})
+    # caller spelled the override; the table's doubled form follows the
+    # system too: ints when every 2B is whole, else the backend's scalar
+    rs = build_root_system(dihedral_matrix(INF),
+                           gram_overrides={(0, 1): value})
     exact = build_root_system(dihedral_matrix(INF),
                               gram_overrides={(0, 1): value},
                               backend="rational")
-    for held in (rs.gram[0][1], rs.gram[1][0], rs.root_table.gram2[0][1]):
-        assert type(held) is float
+    assert type(rs.gram[0][1]) is type(rs.gram[1][0]) is float
     assert rs.gram[0][1] == exact.gram[0][1] == value
     assert type(exact.gram[0][1]) is Fraction
-    assert type(exact.root_table.gram2[0][1]) is int
+    assert type(rs.root_table.gram2[0][1]) is (int if whole else float)
+    assert type(exact.root_table.gram2[0][1]) is (int if whole else Fraction)
+    assert rs.root_table.gram2[0][1] == exact.root_table.gram2[0][1]
 
 
 def test_override_pair_must_be_two_ints():
@@ -204,6 +212,15 @@ def test_depth_one_is_simple():
 def test_depth_bound_error_names_the_bound():
     with pytest.raises(ValueError, match=r"^depth bound 0 must be >= 1$"):
         roots_up_to_depth(dihedral(3), 0)
+
+
+@pytest.mark.parametrize("d", [2.5, 2.0, True, "3"])
+def test_non_int_depth_bound_is_rejected(d):
+    # 2.5 and 2.0 used to reach range() and True was read as depth 1
+    with pytest.raises(ValueError,
+                       match=r"^depth bound %s must be an int$"
+                             % re.escape(repr(d))):
+        roots_up_to_depth(dihedral(3), d)
 
 
 def test_dihedral_m3_depth2_is_all():
@@ -382,6 +399,54 @@ def test_exact_root_table_holds_ints():
         table = rs.root_table
         assert all(type(x) is int for v in table.coords for x in v), name
         assert all(type(x) is int for v in table.forms for x in v), name
+
+
+WHOLE_FLOAT_NAMES = ("universal", "universal-override")
+WHOLE_FLOAT_FILES = WHOLE_FLOAT_NAMES + ("infinite-dihedral",)
+DEMO_GROUPS = Path(__file__).resolve().parent.parent / "demos" / "groups"
+
+
+def _whole_float_systems():
+    # (label, float system, the same group under the rational backend)
+    for name in WHOLE_FLOAT_FILES:
+        text = (DEMO_GROUPS / (name + ".json")).read_text()
+        yield (name + ".json", load_root_system(text),
+               load_root_system(text, backend="rational"))
+    for name in WHOLE_FLOAT_NAMES:
+        yield name, _battery(name), _battery(name, "rational")
+
+
+def test_whole_float_systems_hold_an_exact_table():
+    # every float 2B is whole here (bonds inf, overrides in Z/2), so the
+    # table is the rational backend's: ints, and a root's key is its
+    # coordinate tuple itself; the system's own form and tolerance stay float
+    for label, rs, exact in _whole_float_systems():
+        assert rs.backend == "float" and not rs.exact, label
+        assert rs.eps == DEFAULT_EPS, label
+        assert all(type(x) is float for row in rs.gram for x in row), label
+        roots = roots_up_to_depth(rs, 10)
+        table = rs.root_table
+        assert all(type(x) is int for row in table.gram2 for x in row), label
+        for held in (table.coords, table.forms):
+            assert all(type(x) is int for v in held for x in v), label
+        assert all(table.sort_keys[i][1] is v
+                   for i, v in enumerate(table.coords)), label
+        assert ([(r.coords, r.depth) for r in roots]
+                == [(r.coords, r.depth)
+                    for r in roots_up_to_depth(exact, 10)]), label
+
+
+def test_float_table_unless_every_2b_is_whole():
+    # bonds 2 and 3 double to -1.22e-16 and -1.0000000000000002 in float,
+    # so every other float system keeps the float table and its key grid
+    for name, _, _ in BATTERY:
+        table = _battery(name).root_table
+        whole = name in WHOLE_FLOAT_NAMES
+        assert (table.vec_key is tuple) == whole, name
+        assert all(type(x) is (int if whole else float)
+                   for row in table.gram2 for x in row), name
+        assert all(type(x) is (int if whole else float)
+                   for v in table.coords for x in v), name
 
 
 def test_deterministic_ordering():

@@ -138,6 +138,11 @@ def test_render_options_validate():
     with pytest.raises(ValidationError,
                        match=r"^render depth 0 must be >= 1$"):
         RenderOptions(depth=0).validate()
+    for depth in (2.5, 2.0, True):
+        with pytest.raises(ValidationError,
+                           match=r"^render depth %s must be an int$"
+                                 % re.escape(repr(depth))):
+            RenderOptions(depth=depth).validate()
     with pytest.raises(ValidationError,
                        match=r"^canvas size 50 px must be >= 100 px$"):
         RenderOptions(size=50).validate()
