@@ -8,13 +8,12 @@ demos/out/.
 from pathlib import Path
 
 from coxlow import (
-    RenderOptions,
     build_automaton,
     check_simplex_edge_condition,
-    enumerate_low,
     load_root_system,
     render_svg,
     small_roots,
+    verify_bijection,
     verify_inversion_polytopes,
 )
 
@@ -26,15 +25,14 @@ for name, depth in [("affine-3-3-3", 4), ("hyperbolic-3-3-4", 5)]:
     sigma = small_roots(rs)
     aut = build_automaton(rs, sigma)
 
-    opts = RenderOptions(depth=depth, labels=True)
-    svg = render_svg(rs, sigma, aut.states, opts)
+    svg = render_svg(rs, sigma, aut.states, depth=depth, labels=True)
     path = out / ("%s.svg" % name)
     path.write_text(svg)
     print("wrote %s (%d small roots highlighted)" % (path, len(sigma)))
 
     if check_simplex_edge_condition(rs, sigma):
-        _, report = enumerate_low(rs, sigma, 12)
-        rep = verify_inversion_polytopes(rs, sigma, aut, report.inversions)
+        bij = verify_bijection(rs, sigma, aut, 12)
+        rep = verify_inversion_polytopes(rs, sigma, aut, bij.inversions)
         print("  small roots lie on simplex edges; conv(lambda) matched "
               "an inversion polytope for %d/%d lambdas"
               % (rep.matched, len(rep.witnesses)))

@@ -61,7 +61,7 @@ from .projective import (
     normalize_projective,
     projective_hull,
 )
-from .render import RenderOptions, render_svg
+from .render import render_svg
 from .smallroots import (
     DominanceVerdict,
     SmallRootSet,

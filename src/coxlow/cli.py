@@ -20,7 +20,7 @@ from .elements import enumerate_low
 from .errors import (
     CoxlowError, OutputError, ParseError, RankNotThree, ValidationError)
 from .groupfile import load_root_system
-from .render import RenderOptions, render_svg
+from .render import render_svg
 from .smallroots import small_roots
 
 EXIT_OK = 0
@@ -191,9 +191,9 @@ def cmd_verify(args, rs):
 
 def cmd_render(args, rs):
     sigma = small_roots(rs)
-    opts = RenderOptions(depth=args.depth, size=args.size, labels=args.labels)
     lambdas = build_automaton(rs, sigma).states if args.lambdas else ()
-    _emit(args.out, render_svg(rs, sigma, lambdas, opts))
+    _emit(args.out, render_svg(rs, sigma, lambdas, depth=args.depth,
+                               size=args.size, labels=args.labels))
     return EXIT_OK
 
 

@@ -32,7 +32,7 @@ lambda, the letter of the automaton's first transition into lambda: a
 left descent, so a generator source.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .automaton import build_automaton, build_shortlex_automaton
 from .core import INF, check_bound, triangle_matrix, build_root_system
@@ -258,7 +258,7 @@ def check_simplex_edge_condition(rs, sigma):
 @dataclass
 class PolytopeReport:
     hypothesis_met: bool
-    witnesses: dict = field(default_factory=dict)   # mask -> Element or None
+    witnesses: dict     # mask -> Element or None
 
     @property
     def matched(self):       # the number of lambdas with a witness
@@ -280,13 +280,11 @@ def verify_inversion_polytopes(rs, sigma, aut, inversions):
     if rs.rank != 3:
         raise RankNotThree("inversion polytopes are checked on the rank-3 "
                            "chart, not rank %d" % rs.rank)
-    report = PolytopeReport(
-        hypothesis_met=check_simplex_edge_condition(rs, sigma))
     points = chart_points(rs, set(sigma.ids).union(*inversions.values()))
     first = {}
     for low, inv in inversions.items():
         first.setdefault(extreme_ids(inv, points), low)
-    for mask in aut.states:
-        report.witnesses[mask] = first.get(
-            extreme_ids(sigma.mask_to_ids(mask), points))
-    return report
+    return PolytopeReport(
+        check_simplex_edge_condition(rs, sigma),
+        {mask: first.get(extreme_ids(sigma.mask_to_ids(mask), points))
+         for mask in aut.states})

@@ -47,6 +47,12 @@ def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _exact(c):
+    """The number c exactly: an int where it is whole, else a Fraction."""
+    q = Fraction(c)
+    return q.numerator if q.denominator == 1 else q
+
+
 def check_bound(bound, name="length bound", least=0, error=ValueError):
     """Raise ``error`` naming ``bound`` unless it is an int >= ``least``."""
     if not (_is_int(bound) and bound >= least):
@@ -305,16 +311,20 @@ class BasedRootSystem:
         A vector the table does not hold is peeled greedily: any s with
         B(alpha_s, v) > 0 lowers the depth by exactly one, so the steps down
         to a root the table holds count the depth exactly.  Every root on
-        the way is recorded."""
+        the way is recorded.  An exact table takes v's coordinates exactly
+        (``_exact``) and peels with its own 2B, so it stays exact."""
         table = self.root_table
-        v = start = tuple(v)
+        start = tuple(v)
+        self.check_dim(start)
+        v = tuple(map(_exact, start)) if table.exact else start
         key = self.vec_key(v)
         path = []
         while key not in table.ids:
-            for s in range(self.rank):
-                if self.is_pos(self.form_simple(s, v)):
+            for s, row in enumerate(table.gram2):
+                b = sum(map(mul, row, v))
+                if b > table.eps2:
                     path.append((v, key))
-                    v = self.reflect(s, v)
+                    v = v[:s] + (v[s] - b,) + v[s + 1:]
                     key = self.vec_key(v)
                     break
             else:

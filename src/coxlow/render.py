@@ -1,31 +1,16 @@
 """Static SVG rendering of the projective picture.
 
-Pure function of (root system, options): repeated runs produce
-byte-identical output.  The rank-3 chart is an equilateral triangle whose
+Pure function of the root system and the three settings of
+``render_svg``: repeated runs produce byte-identical output.  The rank-3 chart is an equilateral triangle whose
 vertices are the simple roots; positive roots appear as dots shaded by
 depth, small roots are highlighted, and conv(lambda) polygons can be
 overlaid for chosen small inversion sets.
 """
 
-from dataclasses import dataclass
-
 from .core import check_bound, roots_up_to_depth
 from .errors import RankNotThree, ValidationError
 from .projective import (
     _hull_cycle, chart_points, chart_vertices, normalize_projective)
-
-
-@dataclass
-class RenderOptions:
-    depth: int = 4
-    labels: bool = False
-    size: int = 600
-
-    def validate(self):
-        check_bound(self.depth, "render depth", 1, ValidationError)
-        if self.size < 100:
-            raise ValidationError("canvas size %r px must be >= 100 px"
-                                  % (self.size,))
 
 
 _MARGIN = 0.12
@@ -50,18 +35,20 @@ def _depth_shade(depth, max_depth):
     return "#%02x%02x%02x" % (v, v, v)
 
 
-def render_svg(rs, sigma, lambdas=(), opts=None):
+def render_svg(rs, sigma, lambdas=(), *, depth=4, size=600, labels=False):
     """Render the projective picture; returns SVG text.
 
     ``lambdas`` is an iterable of bitmasks over sigma's indexing whose
     convex hulls are drawn, around their boundary, from Sigma's chart
-    points, computed once."""
+    points, computed once.  The dots are the positive roots of depth
+    <= ``depth`` (an int >= 1) on a ``size`` px square canvas (at least
+    100 px); ``labels`` names the simple roots at the corners."""
     if rs.rank != 3:
         raise RankNotThree("SVG rendering uses the rank-3 triangle chart, "
                            "not rank %d" % rs.rank)
-    opts = opts or RenderOptions()
-    opts.validate()
-    size = opts.size
+    check_bound(depth, "render depth", 1, ValidationError)
+    if size < 100:
+        raise ValidationError("canvas size %r px must be >= 100 px" % (size,))
     chart = chart_vertices(rs.rank)
     lines = [
         '<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" '
@@ -74,7 +61,7 @@ def render_svg(rs, sigma, lambdas=(), opts=None):
     lines.append('  <polygon points="%s" fill="none" stroke="black" '
                  'stroke-width="1.5"/>' % path)
 
-    roots = roots_up_to_depth(rs, opts.depth)
+    roots = roots_up_to_depth(rs, depth)
     max_depth = max(r.depth for r in roots)
     sigma_keys = {r.key for r in sigma}
 
@@ -105,7 +92,7 @@ def render_svg(rs, sigma, lambdas=(), opts=None):
                          % (_fmt(x), _fmt(y),
                             _depth_shade(root.depth, max_depth)))
 
-    if opts.labels:
+    if labels:
         for s in range(rs.rank):
             x, y = _to_px(chart[s], size)
             dy = -8 if chart[s][1] > 0 else 16

@@ -10,9 +10,15 @@ simple roots, apply s whenever -1 < B(alpha_s, beta) < 0.
 from collections import deque, namedtuple
 from functools import cached_property
 
+from .core import roots_up_to_depth
 from .errors import ClosureCapExceeded
 
 DominanceVerdict = namedtuple("DominanceVerdict", ["value", "decisive"])
+
+# the closure's safety bound on the number of small roots
+_CAP = 10000
+# the word length to which dominates searches the orbit of a pair
+_LCAP = 10
 
 
 class SmallRootSet:
@@ -46,15 +52,12 @@ class SmallRootSet:
         return max(root.depth for root in self.roots)
 
 
-def small_roots(rs, cap=10000):
+def small_roots(rs):
     """Compute the set of small roots by short-edge closure on rs.root_table.
 
-    The closure is guaranteed to terminate; ``cap`` bounds the number of
+    The closure is guaranteed to terminate; ``_CAP`` bounds the number of
     roots so that a tolerance bug (roots failing to be identified) raises
     ClosureCapExceeded instead of looping."""
-    if cap < rs.rank:
-        raise ValueError("cap %r must be at least the rank, %d"
-                         % (cap, rs.rank))
     table = rs.root_table
     eps2 = table.eps2
     found = set(range(rs.rank))      # the simple root alpha_s has id s
@@ -67,36 +70,30 @@ def small_roots(rs, cap=10000):
             if b < -eps2 and b + 2 > eps2:
                 j = table.reflect(i, s)
                 if j not in found:
-                    if len(found) >= cap:
+                    if len(found) >= _CAP:
                         raise ClosureCapExceeded(
                             "small-root closure exceeded cap %d at root %d, %r"
-                            % (cap, j, table.root(j)))
+                            % (_CAP, j, table.root(j)))
                     found.add(j)
                     queue.append(j)
     return SmallRootSet(rs, found)
 
 
-def default_lcap(beta, alpha):
-    return 2 * (beta.depth + alpha.depth) + 4
-
-
-def dominates(rs, beta, alpha, lcap=None):
+def dominates(rs, beta, alpha):
     """Decide whether beta dominates alpha (w beta < 0 forces w alpha < 0).
 
     Exact fast path: distinct positive roots with B(beta, alpha) < 1 lie in
     a finite rank-2 subsystem and never dominate each other.  Otherwise the
-    orbit of the pair is searched breadth-first up to word length ``lcap``;
+    orbit of the pair is searched breadth-first up to word length ``_LCAP``;
     a counterexample is decisive, absence of one is a bounded verdict."""
     if beta.key == alpha.key:
         return DominanceVerdict(True, True)
     if rs.bilinear(beta.coords, alpha.coords) < 1 - rs.eps:
         return DominanceVerdict(False, True)
-    if lcap is None:
-        lcap = default_lcap(beta, alpha)
     start = (beta.coords, alpha.coords)
     seen = {(rs.vec_key(beta.coords), rs.vec_key(alpha.coords))}
     frontier = [start]
-    for _ in range(lcap):
+    for _ in range(_LCAP):
         new_frontier = []
         for vb, va in frontier:
             for s in range(rs.rank):
@@ -115,27 +112,18 @@ def dominates(rs, beta, alpha, lcap=None):
     return DominanceVerdict(True, False)
 
 
-def small_roots_by_dominance(rs, depth_bound, lcap=10):
+def small_roots_by_dominance(rs, depth_bound):
     """Dominance-oracle definition of the small roots.
 
     Enumerates positive roots up to ``depth_bound`` and keeps those that
-    dominate no other enumerated root.  Independent of the short-edge
-    closure; used to cross-check it."""
-    from .core import roots_up_to_depth
-
+    dominate no other enumerated root, each pair searched to word length
+    ``_LCAP``.  Independent of the short-edge closure; used to cross-check
+    it."""
     roots = roots_up_to_depth(rs, depth_bound)
-    small = []
-    for beta in roots:
-        dominated = False
-        for alpha in roots:
-            if alpha.key == beta.key:
-                continue
-            if dominates(rs, beta, alpha, lcap=lcap).value:
-                dominated = True
-                break
-        if not dominated:
-            small.append(rs.root_table.ids[beta.key])
-    return SmallRootSet(rs, small)
+    return SmallRootSet(rs, [
+        rs.root_table.ids[beta.key] for beta in roots
+        if not any(dominates(rs, beta, alpha).value
+                   for alpha in roots if alpha.key != beta.key)])
 
 
 def is_bipodal(rs, roots):

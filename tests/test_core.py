@@ -274,6 +274,28 @@ def test_root_depths_are_correct():
 
 
 @pytest.mark.parametrize("backend", ["float", "rational"])
+def test_root_depth_keeps_an_exact_table_exact(backend):
+    # universal's table is exact under both backends; a float vector's
+    # peeling path enters it as ints, with int forms and keys
+    rs = battery_root_system("universal", backend=backend)
+    assert rs.root_depth((15.0, 6.0, 2.0)) == 4
+    table = rs.root_table
+    assert (15, 6, 2) in table.ids and len(table.coords) == 6
+    for values in (table.coords, table.forms,
+                   [key for _, key in table.sort_keys]):
+        assert all(type(c) is int for v in values for c in v)
+
+
+def test_root_depth_and_reflect_errors():
+    rs = battery_root_system("universal")
+    with pytest.raises(ValueError,
+                       match=r"^not a positive root: \(1\.0, 1\.0, 0\.5\)$"):
+        rs.root_depth((1.0, 1.0, 0.5))
+    with pytest.raises(ValueError, match=r"^s1 negates alpha_1$"):
+        rs.root_table.reflect(1, 1)
+
+
+@pytest.mark.parametrize("backend", ["float", "rational"])
 def test_root_table_per_root_data(backend):
     # each root's stored form values are the doubled form 2B recomputed,
     # bit for bit (doubling a float is exact); its up mask (2B > 2 eps) and

@@ -13,7 +13,6 @@ from coxlow import (
     BATTERY,
     IDENTITY,
     INF,
-    RenderOptions,
     build_automaton,
     build_root_system,
     convex_hull_2d,
@@ -134,32 +133,32 @@ def test_render_requires_rank3():
         render_svg(rs, small_roots(rs))
 
 
-def test_render_options_validate():
+def test_render_options_validate(battery):
+    rs, sigma, _ = battery.get("universal")
     with pytest.raises(ValidationError,
                        match=r"^render depth 0 must be >= 1$"):
-        RenderOptions(depth=0).validate()
+        render_svg(rs, sigma, depth=0)
     for depth in (2.5, 2.0, True):
         with pytest.raises(ValidationError,
                            match=r"^render depth %s must be an int$"
                                  % re.escape(repr(depth))):
-            RenderOptions(depth=depth).validate()
+            render_svg(rs, sigma, depth=depth)
     with pytest.raises(ValidationError,
                        match=r"^canvas size 50 px must be >= 100 px$"):
-        RenderOptions(size=50).validate()
+        render_svg(rs, sigma, size=50)
 
 
 def test_render_byte_stable(battery):
     rs, sigma, aut = battery.get("affine-3-3-3")
-    opts = RenderOptions(depth=3, labels=True)
-    a = render_svg(rs, sigma, aut.states, opts)
-    b = render_svg(rs, sigma, aut.states, opts)
+    a = render_svg(rs, sigma, aut.states, depth=3, labels=True)
+    b = render_svg(rs, sigma, aut.states, depth=3, labels=True)
     assert a == b
     assert a.startswith("<svg") and a.rstrip().endswith("</svg>")
 
 
 def test_render_universal_depth1(battery):
     rs, sigma, _ = battery.get("universal")
-    svg = render_svg(rs, sigma, opts=RenderOptions(depth=1))
+    svg = render_svg(rs, sigma, depth=1)
     # exactly the 3 highlighted small-root dots, no others
     assert svg.count('r="4"') == 3
     assert svg.count('r="2.5"') == 0
@@ -176,7 +175,7 @@ def _point_segment_dist(p, a, b):
 def test_sigma_points_on_triangle_edges(battery):
     # groups passing the edge condition draw Sigma on the triangle boundary
     rs, sigma, _ = battery.get("affine-3-3-3")
-    svg = render_svg(rs, sigma, opts=RenderOptions(depth=3))
+    svg = render_svg(rs, sigma, depth=3)
     corners = re.search(r'<polygon points="([^"]+)"', svg).group(1)
     tri = [tuple(map(float, xy.split(","))) for xy in corners.split()]
     reds = re.findall(r'<circle cx="([0-9.]+)" cy="([0-9.]+)" r="4"', svg)
@@ -201,7 +200,7 @@ def test_overlays_do_not_cross_themselves(battery):
     large = 0
     for name, _, _ in BATTERY:
         rs, sigma, aut = battery.get(name)
-        svg = render_svg(rs, sigma, aut.states, RenderOptions(depth=1))
+        svg = render_svg(rs, sigma, aut.states, depth=1)
         for points in re.findall(r'<polygon points="([^"]+)" fill="#3366cc"',
                                  svg):
             poly = [tuple(map(float, xy.split(","))) for xy in points.split()]
@@ -243,6 +242,18 @@ def test_parse_group_file_errors():
              "gram_overrides": [{"pair": [0, 1], "value": -1.5}]}""")
     with pytest.raises(ValidationError, match="rank"):
         parse_group_file('{"coxeter": [[1]]}')
+    with pytest.raises(ValidationError,
+                       match="^top-level document must be a JSON object$"):
+        parse_group_file("[1]")
+    with pytest.raises(ValidationError,
+                       match=r'^field "coxeter": must be a 2x2 matrix$'):
+        parse_group_file('{"rank": 2, "coxeter": [[1, 3]]}')
+    with pytest.raises(ValidationError,
+                       match=r'^field "gram_overrides"\[0\]: must be '
+                             r'\{"pair": \[i, j\], "value": v\}$'):
+        parse_group_file("""
+            {"rank": 2, "coxeter": [[1, "inf"], ["inf", 1]],
+             "gram_overrides": [{"pair": [0, 1]}]}""")
 
 
 def test_group_json_roundtrip():
@@ -304,6 +315,23 @@ def test_cli_verify_polytopes_needs_rank_three(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: --polytopes needs rank 3, not 2\n"
+
+
+def test_cli_verify_polytopes_outside_hypothesis(tmp_path, capsys):
+    # A3's small roots leave the simplex edges: the check still runs,
+    # says so, and a full match exits 0
+    path = tmp_path / "a3.json"
+    path.write_text(group_to_json(triangle_matrix(3, 3, 2)))
+    report_path = tmp_path / "report.json"
+    assert main(["verify", str(path), "--max-length", "6", "--polytopes",
+                 "--out", str(report_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2:] == [
+        "note: small roots leave the simplex edges; the polytope claim is "
+        "outside its stated hypothesis",
+        "inversion polytopes: 24/24 matched (hypothesis not met)"]
+    assert json.loads(report_path.read_text())["polytopes"] == {
+        "hypothesis_met": False, "matched": 24, "total": 24}
 
 
 def test_cli_validation_exit(tmp_path, capsys):

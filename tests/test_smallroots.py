@@ -1,5 +1,6 @@
 import pytest
 
+import coxlow.smallroots
 from coxlow import (
     INF,
     build_root_system,
@@ -40,15 +41,13 @@ def test_sigma_contains_simples(battery):
             assert s in sigma.bit        # alpha_s has id s in the table
 
 
-def test_closure_cap():
+def test_closure_cap(monkeypatch):
     rs = build_root_system(dihedral_matrix(3))
     # alpha_0 + alpha_1 (id 2, depth 2) would be the third small root
+    monkeypatch.setattr(coxlow.smallroots, "_CAP", 2)
     named = r"cap 2 at root 2, Root\(\[1\.0, 1\.0\d*\], depth=2\)$"
     with pytest.raises(ClosureCapExceeded, match=named):
-        small_roots(rs, cap=2)
-    with pytest.raises(ValueError,
-                       match=r"^cap 1 must be at least the rank, 2$"):
-        small_roots(rs, cap=1)
+        small_roots(rs)
 
 
 def test_frozen_indexing(battery):
@@ -72,9 +71,9 @@ def test_dominance_infinite_dihedral():
     # s0 alpha_1 = alpha_t + 2 alpha_s with s=0, t=1
     beta = rs.root_table.root(rs.root_table.reflect(1, 0))
     alpha = rs.root_table.root(0)
-    assert dominates(rs, beta, alpha, lcap=10).value
+    assert dominates(rs, beta, alpha).value
     # but not the other simple root's deep partner
-    assert not dominates(rs, alpha, beta, lcap=10).value
+    assert not dominates(rs, alpha, beta).value
 
 
 def test_dominance_fast_path():
