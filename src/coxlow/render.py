@@ -1,10 +1,10 @@
 """Static SVG rendering of the projective picture.
 
-Pure function of the root system and the three settings of
-``render_svg``: repeated runs produce byte-identical output.  The rank-3 chart is an equilateral triangle whose
-vertices are the simple roots; positive roots appear as dots shaded by
-depth, small roots are highlighted, and conv(lambda) polygons can be
-overlaid for chosen small inversion sets.
+Pure function of the root system and render_svg's settings: repeated
+runs produce byte-identical output.  The rank-3 chart is an equilateral
+triangle whose vertices are the simple roots; positive roots appear as
+dots shaded by depth, small roots are highlighted, and conv(lambda)
+polygons can be overlaid for chosen small inversion sets.
 """
 
 from .core import check_bound, roots_up_to_depth

@@ -291,6 +291,9 @@ def test_root_depth_and_reflect_errors():
     with pytest.raises(ValueError,
                        match=r"^not a positive root: \(1\.0, 1\.0, 0\.5\)$"):
         rs.root_depth((1.0, 1.0, 0.5))
+    with pytest.raises(DimensionMismatch,
+                       match=r"^expected vector of length 3, got 2$"):
+        rs.root_depth((1.0, 1.0))
     with pytest.raises(ValueError, match=r"^s1 negates alpha_1$"):
         rs.root_table.reflect(1, 1)
 
