@@ -19,8 +19,7 @@ class Automaton:
     ``first_in[k]`` is the (state index, letter) of the first transition
     into state k, in (state index, letter) order; None for the start."""
 
-    def __init__(self, sigma, states, transitions, first_in):
-        self.sigma = sigma
+    def __init__(self, states, transitions, first_in):
         self.states = tuple(states)        # bitmasks; states[0] == 0
         self.transitions = tuple(tuple(row) for row in transitions)
         self.first_in = tuple(first_in)
@@ -101,7 +100,7 @@ def _reduced_word_delta(rs, sigma):
 
 def build_automaton(rs, sigma):
     """Build the automaton with delta(A, s) = {alpha_s} u (s A cap Sigma)."""
-    return Automaton(sigma, *_close(rs, _reduced_word_delta(rs, sigma)))
+    return Automaton(*_close(rs, _reduced_word_delta(rs, sigma)))
 
 
 def build_shortlex_automaton(rs, sigma):
@@ -124,7 +123,7 @@ def build_shortlex_automaton(rs, sigma):
         new = reduced(mask, s)
         return None if new is None else new | poison[s]
 
-    return Automaton(sigma, *_close(rs, delta))
+    return Automaton(*_close(rs, delta))
 
 
 def is_reduced(aut, word):
@@ -172,7 +171,7 @@ def export_dot(aut):
     lines = ["digraph reduced_words {", "  rankdir=LR;",
              '  start [shape=point, label=""];']
     for i, mask in enumerate(aut.states):
-        idxs = [j for j in range(len(aut.sigma)) if mask >> j & 1]
+        idxs = [j for j in range(mask.bit_length()) if mask >> j & 1]
         label = "%d: {%s}" % (mask, ",".join(str(j) for j in idxs))
         lines.append('  n%d [shape=circle, label="%s"];' % (i, label))
     lines.append("  start -> n0;")

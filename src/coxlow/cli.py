@@ -15,7 +15,7 @@ from . import __version__
 from .automaton import build_automaton, count_elements, export_dot, growth_series
 from .conjecture import (
     check_gbip_walk, verify_bijection, verify_inversion_polytopes)
-from .core import DEFAULT_EPS
+from .core import DEFAULT_EPS, check_bound
 from .elements import enumerate_low
 from .errors import (
     CoxlowError, OutputError, ParseError, RankNotThree, ValidationError)
@@ -258,9 +258,8 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         for opt in ("max_length", "gbip_length", "terms"):
-            if getattr(args, opt, 0) < 0:
-                raise ValidationError("--%s %d must be >= 0" % (
-                    opt.replace("_", "-"), getattr(args, opt)))
+            check_bound(getattr(args, opt, 0), "--" + opt.replace("_", "-"),
+                        0, ValidationError)
         return args.func(args, _load(args))
     except CoxlowError as exc:
         print("error: %s" % exc, file=sys.stderr)

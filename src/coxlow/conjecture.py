@@ -47,7 +47,7 @@ from .elements import (
     small_inversion_mask,
 )
 from .errors import ConstructionFailed, RankNotThree
-from .projective import chart_points, extreme_ids
+from .projective import chart_points, hull_cycle
 
 # Fixed, versioned battery of rank-3 groups used throughout the test suite.
 # Each entry: (name, (m12, m23, m13), gram overrides).
@@ -227,14 +227,14 @@ def construct_low_from_lambda(rs, sigma, mask, _memo=None):
     if "automaton" not in _memo:
         _memo["automaton"] = build_automaton(rs, sigma)
     _memo.setdefault(0, (IDENTITY, frozenset()))  # the caller may seed aut
+    aut = _memo["automaton"]
+    if (isinstance(mask, bool) or not isinstance(mask, int)
+            or mask not in aut.state_index):
+        raise ConstructionFailed("mask %r is not a state of the automaton"
+                                 % (mask,))
     if mask in _memo:
         return _memo[mask][0]
-    aut = _memo["automaton"]
-    k = aut.state_index.get(mask)
-    if k is None:
-        raise ConstructionFailed("mask %d is not a state of the automaton"
-                                 % mask)
-    parent, s = aut.first_in[k]
+    parent, s = aut.first_in[aut.state_index[mask]]
     sub_mask = aut.states[parent]
     construct_low_from_lambda(rs, sigma, sub_mask, _memo)
     inv = _left_multiply(rs, s, _memo[sub_mask][1])
@@ -283,8 +283,9 @@ def verify_inversion_polytopes(rs, sigma, aut, inversions):
     points = chart_points(rs, set(sigma.ids).union(*inversions.values()))
     first = {}
     for low, inv in inversions.items():
-        first.setdefault(extreme_ids(inv, points), low)
+        first.setdefault(frozenset(hull_cycle(inv, points)), low)
     return PolytopeReport(
         check_simplex_edge_condition(rs, sigma),
-        {mask: first.get(extreme_ids(sigma.mask_to_ids(mask), points))
+        {mask: first.get(frozenset(hull_cycle(sigma.mask_to_ids(mask),
+                                              points)))
          for mask in aut.states})

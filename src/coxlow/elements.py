@@ -110,11 +110,10 @@ def _word_inversions(rs, word):
 
 
 def _left_multiply(rs, s, ids):
-    """N(s w) from N(w) = ``ids``: {alpha_s} u s N(w) if alpha_s is not in
-    N(w), else s (N(w) - {alpha_s})."""
+    """N(s w) = {alpha_s} u s N(w) from N(w) = ``ids``, for alpha_s not in
+    N(w); reflect raises on alpha_s, which s negates."""
     reflect = rs.root_table.reflect
-    rest = {reflect(i, s) for i in ids if i != s}
-    return rest if s in ids else rest | {s}
+    return {s} | {reflect(i, s) for i in ids}
 
 
 def _shortlex(rs, ids):

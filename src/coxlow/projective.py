@@ -6,8 +6,8 @@ equilateral triangle.  Convex hulls on the chart are computed with a small
 monotone-chain implementation that keeps only extreme points.  Distinct
 positive roots are never proportional, so they are distinct chart points,
 and two sets of roots have the same hull exactly when they have the same
-extreme roots: ``chart_points`` and ``extreme_ids`` reduce a set of root
-ids to the frozenset of its extreme ids, which compare as plain sets.
+extreme roots: ``chart_points`` and ``hull_cycle`` reduce a set of root
+ids to its extreme ids, whose sets compare as plain sets.
 ``convex_hull_2d`` and ``projective_hull`` take arbitrary points and
 roots, and merge points closer than EPS.
 """
@@ -104,20 +104,15 @@ def chart_points(rs, ids):
     return {i: (_snap(p), p) for i, p in points.items()}
 
 
-def extreme_ids(ids, points):
-    """The frozenset of the ids whose chart points, ``points[i]`` from
-    ``chart_points``, are extreme in the hull of the ids' points: the
-    sweep of ``convex_hull_2d``, in the same snapped order and with the same
-    turn test, but with the turns taken on the points as computed, where a
-    collinear triple's cross is at rounding level rather than at the
-    grid's.  Distinct roots lie far apart on the chart, so no merging is
-    needed, and equal sets mean equal hulls."""
-    return frozenset(_hull_cycle(ids, points))
-
-
-def _hull_cycle(ids, points):
-    """The extreme ids of ``extreme_ids`` in order around the hull: from the
-    lexicographically least, toward the lesser of its two neighbours."""
+def hull_cycle(ids, points):
+    """The ids whose chart points, ``points[i]`` from ``chart_points``, are
+    extreme in the hull of the ids' points, in order around the hull: from
+    the lexicographically least, toward the lesser of its two neighbours.
+    It is the sweep of ``convex_hull_2d``, in the same snapped order and
+    with the same turn test, but with the turns taken on the points as
+    computed, where a collinear triple's cross is at rounding level rather
+    than at the grid's.  Distinct roots lie far apart on the chart, so no
+    merging is needed, and equal id sets mean equal hulls."""
     order = sorted(ids, key=points.__getitem__)
     chain = _chain([points[i][1] for i in order])
     if len(chain) > 2 and chain[-1] < chain[1]:
@@ -130,7 +125,7 @@ def hulls_equal(h1, h2):
 
     Matched as sets (not positionally): nearly-equal coordinates can sort
     in different orders across the two computations.  Nothing in the
-    package calls it: polytopes are matched by ``extreme_ids``.  It stays
+    package calls it: polytopes are matched by ``hull_cycle``.  It stays
     for the tests' pairwise reference and for the benchmark's tracer."""
     if len(h1) != len(h2):
         return False

@@ -10,7 +10,7 @@ polygons can be overlaid for chosen small inversion sets.
 from .core import check_bound, roots_up_to_depth
 from .errors import RankNotThree, ValidationError
 from .projective import (
-    _hull_cycle, chart_points, chart_vertices, normalize_projective)
+    chart_points, chart_vertices, hull_cycle, normalize_projective)
 
 
 _MARGIN = 0.12
@@ -41,12 +41,14 @@ def render_svg(rs, sigma, lambdas=(), *, depth=4, size=600, labels=False):
     ``lambdas`` is an iterable of bitmasks over sigma's indexing whose
     convex hulls are drawn, around their boundary, from Sigma's chart
     points, computed once.  The dots are the positive roots of depth
-    <= ``depth`` (an int >= 1) on a ``size`` px square canvas (at least
-    100 px); ``labels`` names the simple roots at the corners."""
+    <= ``depth`` (an int >= 1) on a ``size`` px square canvas (an int, at
+    least 100 px); ``labels`` names the simple roots at the corners."""
     if rs.rank != 3:
         raise RankNotThree("SVG rendering uses the rank-3 triangle chart, "
                            "not rank %d" % rs.rank)
     check_bound(depth, "render depth", 1, ValidationError)
+    if isinstance(size, bool) or not isinstance(size, int):
+        raise ValidationError("canvas size %r px must be an int" % (size,))
     if size < 100:
         raise ValidationError("canvas size %r px must be >= 100 px" % (size,))
     chart = chart_vertices(rs.rank)
@@ -70,7 +72,7 @@ def render_svg(rs, sigma, lambdas=(), *, depth=4, size=600, labels=False):
         if not mask:
             continue
         px = [_to_px(points[i][0], size)
-              for i in _hull_cycle(sigma.mask_to_ids(mask), points)]
+              for i in hull_cycle(sigma.mask_to_ids(mask), points)]
         coords = " ".join("%s,%s" % (_fmt(x), _fmt(y)) for x, y in px)
         if len(px) == 1:
             x, y = px[0]

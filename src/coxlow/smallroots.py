@@ -106,8 +106,6 @@ def dominates(rs, beta, alpha):
                 if rs.is_negative_root_vec(wb) and not rs.is_negative_root_vec(wa):
                     return DominanceVerdict(False, True)
                 new_frontier.append((wb, wa))
-        if not new_frontier:
-            break
         frontier = new_frontier
     return DominanceVerdict(True, False)
 

@@ -61,6 +61,12 @@ def test_battery_is_fixed():
     assert names[0] == "2-2-2" and "hyperbolic-2-3-7" in names
 
 
+def test_battery_root_system_rejects_an_unknown_name():
+    with pytest.raises(KeyError) as info:
+        battery_root_system("nope")
+    assert info.value.args == ("nope",)
+
+
 # -- synthetic graphs ---------------------------------------------------
 
 def _is_cycle_of(witness, vertices, arcs):
@@ -523,6 +529,16 @@ def test_bijection_reports_unresolved_not_false(battery):
 def test_construct_identity(battery):
     rs, sigma, _ = battery.get("A3")
     assert construct_low_from_lambda(rs, sigma, 0) == IDENTITY
+
+
+def test_construct_rejects_a_mask_that_is_not_a_state(battery):
+    # a bool or a float is no mask, even where it equals one
+    rs, sigma, _ = battery.get("A3")
+    for mask in (-1, "3", True, 1.0):
+        with pytest.raises(ConstructionFailed,
+                           match=r"^mask %s is not a state of the automaton$"
+                                 % re.escape(repr(mask))):
+            construct_low_from_lambda(rs, sigma, mask)
 
 
 def test_construct_rank2():

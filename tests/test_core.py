@@ -486,3 +486,22 @@ def test_deterministic_ordering():
 def test_triangle_matrix_layout():
     m = triangle_matrix(3, 4, 5)
     assert m[0, 1] == 3 and m[1, 2] == 4 and m[0, 2] == 5
+
+
+def test_matrix_and_root_system_reprs_and_hashes():
+    m = triangle_matrix(3, 4, 5)
+    assert repr(m) == "CoxeterMatrix(((1, 3, 5), (3, 1, 4), (5, 4, 1)))"
+    assert hash(m) == hash(triangle_matrix(3, 4, 5))
+    assert len({m, triangle_matrix(3, 4, 5)}) == 1
+    assert repr(build_root_system(m)) == ("BasedRootSystem(rank=3, "
+                                          "backend='float')")
+    rs = build_root_system(triangle_matrix(3, 3, 2), backend="rational")
+    assert repr(rs) == "BasedRootSystem(rank=3, backend='rational')"
+
+
+def test_roots_from_one_table_id_hash_alike():
+    rs = _battery("A3")
+    i = small_roots(rs).ids[-1]     # a deep root, added by the closure
+    a, b = rs.root_table.root(i), rs.root_table.root(i)
+    assert a is not b and hash(a) == hash(b)
+    assert {a, b} == {a}

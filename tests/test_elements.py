@@ -35,7 +35,7 @@ from coxlow import (
     triangle_matrix,
 )
 from coxlow.conjecture import check_gbip_walk
-from coxlow.elements import _solve_subset
+from coxlow.elements import _left_multiply, _solve_subset
 from coxlow.errors import NonReducedInput, NumericallyAmbiguous
 
 from conftest import (
@@ -189,6 +189,16 @@ def test_nonreduced_position_matches_suffix_oracle(name, backend):
         else:
             assert pos is None and len(inv) == len(word), word
     assert 300 < rejected < 2700
+
+
+def test_left_multiply_only_extends(battery):
+    # N(s x) = {alpha_s} u s N(x) for alpha_s not in N(x); its callers
+    # never pass one that holds alpha_s, and reflect refuses alpha_s
+    rs, _, _ = battery.get("A3")
+    assert _left_multiply(rs, 1, inversion_set(rs, Element((0,)))) == \
+        inversion_set(rs, Element((1, 0)))
+    with pytest.raises(ValueError, match=r"^s1 negates alpha_1$"):
+        _left_multiply(rs, 1, inversion_set(rs, Element((1,))))
 
 
 def test_inversion_size_is_length(battery):

@@ -3,6 +3,9 @@ import itertools
 import json
 import math
 import re
+import runpy
+import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -146,6 +149,11 @@ def test_render_options_validate(battery):
     with pytest.raises(ValidationError,
                        match=r"^canvas size 50 px must be >= 100 px$"):
         render_svg(rs, sigma, size=50)
+    for size in (150.5, float("nan"), True):
+        with pytest.raises(ValidationError,
+                           match=r"^canvas size %s px must be an int$"
+                                 % re.escape(repr(size))):
+            render_svg(rs, sigma, size=size)
 
 
 def test_render_byte_stable(battery):
@@ -295,6 +303,34 @@ def test_cli_verify_ok(universal_file, tmp_path, capsys):
     assert report["bijective"] is True
     assert report["gbip"]["violations"] == 0
     assert report["polytopes"]["matched"] == report["polytopes"]["total"] == 4
+
+
+def test_cli_runs_as_a_module(universal_file, capsys, monkeypatch):
+    # python -m coxlow.cli exits with main's return code
+    monkeypatch.setattr(sys, "argv", ["coxlow", "growth", universal_file,
+                                      "--terms", "-1"])
+    with warnings.catch_warnings():
+        # coxlow.cli is imported already, and runpy says so
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(SystemExit) as info:
+            runpy.run_module("coxlow.cli", run_name="__main__")
+    assert info.value.code == 2
+    assert capsys.readouterr().err == "error: --terms -1 must be >= 0\n"
+
+
+def test_cli_low_elements_incomplete(tmp_path, capsys, monkeypatch):
+    # length 2 realizes 10 of hyperbolic-3-3-4's 18 small inversion sets;
+    # an incomplete search is reported, not an error
+    monkeypatch.chdir(Path(__file__).resolve().parent.parent)
+    out_path = tmp_path / "low.json"
+    assert main(["low-elements", "demos/groups/hyperbolic-3-3-4.json",
+                 "--max-length", "2", "--out", str(out_path)]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[-1] == ("completeness: INCOMPLETE: 8 of 18 small "
+                                    "inversion sets unrealized (|Lambda| = 18)")
+    doc = json.loads(out_path.read_text())
+    assert doc["complete"] is False
+    assert doc["unrealized_masks"] == [11, 25, 38, 42, 81, 84, 85, 100]
 
 
 def test_cli_verify_unresolved(tmp_path, capsys):
