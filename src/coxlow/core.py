@@ -8,10 +8,11 @@ Conventions used throughout the package:
   B(alpha_s, alpha_t) = -cos(pi / m(s,t)), with -1 (or a Gram override
   <= -1) on infinite bonds;
 * the root table holds the doubled form 2B (0, -1 or -2 on the bonds 2, 3
-  and inf), so a reflection needs no division.  The table is exact when the
-  backend is rational or every float 2B is whole (bonds inf, overrides in
-  Z/2; in float, bonds 2 and 3 are not): its coordinates are then ints
-  (Fractions where an exact 2B is not whole), keyed by their own tuple;
+  and inf), so a reflection needs no division.  RootTable makes itself
+  exact when the backend is rational or every float 2B is whole (bonds inf,
+  overrides in Z/2; in float, bonds 2 and 3 are not): its coordinates are
+  then ints (Fractions where an exact 2B is not whole), keyed by their own
+  tuple;
 * the depth of a simple root is 1, and depth(beta) is 1 plus the minimal
   length of a word sending beta to a negative root.  Some texts shift this
   convention by one; everything in this package uses this one.
@@ -45,12 +46,6 @@ _KEY_SCALE = 10 ** 6
 
 def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _exact(c):
-    """The number c exactly: an int where it is whole, else a Fraction."""
-    q = Fraction(c)
-    return q.numerator if q.denominator == 1 else q
 
 
 def check_bound(bound, name="length bound", least=0, error=ValueError):
@@ -140,40 +135,47 @@ def _float_key(v):
 class RootTable:
     """The positive roots met so far, each under an integer id.
 
-    ``ids`` maps a root key to its id; the simple root alpha_s has id s.
+    The constructor alone decides the table's scalars from the Gram matrix
+    B, the backend's ``eps`` and whether it is ``exact``: ``gram2`` is 2B,
+    made ints when every entry is whole (the table is then exact, also in
+    float), ``eps2`` is 2 eps (0 when exact) and ``vec_key`` maps
+    coordinates to a root key (the tuple itself when exact, else a 1e-6
+    grid).  ``ids`` maps a key to its id; the simple root alpha_s has id s.
     Id-indexed lists keep each root, with its form values computed once
-    from ``gram2``, the doubled Gram matrix 2B (by ``add``'s dot product,
-    or in O(r) from the parent's by ``reflect`` when the table is
-    ``exact``, its ``vec_key`` being ``tuple``): ``coords[i]`` are
-    root i's first-found coordinates; ``forms[i][t]`` is 2B(alpha_t,
-    root i); ``ups[i]`` the bitmask of the generators t with
-    2B(alpha_t, root i) > ``eps2`` (2 eps, or 0 in an exact table), the s
-    for which s . root i is shallower; and ``sort_keys[i]`` is (depth,
-    key), the order in which roots are listed.  ``cols[s]`` is one
-    id-indexed column per generator: ``cols[s][i]`` is the id of s . root
-    i, or None until ``reflect(i, s)`` fills it (and ``cols[s][s]`` stays
-    None, since s negates alpha_s).  Every list has one entry per root, and
-    ``root(i)`` builds root i as a Root.  ``reflect`` never peels: s . beta
-    subtracts b = 2B(alpha_s, beta) from coordinate s; depth(s beta) is
-    depth(beta) - 1 if b > eps2, depth(beta) + 1 if b < -eps2, and
-    otherwise s fixes the root.  Past the simple roots, the package adds
-    roots only through ``reflect``; BasedRootSystem.root_depth stays for a
-    caller that holds a raw vector.  The table holds no reference to its
-    root system, so the two form no cycle."""
+    (by ``add``'s dot product, or in O(r) from the parent's by ``reflect``
+    when exact): ``coords[i]`` are root i's coordinates; ``forms[i][t]`` is
+    2B(alpha_t, root i); ``ups[i]`` the bitmask of the t with
+    2B(alpha_t, root i) > ``eps2``, the s for which s . root i is
+    shallower; and ``sort_keys[i]`` is (depth, key), the order in which
+    roots are listed.  ``cols[s]`` is one id-indexed column per generator:
+    ``cols[s][i]`` is the id of s . root i, or None until ``reflect(i, s)``
+    fills it (and ``cols[s][s]`` stays None, since s negates alpha_s).
+    Every list has one entry per root, and ``root(i)`` builds root i as a
+    Root.  ``reflect`` never peels: s . beta subtracts b = 2B(alpha_s, beta)
+    from coordinate s; depth(s beta) is depth(beta) - 1 if b > eps2,
+    depth(beta) + 1 if b < -eps2, and otherwise s fixes the root.  Every
+    non-simple root enters through ``reflect``, in the table's own
+    arithmetic.  The table holds no reference to its root system, so the
+    two form no cycle."""
 
-    def __init__(self, simple_roots, gram2, eps2, vec_key):
+    def __init__(self, gram, eps, exact):
+        gram2 = tuple(tuple(2 * x for x in row) for row in gram)
+        if all(y == int(y) for row in gram2 for y in row):
+            gram2, exact = tuple(tuple(map(int, row)) for row in gram2), True
         self.gram2 = gram2
-        self.eps2 = eps2
-        self.vec_key = vec_key
-        self.exact = vec_key is tuple
+        self.exact = exact
+        self.eps2 = 0 if exact else 2 * eps
+        self.vec_key = tuple if exact else _float_key
         self.coords = []
         self.ids = {}
         self.forms = []
         self.ups = []
         self.sort_keys = []
         self.cols = tuple([] for _ in gram2)
-        for v in simple_roots:
-            self.add(v, vec_key(v), 1)
+        one, zero = (1, 0) if exact else (1.0, 0.0)
+        for s in range(len(gram2)):
+            v = tuple(one if t == s else zero for t in range(len(gram2)))
+            self.add(v, self.vec_key(v), 1)
 
     def add(self, coords, key, depth, forms=None):
         """Record a new positive root (``forms`` if known); returns its id."""
@@ -234,13 +236,11 @@ class BasedRootSystem:
     The form, the simple roots and ``generators`` (the frozenset
     range(rank)) are fixed at construction.  What grows is ``root_table``
     (a RootTable): every positive root that the small roots, an inversion
-    set, the element walk or a peeling graph has met, kept by id in lists
-    (no Root objects) with its depth and its reflections, each computed
-    once.  ``root_depth`` also adds roots, for a caller that holds a raw
-    vector.  ``vec_key`` maps coordinates to the table's key: the tuple
-    itself when the table is exact (module docstring), else a 1e-6 grid;
-    ``gram``, ``eps`` and ``exact`` stay the backend's.  Derived data such
-    as automata is passed explicitly."""
+    set, the element walk, a peeling graph or ``root_depth`` has met, kept
+    by id in lists (no Root objects) with its depth and its reflections,
+    each computed once.  ``simple_roots`` and ``vec_key`` are the table's
+    (module docstring); ``gram``, ``eps`` and ``exact`` stay the
+    backend's.  Derived data such as automata is passed explicitly."""
 
     def __init__(self, matrix, gram, backend, eps):
         self.matrix = matrix
@@ -250,18 +250,9 @@ class BasedRootSystem:
         self.backend = backend
         self.exact = backend == "rational"
         self.eps = 0 if self.exact else eps
-        gram2 = tuple(tuple(2 * x for x in row) for row in gram)
-        whole = all(y == int(y) for row in gram2 for y in row)
-        if whole:
-            gram2 = tuple(tuple(map(int, row)) for row in gram2)
-        exact = whole or self.exact
-        one, zero = (1, 0) if exact else (1.0, 0.0)
-        self.simple_roots = tuple(
-            tuple(one if i == s else zero for i in range(self.rank))
-            for s in range(self.rank))
-        self.vec_key = tuple if exact else _float_key
-        self.root_table = RootTable(self.simple_roots, gram2,
-                                    0 if exact else 2 * eps, self.vec_key)
+        self.root_table = RootTable(gram, self.eps, self.exact)
+        self.simple_roots = tuple(self.root_table.coords)
+        self.vec_key = self.root_table.vec_key
 
     # -- scalar comparison helpers -------------------------------------
 
@@ -309,31 +300,30 @@ class BasedRootSystem:
         """Depth of a positive root, read from root_table.
 
         A vector the table does not hold is peeled greedily: any s with
-        B(alpha_s, v) > 0 lowers the depth by exactly one, so the steps down
-        to a root the table holds count the depth exactly.  Every root on
-        the way is recorded.  An exact table takes v's coordinates exactly
-        (``_exact``) and peels with its own 2B, so it stays exact."""
+        B(alpha_s, v) > 0 lowers the depth by exactly one, down to a root
+        the table holds.  The peel only records its letters; the table then
+        reflects that root back up through them, so v's root enters through
+        ``reflect`` in the table's own arithmetic.  A positive root's peel
+        stays in the nonnegative orthant, so a step that would leave it
+        names v as no positive root; in float, past 2 eps times v's largest
+        coordinate, the size its rounding error grows with."""
         table = self.root_table
         start = tuple(v)
         self.check_dim(start)
-        v = tuple(map(_exact, start)) if table.exact else start
-        key = self.vec_key(v)
-        path = []
-        while key not in table.ids:
+        v, eps2, letters = start, table.eps2, []
+        floor = -eps2 * max(map(abs, start), default=0)
+        while (i := table.ids.get(self.vec_key(v))) is None:
+            b = 0
             for s, row in enumerate(table.gram2):
-                b = sum(map(mul, row, v))
-                if b > table.eps2:
-                    path.append((v, key))
-                    v = v[:s] + (v[s] - b,) + v[s + 1:]
-                    key = self.vec_key(v)
+                if (b := sum(map(mul, row, v))) > eps2:
                     break
-            else:
+            if b <= eps2 or v[s] - b < floor:
                 raise ValueError("not a positive root: %r" % (start,))
-        depth = table.sort_keys[table.ids[key]][0]
-        for u, k in reversed(path):
-            depth += 1
-            table.add(u, k, depth)
-        return depth
+            letters.append(s)
+            v = v[:s] + (v[s] - b,) + v[s + 1:]
+        for s in reversed(letters):
+            i = table.reflect(i, s)
+        return table.sort_keys[i][0]
 
     def __repr__(self):
         return "BasedRootSystem(rank=%d, backend=%r)" % (self.rank, self.backend)

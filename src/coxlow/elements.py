@@ -239,6 +239,8 @@ def cone_membership(rs, generators, gamma):
     raise NumericallyAmbiguous, naming gamma, instead of silently flipping."""
     vecs = [g.coords if isinstance(g, Root) else tuple(g) for g in generators]
     target = gamma.coords if isinstance(gamma, Root) else tuple(gamma)
+    for v in vecs + [target]:
+        rs.check_dim(v)
     if not vecs:
         return False
     coeff_tol = 0 if rs.exact else EPS_CONE

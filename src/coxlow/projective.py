@@ -36,6 +36,7 @@ def chart_vertices(rank):
 
 def normalize_projective(rs, v):
     """Map a vector with positive coordinate sum to the 2D chart."""
+    rs.check_dim(v)
     total = sum(v)
     if rs.is_zero(total):
         raise ZeroSum("coordinate sum of %r vanishes: direction at infinity"

@@ -13,9 +13,11 @@ from coxlow import (
     CoxeterMatrix,
     battery_root_system,
     build_root_system,
+    cone_membership,
     dihedral_matrix,
     inversion_set,
     load_root_system,
+    normalize_projective,
     roots_up_to_depth,
     small_roots,
     triangle_matrix,
@@ -298,6 +300,74 @@ def test_root_depth_and_reflect_errors():
         rs.root_table.reflect(1, 1)
 
 
+@pytest.mark.parametrize("name, backend, vector", [
+    ("universal", "float", (2.0, 0.0, 0.0)),
+    ("affine-3-3-3", "float", (2.0, 0.0, 0.0)),
+    ("2-2-inf", "float", (0.0, 0.0, 2.0)),
+    ("universal", "rational", (2, 0, 0)),
+    ("universal", "float", (1.0, -1.0, 0.0)),
+    ("affine-3-3-3", "rational", (-1, 0, 0)),
+    ("hyperbolic-3-3-4", "float", (0.5, 0.0, 0.0)),
+    ("A3", "float", (2.0, 0.0, 0.0)),
+])
+def test_root_depth_refuses_a_peel_that_leaves_the_orthant(name, backend,
+                                                          vector):
+    # a positive root's peel stays a positive root; these vectors are not
+    # roots, and their peel used to walk off forever on infinite groups
+    # (or overflow on hyperbolic-3-3-4) instead of naming the input
+    rs = battery_root_system(name, backend=backend)
+    with pytest.raises(ValueError, match=r"^not a positive root: %s$"
+                       % re.escape(repr(vector))):
+        rs.root_depth(vector)
+    assert len(rs.root_table.coords) == rs.rank
+
+
+@pytest.mark.parametrize("length", [2, 4])
+def test_raw_vector_entry_points_check_the_length(length):
+    rs = battery_root_system("A3")
+    short_or_long = (1.0,) * length
+    message = r"^expected vector of length 3, got %d$" % length
+    with pytest.raises(DimensionMismatch, match=message):
+        normalize_projective(rs, short_or_long)
+    with pytest.raises(DimensionMismatch, match=message):
+        cone_membership(rs, [short_or_long], (1.0, 0.0, 0.0))
+    with pytest.raises(DimensionMismatch, match=message):
+        cone_membership(rs, [(1.0, 0.0, 0.0)], short_or_long)
+
+
+def test_root_depth_enters_roots_through_reflect():
+    # root_depth adds no root itself: it reflects the root its peel reached
+    # back up, so every non-simple root it leaves in the table has a parent
+    for name, _, _ in BATTERY:
+        rs = _battery(name)
+        table = rs.root_table
+        parents = {}
+
+        def recording(i, s, reflect=table.reflect):
+            n = len(table.coords)
+            j = reflect(i, s)
+            if len(table.coords) > n:
+                parents[j] = (i, s)
+            return j
+
+        table.reflect = recording
+        for root in roots_up_to_depth(_battery(name), 8):
+            assert rs.root_depth(root.coords) == root.depth, (name, root)
+        assert set(parents) == set(range(rs.rank, len(table.coords))), name
+
+
+def test_root_depth_is_exact_on_deep_float_roots():
+    # a float peel from depth 27 ends within rounding of a held root; the
+    # orthant guard's tolerance grows with the vector (a bound relative to
+    # each step refused 92 of these roots) and reflect's own fixed test
+    # absorbs a step of rounding size (counting it gave depth 28 for 11)
+    name = "hyperbolic-3-3-4"
+    deep = [root for root in roots_up_to_depth(_battery(name), 27)
+            if root.depth == 27]
+    for root in deep[::30]:
+        assert _battery(name).root_depth(root.coords) == 27, root
+
+
 @pytest.mark.parametrize("backend", ["float", "rational"])
 def test_root_table_per_root_data(backend):
     # each root's stored form values are the doubled form 2B recomputed,
@@ -349,9 +419,9 @@ def test_root_table_per_root_data(backend):
 
 
 def test_root_table_reflections_match_peeling_oracle():
-    # the deepest roots enter by root_depth, which records only their
-    # peeling paths; reflect(i, s) fills in the rest, up and down, with
-    # depths from the signs of the stored form values alone
+    # the deepest roots enter by root_depth, which reflects them up along
+    # their peeling paths only; reflect(i, s) fills in the rest, up and
+    # down, with depths from the signs of the stored form values alone
     for name, _, _ in BATTERY:
         rs = _battery(name)
         table = rs.root_table

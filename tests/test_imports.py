@@ -281,3 +281,22 @@ def test_non_reduced_input_is_raised_only_in_inversion_set():
                     owner[node] = "%s:%s" % (path.name,
                                              getattr(fn, "name", "<module>"))
     assert list(owner.values()) == ["elements.py:inversion_set"]
+
+
+def test_only_the_root_table_adds_roots():
+    # RootTable.add(coords, key, depth) is called by the table alone (its
+    # constructor and reflect), so every non-simple root enters through
+    # reflect; a set's .add takes one argument and is not counted
+    owner = {}      # each call, by its innermost class (ast.walk is BFS)
+    for path in sorted((ROOT / "src/coxlow").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for scope in [tree] + [node for node in ast.walk(tree)
+                               if isinstance(node, ast.ClassDef)]:
+            for node in ast.walk(scope):
+                if (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "add"
+                        and len(node.args) + len(node.keywords) >= 3):
+                    owner[node] = "%s:%s" % (path.name,
+                                             getattr(scope, "name", "<module>"))
+    assert sorted(owner.values()) == ["core.py:RootTable"] * 2
